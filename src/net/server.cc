@@ -428,7 +428,7 @@ void LedgerServer::WorkerLoop(Worker* worker) {
           std::this_thread::sleep_for(
               std::chrono::microseconds(options_.debug_service_delay_us));
         }
-        resp = Execute(req.frame);
+        resp = wire::Dispatch(ledger_, req.frame);
       }
       uint64_t exec_us = obs::NowUs() - t0;
       rec.exec_us = exec_us;
@@ -457,131 +457,6 @@ void LedgerServer::WorkerLoop(Worker* worker) {
     req.conn.reset();
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-}
-
-wire::ResponseFrame LedgerServer::Execute(const wire::RequestFrame& frame) {
-  const RpcOp op = frame.op;
-  const uint64_t id = frame.request_id;
-  const Bytes& body = frame.body;
-  auto fail = [&](Status status) {
-    return wire::ResponseFrame::From(op, id, std::move(status));
-  };
-  auto bad_body = [&] {
-    return fail(Status::InvalidArgument(std::string("malformed ") +
-                                        RpcOpName(op) + " request body"));
-  };
-  wire::ResponseFrame resp;
-
-  switch (op) {
-    case RpcOp::kAppendTx: {
-      ClientTransaction tx;
-      if (!ClientTransaction::Deserialize(body, &tx)) return bad_body();
-      uint64_t jsn = 0;
-      Status st = ledger_->Append(tx, &jsn);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      PutU64(&resp.body, jsn);
-      return resp;
-    }
-    case RpcOp::kGetReceipt: {
-      uint64_t jsn = 0;
-      if (!wire::DecodeJsnRequest(body, &jsn)) return bad_body();
-      Receipt r;
-      Status st = ledger_->GetReceipt(jsn, &r);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = r.Serialize();
-      return resp;
-    }
-    case RpcOp::kGetJournal: {
-      uint64_t jsn = 0;
-      if (!wire::DecodeJsnRequest(body, &jsn)) return bad_body();
-      Journal j;
-      Status st = ledger_->GetJournal(jsn, &j);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = j.Serialize();
-      return resp;
-    }
-    case RpcOp::kGetProof: {
-      uint64_t jsn = 0;
-      if (!wire::DecodeJsnRequest(body, &jsn)) return bad_body();
-      FamProof proof;
-      Status st = ledger_->GetProof(jsn, &proof);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = proof.Serialize();
-      return resp;
-    }
-    case RpcOp::kGetClueProof: {
-      std::string clue;
-      uint64_t begin = 0, end = 0;
-      if (!wire::DecodeClueWindowRequest(body, &clue, &begin, &end)) {
-        return bad_body();
-      }
-      ClueProof proof;
-      Status st = ledger_->GetClueProof(clue, begin, end, &proof);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = proof.Serialize();
-      return resp;
-    }
-    case RpcOp::kListTx: {
-      std::string clue;
-      if (!wire::DecodeClueRequest(body, &clue)) return bad_body();
-      std::vector<uint64_t> jsns;
-      Status st = ledger_->ListTx(clue, &jsns);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = wire::EncodeJsnList(jsns);
-      return resp;
-    }
-    case RpcOp::kGetCommitment: {
-      if (!body.empty()) return bad_body();
-      SignedCommitment c;
-      Status st = ledger_->GetCommitment(&c);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = c.Serialize();
-      return resp;
-    }
-    case RpcOp::kGetDelta: {
-      uint64_t from = 0, to = 0;
-      if (!wire::DecodeRangeRequest(body, &from, &to)) return bad_body();
-      std::vector<JournalDelta> deltas;
-      Status st = ledger_->GetDelta(from, to, &deltas);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = wire::EncodeDeltas(deltas);
-      return resp;
-    }
-    case RpcOp::kGetProofBatch: {
-      std::vector<uint64_t> jsns;
-      if (!wire::DecodeJsnList(body, &jsns)) return bad_body();
-      FamBatchProof proof;
-      Status st = ledger_->GetProofBatch(jsns, &proof);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = proof.Serialize();
-      return resp;
-    }
-    case RpcOp::kProveClueRange: {
-      std::string clue;
-      uint64_t from = 0, to = 0;
-      if (!wire::DecodeClueWindowRequest(body, &clue, &from, &to)) {
-        return bad_body();
-      }
-      Bytes range_wire;
-      Status st = ledger_->ProveClueRangeWire(
-          clue, static_cast<Timestamp>(from), static_cast<Timestamp>(to),
-          &range_wire);
-      if (!st.ok()) return fail(std::move(st));
-      resp = wire::ResponseFrame::From(op, id, Status::OK());
-      resp.body = std::move(range_wire);
-      return resp;
-    }
-  }
-  return fail(Status::InvalidArgument("unknown rpc op"));
 }
 
 void LedgerServer::Respond(const ConnPtr& conn,

@@ -29,7 +29,7 @@ namespace ledgerdb {
 ///     surfaces as an immediate Unavailable response (shed), not as
 ///     accept backpressure;
 ///   - N worker threads drain bounded per-worker admission queues and
-///     execute requests against the ledger under a single mutex (the
+///     execute requests through wire::Dispatch under a single mutex (the
 ///     Ledger is single-threaded by design — one shard per server);
 ///   - workers hand encoded responses back to the event loop through
 ///     per-connection outboxes and a wakeup pipe.
@@ -138,8 +138,6 @@ class LedgerServer {
   /// Parses buffered bytes into hello/frames; false closes the connection.
   bool ParseBuffered(const ConnPtr& conn);
   void Admit(const ConnPtr& conn, wire::RequestFrame frame);
-  /// Executes one admitted request against the ledger.
-  wire::ResponseFrame Execute(const wire::RequestFrame& frame);
   /// Encodes `resp` into the connection outbox and wakes the event loop.
   /// A nonzero `trace_id` arms a server_flush span that fires when the
   /// last byte of this response clears the kernel send buffer.

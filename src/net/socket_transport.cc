@@ -156,90 +156,4 @@ Status SocketTransport::CallOnce(RpcOp op, const Bytes& body,
   }
 }
 
-Status SocketTransport::AppendTx(const ClientTransaction& tx, uint64_t* jsn) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(Call(RpcOp::kAppendTx, tx.Serialize(), &resp));
-  if (!wire::DecodeJsnRequest(resp, jsn)) {
-    return Status::Corruption("append response body undecodable");
-  }
-  return Status::OK();
-}
-
-Status SocketTransport::GetReceipt(uint64_t jsn, Receipt* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kGetReceipt, wire::EncodeJsnRequest(jsn), &resp));
-  return DecodeBody(resp, out, "receipt");
-}
-
-Status SocketTransport::GetJournal(uint64_t jsn, Journal* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kGetJournal, wire::EncodeJsnRequest(jsn), &resp));
-  return DecodeBody(resp, out, "journal");
-}
-
-Status SocketTransport::GetProof(uint64_t jsn, FamProof* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kGetProof, wire::EncodeJsnRequest(jsn), &resp));
-  return DecodeBody(resp, out, "fam proof");
-}
-
-Status SocketTransport::GetClueProof(const std::string& clue, uint64_t begin,
-                                     uint64_t end, ClueProof* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kGetClueProof,
-           wire::EncodeClueWindowRequest(clue, begin, end), &resp));
-  return DecodeBody(resp, out, "clue proof");
-}
-
-Status SocketTransport::ListTx(const std::string& clue,
-                               std::vector<uint64_t>* jsns) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kListTx, wire::EncodeClueRequest(clue), &resp));
-  if (!wire::DecodeJsnList(resp, jsns)) {
-    return Status::Corruption("jsn list response body undecodable");
-  }
-  return Status::OK();
-}
-
-Status SocketTransport::GetCommitment(SignedCommitment* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(Call(RpcOp::kGetCommitment, Bytes(), &resp));
-  return DecodeBody(resp, out, "commitment");
-}
-
-Status SocketTransport::GetDelta(uint64_t from, uint64_t to,
-                                 std::vector<JournalDelta>* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kGetDelta, wire::EncodeRangeRequest(from, to), &resp));
-  if (!wire::DecodeDeltas(resp, out)) {
-    return Status::Corruption("delta response body undecodable");
-  }
-  return Status::OK();
-}
-
-Status SocketTransport::GetProofBatch(const std::vector<uint64_t>& jsns,
-                                      FamBatchProof* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kGetProofBatch, wire::EncodeJsnList(jsns), &resp));
-  return DecodeBody(resp, out, "batch proof");
-}
-
-Status SocketTransport::ProveClueRange(const std::string& clue, Timestamp from,
-                                       Timestamp to, ClueRangeResult* out) {
-  Bytes resp;
-  LEDGERDB_RETURN_IF_ERROR(
-      Call(RpcOp::kProveClueRange,
-           wire::EncodeClueWindowRequest(clue, static_cast<uint64_t>(from),
-                                         static_cast<uint64_t>(to)),
-           &resp));
-  return DecodeBody(resp, out, "clue range");
-}
-
 }  // namespace ledgerdb

@@ -11,9 +11,10 @@
 namespace ledgerdb {
 
 /// LedgerTransport over a socket (see net/wire.h for the frame format and
-/// net/server.h for the host). One transport = one connection = one
-/// outstanding request; not thread-safe — give each client thread its own
-/// transport, exactly like LocalTransport.
+/// net/server.h for the host). The typed RPCs come from WireTransport;
+/// this class connects and moves frames. One transport = one connection =
+/// one outstanding request; not thread-safe — give each client thread its
+/// own transport, exactly like LocalTransport.
 ///
 /// Error surface, tuned for RetryTransient:
 ///   - connect/send/recv failures and peer resets → TransientIO
@@ -28,7 +29,7 @@ namespace ledgerdb {
 ///
 /// The per-request deadline comes from the LedgerTransport base option
 /// (set_request_deadline_us), falling back to Options::request_deadline_us.
-class SocketTransport : public LedgerTransport {
+class SocketTransport : public WireTransport {
  public:
   struct Options {
     uint64_t request_deadline_us = 5'000'000;
@@ -49,21 +50,6 @@ class SocketTransport : public LedgerTransport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  Status AppendTx(const ClientTransaction& tx, uint64_t* jsn) override;
-  Status GetReceipt(uint64_t jsn, Receipt* out) override;
-  Status GetJournal(uint64_t jsn, Journal* out) override;
-  Status GetProof(uint64_t jsn, FamProof* out) override;
-  Status GetClueProof(const std::string& clue, uint64_t begin, uint64_t end,
-                      ClueProof* out) override;
-  Status ListTx(const std::string& clue, std::vector<uint64_t>* jsns) override;
-  Status GetCommitment(SignedCommitment* out) override;
-  Status GetDelta(uint64_t from, uint64_t to,
-                  std::vector<JournalDelta>* out) override;
-  Status GetProofBatch(const std::vector<uint64_t>& jsns,
-                       FamBatchProof* out) override;
-  Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
-                        ClueRangeResult* out) override;
-
   const std::string& uri() const override { return uri_; }
 
   bool connected() const { return fd_ >= 0; }
@@ -75,25 +61,17 @@ class SocketTransport : public LedgerTransport {
   /// request with the server-side span records it produced.
   uint64_t last_trace_id() const { return last_trace_id_; }
 
- private:
+ protected:
   /// One request/response exchange; closes the connection on any
-  /// transport-level failure so the next call starts clean.
-  Status Call(RpcOp op, const Bytes& body, Bytes* resp_body);
+  /// transport-level failure so the next call starts clean. The
+  /// ledgerdb_net_* rpc metrics and client_rpc spans are recorded here.
+  Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) override;
+
+ private:
   Status CallOnce(RpcOp op, const Bytes& body, Bytes* resp_body,
                   uint64_t deadline_us, uint64_t trace_id);
   Status EnsureConnected(uint64_t deadline_us);
   void CloseConn();
-
-  /// Deserializes a canonical wire response body, mapping decode failure
-  /// to non-retriable Corruption (the bytes, not the transport, are bad).
-  template <typename T>
-  static Status DecodeBody(const Bytes& body, T* out, const char* what) {
-    if (!T::Deserialize(body, out)) {
-      return Status::Corruption(std::string(what) +
-                                " response body undecodable");
-    }
-    return Status::OK();
-  }
 
   std::string address_;
   std::string uri_;

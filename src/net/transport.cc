@@ -1,6 +1,33 @@
 #include "net/transport.h"
 
+#include "net/wire.h"
+
 namespace ledgerdb {
+
+namespace {
+
+/// Deserializes a canonical wire response body, mapping decode failure
+/// to non-retriable Corruption (the bytes, not the transport, are bad).
+template <typename T>
+Status DecodeBody(const Bytes& body, T* out, const char* what) {
+  if (!T::Deserialize(body, out)) {
+    return Status::Corruption(std::string(what) +
+                              " response body undecodable");
+  }
+  return Status::OK();
+}
+
+/// One hop through the socket framing: length prefix on, frame extracted
+/// under the default frame cap. False when `payload` does not fit a frame.
+bool Reframe(const Bytes& payload, Bytes* out) {
+  Bytes frame;
+  wire::AppendFrame(&frame, payload);
+  size_t consumed = 0;
+  return wire::ExtractFrame(frame.data(), frame.size(),
+                            wire::kDefaultMaxFrameBytes, out, &consumed) > 0;
+}
+
+}  // namespace
 
 const char* RpcOpName(RpcOp op) {
   switch (op) {
@@ -28,11 +55,94 @@ const char* RpcOpName(RpcOp op) {
   return "Unknown";
 }
 
+Status WireTransport::AppendTx(const ClientTransaction& tx, uint64_t* jsn) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(Call(RpcOp::kAppendTx, tx.Serialize(), &resp));
+  if (!wire::DecodeJsnRequest(resp, jsn)) {
+    return Status::Corruption("append response body undecodable");
+  }
+  return Status::OK();
+}
+
+Status WireTransport::GetReceipt(uint64_t jsn, Receipt* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kGetReceipt, wire::EncodeJsnRequest(jsn), &resp));
+  return DecodeBody(resp, out, "receipt");
+}
+
+Status WireTransport::GetJournal(uint64_t jsn, Journal* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kGetJournal, wire::EncodeJsnRequest(jsn), &resp));
+  return DecodeBody(resp, out, "journal");
+}
+
+Status WireTransport::GetProof(uint64_t jsn, FamProof* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kGetProof, wire::EncodeJsnRequest(jsn), &resp));
+  return DecodeBody(resp, out, "fam proof");
+}
+
+Status WireTransport::GetClueProof(const std::string& clue, uint64_t begin,
+                                   uint64_t end, ClueProof* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kGetClueProof,
+           wire::EncodeClueWindowRequest(clue, begin, end), &resp));
+  return DecodeBody(resp, out, "clue proof");
+}
+
+Status WireTransport::ListTx(const std::string& clue,
+                             std::vector<uint64_t>* jsns) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kListTx, wire::EncodeClueRequest(clue), &resp));
+  if (!wire::DecodeJsnList(resp, jsns)) {
+    return Status::Corruption("jsn list response body undecodable");
+  }
+  return Status::OK();
+}
+
+Status WireTransport::GetCommitment(SignedCommitment* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(Call(RpcOp::kGetCommitment, Bytes(), &resp));
+  return DecodeBody(resp, out, "commitment");
+}
+
+Status WireTransport::GetDelta(uint64_t from, uint64_t to,
+                               std::vector<JournalDelta>* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kGetDelta, wire::EncodeRangeRequest(from, to), &resp));
+  if (!wire::DecodeDeltas(resp, out)) {
+    return Status::Corruption("delta response body undecodable");
+  }
+  return Status::OK();
+}
+
+Status WireTransport::GetProofBatch(const std::vector<uint64_t>& jsns,
+                                    FamBatchProof* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kGetProofBatch, wire::EncodeJsnList(jsns), &resp));
+  return DecodeBody(resp, out, "batch proof");
+}
+
+Status WireTransport::ProveClueRange(const std::string& clue, Timestamp from,
+                                     Timestamp to, ClueRangeResult* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(
+      Call(RpcOp::kProveClueRange,
+           wire::EncodeClueWindowRequest(clue, static_cast<uint64_t>(from),
+                                         static_cast<uint64_t>(to)),
+           &resp));
+  return DecodeBody(resp, out, "clue range");
+}
+
 LocalTransport::LocalTransport(Ledger* ledger)
     : ledger_(ledger), uri_(ledger->uri()) {}
-
-LocalTransport::LocalTransport(LedgerService* service, std::string uri)
-    : service_(service), uri_(std::move(uri)) {}
 
 Status LocalTransport::CheckDeadline() const {
   if (request_deadline_us_ > 0 &&
@@ -45,164 +155,28 @@ Status LocalTransport::CheckDeadline() const {
   return Status::OK();
 }
 
-Status LocalTransport::Resolve(Ledger** out) {
-  if (ledger_ == nullptr) {
-    LEDGERDB_RETURN_IF_ERROR(service_->GetLedger(uri_, &ledger_));
-  }
-  *out = ledger_;
-  return Status::OK();
-}
-
-const PublicKey& LocalTransport::lsp_key() const {
-  // Resolve() has run by the time any verification needs this; fall back
-  // to the service key for a not-yet-resolved service-addressed transport.
-  if (ledger_ != nullptr) return ledger_->lsp_key();
-  return service_->lsp_key();
-}
-
-Status LocalTransport::AppendTx(const ClientTransaction& tx, uint64_t* jsn) {
+Status LocalTransport::Call(RpcOp op, const Bytes& body, Bytes* resp_body) {
   LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  // Request over the wire: the server only ever sees the serialized form.
-  ClientTransaction wire;
-  if (!ClientTransaction::Deserialize(tx.Serialize(), &wire)) {
-    return Status::InvalidArgument("transaction wire encoding failed");
+  wire::RequestFrame req;
+  req.op = op;
+  req.request_id = ++next_request_id_;
+  req.body = body;
+  Bytes payload;
+  wire::RequestFrame served;
+  if (!Reframe(req.Encode(), &payload) ||
+      !wire::RequestFrame::Decode(payload, &served)) {
+    return Status::InvalidArgument(std::string(RpcOpName(op)) +
+                                   " request does not fit one frame");
   }
-  return ledger->Append(wire, jsn);
-}
-
-Status LocalTransport::GetReceipt(uint64_t jsn, Receipt* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  Receipt r;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetReceipt(jsn, &r));
-  if (!Receipt::Deserialize(r.Serialize(), out)) {
-    return Status::Corruption("receipt wire round trip failed");
+  wire::ResponseFrame resp;
+  if (!Reframe(wire::Dispatch(ledger_, served).Encode(), &payload) ||
+      !wire::ResponseFrame::Decode(payload, &resp)) {
+    return Status::Corruption(std::string(RpcOpName(op)) +
+                              " response does not fit one frame");
   }
-  return Status::OK();
-}
-
-Status LocalTransport::GetJournal(uint64_t jsn, Journal* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  Journal j;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetJournal(jsn, &j));
-  if (!Journal::Deserialize(j.Serialize(), out)) {
-    return Status::Corruption("journal wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetProof(uint64_t jsn, FamProof* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  FamProof proof;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetProof(jsn, &proof));
-  if (!FamProof::Deserialize(proof.Serialize(), out)) {
-    return Status::Corruption("fam proof wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetClueProof(const std::string& clue, uint64_t begin,
-                                    uint64_t end, ClueProof* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  ClueProof proof;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetClueProof(clue, begin, end, &proof));
-  if (!ClueProof::Deserialize(proof.Serialize(), out)) {
-    return Status::Corruption("clue proof wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::ListTx(const std::string& clue,
-                              std::vector<uint64_t>* jsns) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  std::vector<uint64_t> raw;
-  LEDGERDB_RETURN_IF_ERROR(ledger->ListTx(clue, &raw));
-  // Wire: [u32 count][u64 jsn]* — round-tripped like every other response.
-  Bytes wire;
-  PutU32(&wire, static_cast<uint32_t>(raw.size()));
-  for (uint64_t jsn : raw) PutU64(&wire, jsn);
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!GetU32(wire, &pos, &count)) {
-    return Status::Corruption("jsn list wire round trip failed");
-  }
-  jsns->assign(count, 0);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetU64(wire, &pos, &(*jsns)[i])) {
-      return Status::Corruption("jsn list wire round trip failed");
-    }
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetProofBatch(const std::vector<uint64_t>& jsns,
-                                     FamBatchProof* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  FamBatchProof proof;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetProofBatch(jsns, &proof));
-  if (!FamBatchProof::Deserialize(proof.Serialize(), out)) {
-    return Status::Corruption("batch proof wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::ProveClueRange(const std::string& clue, Timestamp from,
-                                      Timestamp to, ClueRangeResult* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  // The wire variant lets the server serve a repeated range read from its
-  // response memo without rebuilding or re-serializing the proofs.
-  Bytes wire;
-  LEDGERDB_RETURN_IF_ERROR(ledger->ProveClueRangeWire(clue, from, to, &wire));
-  if (!ClueRangeResult::Deserialize(wire, out)) {
-    return Status::Corruption("clue range wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetCommitment(SignedCommitment* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  SignedCommitment c;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetCommitment(&c));
-  if (!SignedCommitment::Deserialize(c.Serialize(), out)) {
-    return Status::Corruption("commitment wire round trip failed");
-  }
-  return Status::OK();
-}
-
-Status LocalTransport::GetDelta(uint64_t from, uint64_t to,
-                                std::vector<JournalDelta>* out) {
-  LEDGERDB_RETURN_IF_ERROR(CheckDeadline());
-  Ledger* ledger = nullptr;
-  LEDGERDB_RETURN_IF_ERROR(Resolve(&ledger));
-  std::vector<JournalDelta> deltas;
-  LEDGERDB_RETURN_IF_ERROR(ledger->GetDelta(from, to, &deltas));
-  out->clear();
-  out->reserve(deltas.size());
-  for (const JournalDelta& d : deltas) {
-    JournalDelta wire;
-    if (!JournalDelta::Deserialize(d.Serialize(), &wire)) {
-      return Status::Corruption("delta wire round trip failed");
-    }
-    out->push_back(std::move(wire));
-  }
-  return Status::OK();
+  Status st = resp.ToStatus();
+  if (st.ok() && resp_body != nullptr) *resp_body = std::move(resp.body);
+  return st;
 }
 
 }  // namespace ledgerdb

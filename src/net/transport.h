@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "ledger/ledger.h"
-#include "ledger/service.h"
 
 namespace ledgerdb {
 
@@ -33,9 +32,9 @@ const char* RpcOpName(RpcOp op);
 /// Transport seam between LedgerClient / auditors and the LSP (§II-B: the
 /// LSP is *distrusted*, so everything a client learns arrives through this
 /// interface and must be independently verified). Implementations:
-/// LocalTransport (honest, in-process, wire round-tripped) and
-/// ByzantineTransport (adversarial decorator). An actual network stub
-/// implements the same surface; client verification logic is unchanged.
+/// WireTransport (the one typed stub; SocketTransport and the in-process
+/// LocalTransport only move its frames, and wire::Dispatch serves both)
+/// and ByzantineTransport (adversarial decorator over any transport).
 class LedgerTransport {
  public:
   virtual ~LedgerTransport() = default;
@@ -80,38 +79,43 @@ class LedgerTransport {
   uint64_t request_deadline_us_ = 0;
 };
 
-/// Honest in-process transport. Every request and response is serialized
-/// and re-parsed through its wire format, so clients exercise exactly the
-/// byte surface a remote deployment would expose — a proof that survives
-/// LocalTransport has survived its codec.
-class LocalTransport : public LedgerTransport {
+/// The typed client stub: each RPC encodes its request body and decodes
+/// its response body with the net/wire.h codecs, once, over one Call()
+/// seam. A response body that does not decode is non-retriable Corruption
+/// (the bytes, not the transport, are bad).
+class WireTransport : public LedgerTransport {
+ public:
+  Status AppendTx(const ClientTransaction& tx, uint64_t* jsn) final;
+  Status GetReceipt(uint64_t jsn, Receipt* out) final;
+  Status GetJournal(uint64_t jsn, Journal* out) final;
+  Status GetProof(uint64_t jsn, FamProof* out) final;
+  Status GetClueProof(const std::string& clue, uint64_t begin, uint64_t end,
+                      ClueProof* out) final;
+  Status ListTx(const std::string& clue, std::vector<uint64_t>* jsns) final;
+  Status GetCommitment(SignedCommitment* out) final;
+  Status GetDelta(uint64_t from, uint64_t to,
+                  std::vector<JournalDelta>* out) final;
+  Status GetProofBatch(const std::vector<uint64_t>& jsns,
+                       FamBatchProof* out) final;
+  Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
+                        ClueRangeResult* out) final;
+
+ protected:
+  /// One request/response exchange. On an OK response `*resp_body`
+  /// receives its body; server-reported statuses come back verbatim.
+  virtual Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) = 0;
+};
+
+/// Honest in-process transport: a frame loopback. Each request is encoded,
+/// framed and decoded as a LedgerServer would receive it, served by
+/// wire::Dispatch, and answered back through the same codec — so a proof
+/// that survives LocalTransport has survived, byte for byte, the codec a
+/// remote client sees.
+class LocalTransport : public WireTransport {
  public:
   explicit LocalTransport(Ledger* ledger);
 
-  /// Service-addressed variant: the ledger is resolved from `service` by
-  /// uri on first use (so the transport can be built before the ledger).
-  LocalTransport(LedgerService* service, std::string uri);
-
-  Status AppendTx(const ClientTransaction& tx, uint64_t* jsn) override;
-  Status GetReceipt(uint64_t jsn, Receipt* out) override;
-  Status GetJournal(uint64_t jsn, Journal* out) override;
-  Status GetProof(uint64_t jsn, FamProof* out) override;
-  Status GetClueProof(const std::string& clue, uint64_t begin, uint64_t end,
-                      ClueProof* out) override;
-  Status ListTx(const std::string& clue, std::vector<uint64_t>* jsns) override;
-  Status GetCommitment(SignedCommitment* out) override;
-  Status GetDelta(uint64_t from, uint64_t to,
-                  std::vector<JournalDelta>* out) override;
-  Status GetProofBatch(const std::vector<uint64_t>& jsns,
-                       FamBatchProof* out) override;
-  Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
-                        ClueRangeResult* out) override;
-
   const std::string& uri() const override { return uri_; }
-
-  /// The LSP key clients verify receipts/commitments against. Exposed for
-  /// convenience in tests; a real client configures this out-of-band.
-  const PublicKey& lsp_key() const;
 
   /// Test hook: pretend every op takes this long. In-process calls are
   /// effectively instant, so this is how the deadline path gets exercised
@@ -119,16 +123,17 @@ class LocalTransport : public LedgerTransport {
   /// request deadline returns DeadlineExceeded without touching the ledger.
   void SetSimulatedLatencyUs(uint64_t us) { simulated_latency_us_ = us; }
 
- private:
-  Status Resolve(Ledger** out);
+ protected:
+  Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) override;
 
+ private:
   /// DeadlineExceeded if the simulated latency eats the request budget.
   Status CheckDeadline() const;
 
   uint64_t simulated_latency_us_ = 0;
+  uint64_t next_request_id_ = 0;
 
   Ledger* ledger_ = nullptr;
-  LedgerService* service_ = nullptr;
   std::string uri_;
 };
 

@@ -256,4 +256,133 @@ bool DecodeDeltas(const Bytes& body, std::vector<JournalDelta>* deltas) {
   return pos == body.size();
 }
 
+// ---------------------------------------------------------------------------
+// Server-side dispatch
+// ---------------------------------------------------------------------------
+
+ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& frame) {
+  const RpcOp op = frame.op;
+  const uint64_t id = frame.request_id;
+  const Bytes& body = frame.body;
+  auto fail = [&](Status status) {
+    return ResponseFrame::From(op, id, std::move(status));
+  };
+  auto bad_body = [&] {
+    return fail(Status::InvalidArgument(std::string("malformed ") +
+                                        RpcOpName(op) + " request body"));
+  };
+  ResponseFrame resp;
+
+  switch (op) {
+    case RpcOp::kAppendTx: {
+      ClientTransaction tx;
+      if (!ClientTransaction::Deserialize(body, &tx)) return bad_body();
+      uint64_t jsn = 0;
+      Status st = ledger->Append(tx, &jsn);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      PutU64(&resp.body, jsn);
+      return resp;
+    }
+    case RpcOp::kGetReceipt: {
+      uint64_t jsn = 0;
+      if (!DecodeJsnRequest(body, &jsn)) return bad_body();
+      Receipt r;
+      Status st = ledger->GetReceipt(jsn, &r);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = r.Serialize();
+      return resp;
+    }
+    case RpcOp::kGetJournal: {
+      uint64_t jsn = 0;
+      if (!DecodeJsnRequest(body, &jsn)) return bad_body();
+      Journal j;
+      Status st = ledger->GetJournal(jsn, &j);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = j.Serialize();
+      return resp;
+    }
+    case RpcOp::kGetProof: {
+      uint64_t jsn = 0;
+      if (!DecodeJsnRequest(body, &jsn)) return bad_body();
+      FamProof proof;
+      Status st = ledger->GetProof(jsn, &proof);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = proof.Serialize();
+      return resp;
+    }
+    case RpcOp::kGetClueProof: {
+      std::string clue;
+      uint64_t begin = 0, end = 0;
+      if (!DecodeClueWindowRequest(body, &clue, &begin, &end)) {
+        return bad_body();
+      }
+      ClueProof proof;
+      Status st = ledger->GetClueProof(clue, begin, end, &proof);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = proof.Serialize();
+      return resp;
+    }
+    case RpcOp::kListTx: {
+      std::string clue;
+      if (!DecodeClueRequest(body, &clue)) return bad_body();
+      std::vector<uint64_t> jsns;
+      Status st = ledger->ListTx(clue, &jsns);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = EncodeJsnList(jsns);
+      return resp;
+    }
+    case RpcOp::kGetCommitment: {
+      if (!body.empty()) return bad_body();
+      SignedCommitment c;
+      Status st = ledger->GetCommitment(&c);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = c.Serialize();
+      return resp;
+    }
+    case RpcOp::kGetDelta: {
+      uint64_t from = 0, to = 0;
+      if (!DecodeRangeRequest(body, &from, &to)) return bad_body();
+      std::vector<JournalDelta> deltas;
+      Status st = ledger->GetDelta(from, to, &deltas);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = EncodeDeltas(deltas);
+      return resp;
+    }
+    case RpcOp::kGetProofBatch: {
+      std::vector<uint64_t> jsns;
+      if (!DecodeJsnList(body, &jsns)) return bad_body();
+      FamBatchProof proof;
+      Status st = ledger->GetProofBatch(jsns, &proof);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = proof.Serialize();
+      return resp;
+    }
+    case RpcOp::kProveClueRange: {
+      std::string clue;
+      uint64_t from = 0, to = 0;
+      if (!DecodeClueWindowRequest(body, &clue, &from, &to)) {
+        return bad_body();
+      }
+      Bytes range_wire;
+      Status st = ledger->ProveClueRangeWire(
+          clue, static_cast<Timestamp>(from), static_cast<Timestamp>(to),
+          &range_wire);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = std::move(range_wire);
+      return resp;
+    }
+  }
+  return fail(Status::InvalidArgument("unknown rpc op"));
+}
+
 }  // namespace ledgerdb::wire

@@ -79,7 +79,7 @@ struct RequestFrame {
   Bytes Encode() const;
   /// Strict decode; false on truncation, unknown op, a set trace flag with
   /// a truncated trace header, or trailing bytes beyond the op-specific
-  /// body (bodies are validated by the handler).
+  /// body (bodies are validated by Dispatch).
   static bool Decode(const Bytes& payload, RequestFrame* out);
 };
 
@@ -110,9 +110,8 @@ bool ValidStatusCode(uint8_t code);
 // Per-op body codecs (strict: truncation AND trailing bytes both fail)
 // ---------------------------------------------------------------------------
 //
-// Shared by SocketTransport (encode request / decode response) and
-// LedgerServer (decode request / encode response) so the two sides can
-// never drift. Response bodies for proof/journal/receipt/commitment ops
+// Shared by WireTransport (encode request / decode response) and Dispatch
+// (decode request / encode response) so the two sides can never drift. Response bodies for proof/journal/receipt/commitment ops
 // are the canonical Serialize() bytes and need no helpers here.
 
 Bytes EncodeJsnRequest(uint64_t jsn);
@@ -139,6 +138,18 @@ bool DecodeJsnList(const Bytes& body, std::vector<uint64_t>* jsns);
 /// GetDelta response: [u32 count][lp delta]*.
 Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas);
 bool DecodeDeltas(const Bytes& body, std::vector<JournalDelta>* deltas);
+
+// ---------------------------------------------------------------------------
+// Server-side dispatch
+// ---------------------------------------------------------------------------
+
+/// Executes one decoded request against `ledger`: the one place an RpcOp
+/// becomes a Ledger call. LedgerServer workers call it under their ledger
+/// mutex; LocalTransport calls it after looping the request through the
+/// frame codec. A body that fails its strict decode is answered
+/// InvalidArgument without touching the ledger; ledger errors pass
+/// through with their code and message.
+ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& frame);
 
 }  // namespace ledgerdb::wire
 

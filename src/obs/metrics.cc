@@ -93,6 +93,25 @@ std::string Num(double v) {
 
 }  // namespace
 
+std::string JsonString(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (byte < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
 std::string MetricsSnapshot::ToJson(int indent) const {
   std::string out;
   int pad = indent;
@@ -102,8 +121,8 @@ std::string MetricsSnapshot::ToJson(int indent) const {
   for (size_t i = 0; i < counters.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     AppendIndent(&out, pad + 4);
-    out += "\"" + counters[i].first +
-           "\": " + std::to_string(counters[i].second);
+    out += JsonString(counters[i].first) + ": " +
+           std::to_string(counters[i].second);
   }
   if (!counters.empty()) {
     out += "\n";
@@ -115,7 +134,8 @@ std::string MetricsSnapshot::ToJson(int indent) const {
   for (size_t i = 0; i < gauges.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     AppendIndent(&out, pad + 4);
-    out += "\"" + gauges[i].first + "\": " + std::to_string(gauges[i].second);
+    out += JsonString(gauges[i].first) + ": " +
+           std::to_string(gauges[i].second);
   }
   if (!gauges.empty()) {
     out += "\n";
@@ -128,7 +148,7 @@ std::string MetricsSnapshot::ToJson(int indent) const {
     const HistogramSnapshot& h = histograms[i];
     out += i == 0 ? "\n" : ",\n";
     AppendIndent(&out, pad + 4);
-    out += "\"" + h.name + "\": {\"count\": " + std::to_string(h.count) +
+    out += JsonString(h.name) + ": {\"count\": " + std::to_string(h.count) +
            ", \"sum\": " + std::to_string(h.sum) +
            ", \"max\": " + std::to_string(h.max) +
            ", \"p50\": " + Num(h.p50()) + ", \"p90\": " + Num(h.p90()) +

@@ -205,6 +205,12 @@ struct HistogramSnapshot {
   void MergeFrom(const HistogramSnapshot& other);
 };
 
+/// `s` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped and control bytes become \u00XX. Every JSON exporter
+/// writes its keys and string fields through this, so labeled series such
+/// as `name{op="AppendTx"}` stay valid JSON.
+std::string JsonString(std::string_view s);
+
 /// Point-in-time copy of a registry. Mergeable: snapshots from per-process
 /// or per-phase registries fold together (counters add, gauges add,
 /// histogram buckets add).

@@ -202,9 +202,9 @@ std::string SpanRecordsToJson(const std::vector<SpanRecord>& records) {
   for (size_t i = 0; i < records.size(); ++i) {
     const SpanRecord& r = records[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "  {\"stage\": \"";
-    out += r.stage != nullptr ? r.stage : "";
-    out += "\", \"start_us\": " + std::to_string(r.start_us) +
+    out += "  {\"stage\": ";
+    out += JsonString(r.stage != nullptr ? r.stage : "");
+    out += ", \"start_us\": " + std::to_string(r.start_us) +
            ", \"dur_us\": " + std::to_string(r.dur_us) +
            ", \"thread\": " + std::to_string(r.thread) +
            ", \"trace_id\": " + std::to_string(r.trace_id) +
@@ -219,9 +219,9 @@ std::string RequestRecordsToJson(const std::vector<RequestRecord>& records) {
   for (size_t i = 0; i < records.size(); ++i) {
     const RequestRecord& r = records[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "  {\"op\": \"";
-    out += r.op != nullptr ? r.op : "";
-    out += "\", \"trace_id\": " + std::to_string(r.trace_id) +
+    out += "  {\"op\": ";
+    out += JsonString(r.op != nullptr ? r.op : "");
+    out += ", \"trace_id\": " + std::to_string(r.trace_id) +
            ", \"start_us\": " + std::to_string(r.start_us) +
            ", \"queue_us\": " + std::to_string(r.queue_us) +
            ", \"exec_us\": " + std::to_string(r.exec_us) +

@@ -303,10 +303,23 @@ TEST_F(NetServiceTest, AllRpcsMatchLocalTransport) {
   ASSERT_TRUE(remote.ProveClueRange("trail", 0, clock_.Now() + 1, &crb).ok());
   EXPECT_EQ(cra.Serialize(), crb.Serialize());
 
-  // Errors pass through with their real codes (not transport errors).
-  Journal missing;
-  Status s = remote.GetJournal(10'000, &missing);
+  // Errors pass through with their real codes (not transport errors), and
+  // both transports report the same code and message for each.
+  const uint64_t missing = 10'000;
+  Status s = remote.GetJournal(missing, &jb);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+  auto expect_same_error = [](const Status& a, const Status& b) {
+    EXPECT_FALSE(a.ok());
+    EXPECT_EQ(a.code(), b.code()) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(a.message(), b.message());
+  };
+  expect_same_error(local.GetJournal(missing, &ja), s);
+  expect_same_error(local.GetReceipt(missing, &ra),
+                    remote.GetReceipt(missing, &rb));
+  expect_same_error(local.GetProof(missing, &pa), remote.GetProof(missing, &pb));
+  expect_same_error(local.GetDelta(3, 1, &da), remote.GetDelta(3, 1, &db));
+  expect_same_error(local.ListTx("no-such-clue", &la),
+                    remote.ListTx("no-such-clue", &lb));
   EXPECT_TRUE(remote.connected());  // an error response is not a failure
   EXPECT_EQ(remote.connects(), 1u);
 }
@@ -571,6 +584,73 @@ TEST_F(NetServiceTest, MalformedBodyGetsInvalidArgumentNotClose) {
   }
   EXPECT_TRUE(resp.ToStatus().IsInvalidArgument());
   close(fd);
+}
+
+TEST_F(NetServiceTest, DispatchRejectsMalformedBodyOfEveryOp) {
+  for (int i = 0; i < 3; ++i) {
+    AppendDirect("doc-" + std::to_string(i), {"trail"});
+  }
+  const uint64_t last = ledger_->NumJournals() - 1;
+  ClientTransaction tx;
+  tx.ledger_uri = "lg://net";
+  tx.clues = {"trail"};
+  tx.payload = StringToBytes("table");
+  tx.nonce = next_nonce_++;
+  tx.client_ts = clock_.Now();
+  tx.Sign(alice_);
+  const std::pair<RpcOp, Bytes> valid[] = {
+      {RpcOp::kAppendTx, tx.Serialize()},
+      {RpcOp::kGetReceipt, wire::EncodeJsnRequest(last)},
+      {RpcOp::kGetJournal, wire::EncodeJsnRequest(last)},
+      {RpcOp::kGetProof, wire::EncodeJsnRequest(last)},
+      {RpcOp::kGetClueProof, wire::EncodeClueWindowRequest("trail", 0, 0)},
+      {RpcOp::kListTx, wire::EncodeClueRequest("trail")},
+      {RpcOp::kGetCommitment, Bytes()},
+      {RpcOp::kGetDelta, wire::EncodeRangeRequest(0, last + 1)},
+      {RpcOp::kGetProofBatch, wire::EncodeJsnList({last})},
+      {RpcOp::kProveClueRange,
+       wire::EncodeClueWindowRequest(
+           "trail", 0, static_cast<uint64_t>(clock_.Now() + 1))},
+  };
+  ASSERT_EQ(std::size(valid), static_cast<size_t>(kNumRpcOps));
+
+  uint64_t request_id = 0;
+  auto dispatch = [&](RpcOp op, Bytes body) {
+    wire::RequestFrame req;
+    req.op = op;
+    req.request_id = ++request_id;
+    req.body = std::move(body);
+    return wire::Dispatch(ledger_.get(), req);
+  };
+
+  const uint64_t journals = ledger_->NumJournals();
+  const Digest fam_root = ledger_->FamRoot();
+  for (const auto& [op, body] : valid) {
+    SCOPED_TRACE(RpcOpName(op));
+    // Truncated by one byte (GetCommitment's body is empty: nothing to
+    // cut), and one trailing byte past a well-formed body.
+    std::vector<Bytes> malformed;
+    if (!body.empty()) malformed.emplace_back(body.begin(), body.end() - 1);
+    malformed.push_back(body);
+    malformed.back().push_back(0);
+    for (const Bytes& bad : malformed) {
+      wire::ResponseFrame resp = dispatch(op, bad);
+      EXPECT_EQ(resp.op, op);
+      EXPECT_EQ(resp.request_id, request_id);
+      EXPECT_TRUE(resp.ToStatus().IsInvalidArgument()) << resp.message;
+      EXPECT_TRUE(resp.body.empty());
+    }
+    EXPECT_EQ(ledger_->NumJournals(), journals);
+    EXPECT_EQ(ledger_->FamRoot(), fam_root);
+  }
+  // The same bodies unmodified are served, so each rejection above is the
+  // malformation's doing.
+  for (const auto& [op, body] : valid) {
+    EXPECT_EQ(dispatch(op, body).code,
+              static_cast<uint8_t>(Status::Code::kOk))
+        << RpcOpName(op);
+  }
+  EXPECT_EQ(ledger_->NumJournals(), journals + 1);
 }
 
 // ---------------------------------------------------------------------------

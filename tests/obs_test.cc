@@ -383,6 +383,10 @@ TEST(EncodingTest, JsonContainsAllSections) {
   r.GetCounter("ledgerdb_test_a_total")->Inc(7);
   r.GetGauge("ledgerdb_test_d_count")->Set(2);
   r.GetHistogram("ledgerdb_test_l_us")->Observe(42);
+  // Labeled series carry quotes in their names: every key is escaped.
+  r.GetCounter("ledgerdb_test_faults_total", "kind", "drop")->Inc(3);
+  r.GetGauge("ledgerdb_test_q_count{kind=\"drop\"}")->Set(4);
+  r.GetHistogram("ledgerdb_test_m_us", "op", "get")->Observe(5);
   std::string json = r.Snapshot().ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
@@ -391,6 +395,14 @@ TEST(EncodingTest, JsonContainsAllSections) {
   EXPECT_NE(json.find("\"ledgerdb_test_d_count\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"sum\": 42"), std::string::npos);
+  EXPECT_NE(json.find("\"ledgerdb_test_faults_total{kind=\\\"drop\\\"}\": 3"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"ledgerdb_test_q_count{kind=\\\"drop\\\"}\": 4"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"ledgerdb_test_m_us{op=\\\"get\\\"}\": {\"count\": 1"),
+            std::string::npos);
+  EXPECT_EQ(json.find("{kind=\"drop\"}"), std::string::npos);
+  EXPECT_EQ(JsonString("a\"b\\c\n\x01"), "\"a\\\"b\\\\c\\u000a\\u0001\"");
 }
 
 TEST(EncodingTest, PrometheusExposesTypesAndLabels) {
