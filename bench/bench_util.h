@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -208,23 +209,25 @@ class JsonReporter {
                 .count());
     std::fprintf(f, "{\n  \"meta\": {");
     for (size_t i = 0; i < meta_.size(); ++i) {
-      if (meta_[i].integer) {
-        std::fprintf(f, "%s\"%s\": %" PRIu64, i == 0 ? "" : ", ",
-                     meta_[i].key.c_str(), meta_[i].int_value);
-      } else {
-        std::fprintf(f, "%s\"%s\": %g", i == 0 ? "" : ", ",
-                     meta_[i].key.c_str(), meta_[i].value);
-      }
+      std::string value = meta_[i].integer
+                              ? std::to_string(meta_[i].int_value)
+                              : Number("%g", meta_[i].value);
+      std::fprintf(f, "%s%s: %s", i == 0 ? "" : ", ",
+                   obs::JsonString(meta_[i].key).c_str(), value.c_str());
     }
     std::fprintf(f, "},\n  \"results\": [\n");
     for (size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       std::fprintf(f,
-                   "    {\"name\": \"%s\", \"ops_per_sec\": %.2f, "
-                   "\"p50_us\": %.3f, \"p99_us\": %.3f",
-                   e.name.c_str(), e.ops_per_sec, e.p50_us, e.p99_us);
+                   "    {\"name\": %s, \"ops_per_sec\": %s, "
+                   "\"p50_us\": %s, \"p99_us\": %s",
+                   obs::JsonString(e.name).c_str(),
+                   Number("%.2f", e.ops_per_sec).c_str(),
+                   Number("%.3f", e.p50_us).c_str(),
+                   Number("%.3f", e.p99_us).c_str());
       for (const auto& [key, value] : e.extras) {
-        std::fprintf(f, ", \"%s\": %.3f", key.c_str(), value);
+        std::fprintf(f, ", %s: %s", obs::JsonString(key).c_str(),
+                     Number("%.3f", value).c_str());
       }
       std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
     }
@@ -241,6 +244,15 @@ class JsonReporter {
   }
 
  private:
+  /// `value` printed with `format`, or `null` when it is not finite (JSON
+  /// has no inf or nan).
+  static std::string Number(const char* format, double value) {
+    if (!std::isfinite(value)) return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), format, value);
+    return buf;
+  }
+
   struct Entry {
     std::string name;
     double ops_per_sec;

@@ -43,13 +43,8 @@ Bytes EncodeTombstone(const Journal& journal) {
   return out;
 }
 
-struct Tombstone {
-  Digest tx_hash;
-  Digest payload_digest;
-  std::vector<std::string> clues;
-};
-
-bool DecodeTombstone(const Bytes& raw, Tombstone* out) {
+// A tombstone decodes into exactly the purged journal's mirror delta.
+bool DecodeTombstone(const Bytes& raw, JournalDelta* out) {
   if (!IsTombstoneFrame(raw) || raw.size() < kTombstoneTagSize + 68) {
     return false;
   }
@@ -66,6 +61,61 @@ bool DecodeTombstone(const Bytes& raw, Tombstone* out) {
     out->clues.emplace_back(clue.begin(), clue.end());
   }
   return pos == raw.size();
+}
+
+// Decodes journal stream record `index`: a journal into `journal`, or a
+// purge tombstone into `tombstone` (leaving `journal` empty).
+// `check_payload` re-verifies a present payload against its digest.
+Status DecodeStreamRecord(uint64_t index, const Bytes& raw, bool check_payload,
+                          std::optional<Journal>* journal,
+                          JournalDelta* tombstone) {
+  if (IsTombstoneFrame(raw)) {
+    if (!DecodeTombstone(raw, tombstone)) {
+      return Status::Corruption("undecodable purge tombstone");
+    }
+    return Status::OK();
+  }
+  Journal& decoded = journal->emplace();
+  if (!Journal::Deserialize(raw, &decoded)) {
+    return Status::Corruption("undecodable journal record at index " +
+                              std::to_string(index));
+  }
+  if (decoded.jsn != index) {
+    return Status::Corruption("journal stream out of order");
+  }
+  if (index == 0 && decoded.type != JournalType::kGenesis) {
+    // Position 0 is either the genesis journal or (after a full purge)
+    // its tombstone — anything else means the stream head was replaced.
+    return Status::Corruption("journal stream does not begin with genesis");
+  }
+  // A present payload must still match its retained digest (occulted
+  // journals carry an empty payload and are exempt: the digest IS the
+  // record, per Protocol 2).
+  if (check_payload && !decoded.payload.empty() &&
+      !(Sha256::Hash(decoded.payload) == decoded.payload_digest)) {
+    return Status::Corruption("journal payload digest mismatch at jsn " +
+                              std::to_string(index));
+  }
+  return Status::OK();
+}
+
+// Client-id derivation (SHA-256 + hex) dominates the checkpoint restore
+// loop for busy clients; distinct clients are bounded by the member
+// registry, so a linear scan over seen keys beats hashing every record.
+const std::string& MemoizedKeyId(
+    const PublicKey& key, std::vector<std::pair<PublicKey, std::string>>* memo) {
+  for (const auto& seen : *memo) {
+    if (seen.first == key) return seen.second;
+  }
+  memo->emplace_back(key, key.Id().ToHex());
+  return memo->back().second;
+}
+
+// Root of a block's intra-block tx tree.
+Digest TxTreeRoot(const std::vector<Digest>& tx_hashes) {
+  ShrubsAccumulator tx_tree;
+  for (const Digest& tx_hash : tx_hashes) tx_tree.Append(tx_hash);
+  return tx_tree.Root();
 }
 
 // Cheap wire-size estimates for proof-cache accounting: inserting a memo
@@ -227,69 +277,96 @@ Ledger::Ledger(RecoveryTag, std::string uri, const LedgerOptions& options,
   if (proof_cache_ != nullptr) fam_.SetProofCache(proof_cache_.get());
 }
 
-Status Ledger::CommitJournal(Journal journal, uint64_t* out_jsn,
-                             bool persist) {
-  uint64_t jsn = journals_.size();
-  journal.jsn = jsn;
+Status Ledger::CommitRun(std::span<Journal* const> run, Status* seal_status) {
+  const uint64_t first = journals_.size();
+  for (size_t i = 0; i < run.size(); ++i) run[i]->jsn = first + i;
 
-  // Persist first: a failed stream write leaves every accumulator
-  // untouched, so memory and disk never disagree about the journal count.
-  if (persist && storage_.enabled()) {
+  // Persist first, the whole run with one storage flush: a failed write
+  // leaves every accumulator untouched, so memory and disk never disagree
+  // about the journal count.
+  if (storage_.enabled()) {
+    std::vector<Bytes> encoded;
+    std::vector<Slice> slices;
+    encoded.reserve(run.size());
+    slices.reserve(run.size());
+    for (const Journal* journal : run) {
+      encoded.push_back(journal->Serialize());
+      slices.emplace_back(encoded.back());
+    }
     uint64_t index = 0;
-    LEDGERDB_RETURN_IF_ERROR(
-        storage_.journals->Append(Slice(journal.Serialize()), &index));
-    if (index != jsn) {
+    LEDGERDB_RETURN_IF_ERROR(storage_.journals->AppendBatch(slices, &index));
+    if (index != first) {
       return Status::Corruption("journal stream out of sync with ledger (" +
                                 std::to_string(index) + " vs " +
-                                std::to_string(jsn) + ")");
+                                std::to_string(first) + ")");
     }
   }
-  return ApplyCommitted(std::move(journal), out_jsn);
+
+  // The run is durable; thread every journal through the accumulators.
+  // A block-boundary seal failure cannot fail the journals themselves —
+  // they are on disk, and the boundary stays queued for the next seal.
+  for (Journal* journal : run) {
+    Status apply = ApplyCommitted(std::move(*journal));
+    if (!apply.ok() && seal_status->ok()) *seal_status = apply;
+  }
+  return Status::OK();
 }
 
-Status Ledger::ApplyCommitted(Journal journal, uint64_t* out_jsn) {
-  uint64_t jsn = journals_.size();
-  journal.jsn = jsn;
-  Digest tx_hash = journal.TxHash();
-
-  fam_.Append(tx_hash);
-  for (const std::string& clue : journal.clues) {
-    cmtree_.Append(clue, tx_hash, nullptr);
-    clue_index_.Append(clue, jsn);
-    world_state_.Put(clue, journal.payload_digest.ToBytes());
+Status Ledger::ApplyCommitted(Journal journal) {
+  const uint64_t jsn = journals_.size();
+  JournalDelta delta{journal.TxHash(), journal.payload_digest, journal.clues};
+  Accumulate(delta);
+  IndexRecord(std::move(delta), std::move(journal));
+  if (recovering_) return Status::OK();
+  pending_block_.push_back(jsn);
+  if (pending_block_.size() < options_.block_capacity) return Status::OK();
+  if (!seal_scheduler_) return SealBlock();
+  SealJob job = PrepareSeal();
+  {
+    std::lock_guard<std::mutex> lock(seal_mu_);
+    ++inflight_seals_;
   }
-  delta_log_.push_back({tx_hash, journal.payload_digest, journal.clues});
-  if (journal.client_key.valid()) {
-    dedup_[journal.client_key.Id().ToHex()][journal.nonce] = {
-        jsn, journal.request_hash};
-  }
+  pending_block_.clear();
+  seal_scheduler_(std::move(job));
+  return Status::OK();
+}
 
-  // Keeps the monotone-stamp high-water mark in sync on recovery replay,
-  // where journals arrive with their recorded timestamps.
-  last_server_ts_ = std::max(last_server_ts_, journal.server_ts);
-  journals_.push_back(std::move(journal));
+void Ledger::Accumulate(const JournalDelta& delta) {
+  fam_.Append(delta.tx_hash);
+  for (const std::string& clue : delta.clues) {
+    cmtree_.Append(clue, delta.tx_hash, nullptr);
+    world_state_.Put(clue, delta.payload_digest.ToBytes());
+  }
+}
+
+void Ledger::IndexRecord(JournalDelta delta, std::optional<Journal> journal,
+                         KeyIdMemo* key_ids) {
+  const uint64_t jsn = journals_.size();
+  for (const std::string& clue : delta.clues) clue_index_.Append(clue, jsn);
+  delta_log_.push_back(std::move(delta));
   occult_bitmap_.Resize(jsn + 1);
+  if (journal.has_value()) {
+    if (journal->client_key.valid()) {
+      const DedupEntry entry{jsn, journal->request_hash};
+      if (key_ids != nullptr) {
+        dedup_[MemoizedKeyId(journal->client_key, key_ids)][journal->nonce] =
+            entry;
+      } else {
+        dedup_[journal->client_key.Id().ToHex()][journal->nonce] = entry;
+      }
+    }
+    // Keeps the monotone-stamp high-water mark in sync on recovery,
+    // where journals arrive with their recorded timestamps.
+    last_server_ts_ = std::max(last_server_ts_, journal->server_ts);
+    // Recovered records carry their occult flag (both occult forms).
+    if (journal->occulted) occult_bitmap_.Set(jsn);
+  }
+  journals_.push_back(std::move(journal));
   {
     // jsn_to_block_ growth here races the sealer lane's element writes.
     std::lock_guard<std::mutex> lock(seal_mu_);
     jsn_to_block_.push_back(kUnsealedBlock);
   }
-  if (out_jsn != nullptr) *out_jsn = jsn;
-  if (!recovering_) {
-    pending_block_.push_back(jsn);
-    // The journal itself is durable at this point; a failed seal surfaces
-    // the error but the journals stay queued for the next seal attempt.
-    if (pending_block_.size() >= options_.block_capacity) {
-      if (seal_scheduler_) {
-        SealJob job;
-        PrepareSeal(&job);
-        seal_scheduler_(std::move(job));
-      } else {
-        LEDGERDB_RETURN_IF_ERROR(SealBlock());
-      }
-    }
-  }
-  return Status::OK();
 }
 
 Status Ledger::AppendInternal(JournalType type,
@@ -317,7 +394,12 @@ Status Ledger::AppendInternal(JournalType type,
   journal.client_key = tx.client_key;
   journal.client_sig = tx.client_sig;
   journal.endorsements = std::move(endorsements);
-  return CommitJournal(std::move(journal), jsn);
+  // LSP journals skip the client dedup screen and the append counter.
+  Journal* run[] = {&journal};
+  Status seal_status;
+  LEDGERDB_RETURN_IF_ERROR(CommitRun(run, &seal_status));
+  if (jsn != nullptr) *jsn = journals_.size() - 1;
+  return seal_status;
 }
 
 Status Ledger::Prevalidate(const ClientTransaction& tx,
@@ -392,46 +474,15 @@ void Ledger::PrevalidateBatch(std::span<const ClientTransaction* const> txs,
   }
 }
 
-Status Ledger::CommitPrevalidated(PrevalidatedTx&& prevalidated,
-                                  uint64_t* jsn) {
-  // Idempotent append: a resubmission of an already-committed transaction
-  // (same signer, nonce and request hash — e.g. a client retrying after a
-  // lost response) converges on the original jsn instead of appending a
-  // duplicate. A *different* transaction reusing a nonce is an error. The
-  // check runs here, on the committer thread, so concurrent const
-  // Prevalidate calls never race the map.
-  LEDGERDB_OBS_SPAN(span, obs::stages::kCommit);
-  const Journal& journal = prevalidated.journal;
-  if (journal.client_key.valid()) {
-    auto signer = dedup_.find(journal.client_key.Id().ToHex());
-    if (signer != dedup_.end()) {
-      auto hit = signer->second.find(journal.nonce);
-      if (hit != signer->second.end()) {
-        if (hit->second.request_hash == journal.request_hash) {
-          if (jsn != nullptr) *jsn = hit->second.jsn;
-          LEDGERDB_OBS_COUNT(obs::names::kLedgerDedupHitsTotal);
-          return Status::OK();
-        }
-        LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendFailuresTotal);
-        return Status::AlreadyExists(
-            "nonce already used by a different transaction");
-      }
-    }
-  }
-  prevalidated.journal.server_ts = StampServerTime();
-  Status status = CommitJournal(std::move(prevalidated.journal), jsn);
-  if (status.ok()) {
-    LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendsTotal);
-  } else {
-    LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendFailuresTotal);
-  }
-  return status;
-}
-
 Status Ledger::Append(const ClientTransaction& tx, uint64_t* jsn) {
-  PrevalidatedTx prevalidated;
-  LEDGERDB_RETURN_IF_ERROR(Prevalidate(tx, &prevalidated));
-  return CommitPrevalidated(std::move(prevalidated), jsn);
+  std::vector<PrevalidatedTx> batch(1);
+  LEDGERDB_RETURN_IF_ERROR(Prevalidate(tx, &batch[0]));
+  std::vector<uint64_t> jsns;
+  std::vector<Status> statuses;
+  Status status = CommitPrevalidatedGroup(std::move(batch), &jsns, &statuses);
+  LEDGERDB_RETURN_IF_ERROR(statuses[0]);
+  if (jsn != nullptr) *jsn = jsns[0];
+  return status;
 }
 
 Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
@@ -442,11 +493,14 @@ Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
   jsns->assign(n, 0);
   statuses->assign(n, Status::OK());
 
-  // Dedup screen on the committer thread, exactly as CommitPrevalidated:
-  // retried submissions converge on their original jsn and drop out of
-  // the group, nonce conflicts fail alone. Within-group duplicates are
-  // resolved against the jsns being assigned right here, so the group
-  // commits the same set a serial replay of the batch would.
+  // Idempotent append, screened on the committer thread so concurrent
+  // const Prevalidate calls never race the map: a resubmission of an
+  // already-committed transaction (same signer, nonce and request hash —
+  // e.g. a client retrying after a lost response) converges on the
+  // original jsn and drops out of the group; a *different* transaction
+  // reusing a nonce fails alone. Within-group duplicates are resolved
+  // against the jsns being assigned right here, so the group commits the
+  // same set a serial replay of the batch would.
   std::vector<size_t> live;  // indexes into `batch` that will commit
   live.reserve(n);
   std::vector<size_t> group_hits;  // converged on a jsn assigned this group
@@ -494,50 +548,30 @@ Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
   }
   if (live.empty()) return Status::OK();
 
-  // Persist the whole group with one storage flush. A failure here fails
-  // every surviving journal and leaves the ledger untouched — the group
-  // is all-or-nothing, matching AppendBatch's durability contract.
-  if (storage_.enabled()) {
-    std::vector<Bytes> encoded;
-    std::vector<Slice> slices;
-    encoded.reserve(live.size());
-    slices.reserve(live.size());
-    for (size_t idx : live) {
-      encoded.push_back(batch[idx].journal.Serialize());
-      slices.emplace_back(encoded.back());
-    }
-    uint64_t first = 0;
-    Status persist = storage_.journals->AppendBatch(slices, &first);
-    if (persist.ok() && first != journals_.size()) {
-      persist = Status::Corruption(
-          "journal stream out of sync with ledger (" + std::to_string(first) +
-          " vs " + std::to_string(journals_.size()) + ")");
-    }
-    if (!persist.ok()) {
-      for (size_t idx : live) {
-        (*statuses)[idx] = persist;
-        LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendFailuresTotal);
-      }
-      // Dedup hits that converged on a jsn assigned within this failed
-      // group point at journals that never committed.
-      for (size_t idx : group_hits) {
-        (*statuses)[idx] = persist;
-        (*jsns)[idx] = 0;
-      }
-      return persist;
-    }
-  }
-
-  // The group is durable; thread every journal through the accumulators.
-  // A block-boundary seal failure is surfaced as the overall status but
-  // cannot fail the appends themselves — the journals are on disk, and
-  // the boundary stays queued for the next seal attempt.
+  // One storage flush for the whole group. A persist failure fails every
+  // surviving journal and leaves the ledger untouched — the group is
+  // all-or-nothing, matching AppendBatch's durability contract.
+  std::vector<Journal*> run;
+  run.reserve(live.size());
+  for (size_t idx : live) run.push_back(&batch[idx].journal);
+  const uint64_t first = journals_.size();
   Status seal_status;
-  for (size_t idx : live) {
-    uint64_t jsn = 0;
-    Status apply = ApplyCommitted(std::move(batch[idx].journal), &jsn);
-    if (!apply.ok() && seal_status.ok()) seal_status = apply;
-    (*jsns)[idx] = jsn;
+  Status persist = CommitRun(run, &seal_status);
+  if (!persist.ok()) {
+    for (size_t idx : live) {
+      (*statuses)[idx] = persist;
+      LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendFailuresTotal);
+    }
+    // Dedup hits that converged on a jsn assigned within this failed
+    // group point at journals that never committed.
+    for (size_t idx : group_hits) {
+      (*statuses)[idx] = persist;
+      (*jsns)[idx] = 0;
+    }
+    return persist;
+  }
+  for (size_t k = 0; k < live.size(); ++k) {
+    (*jsns)[live[k]] = first + k;
     LEDGERDB_OBS_COUNT(obs::names::kLedgerAppendsTotal);
   }
   return seal_status;
@@ -562,35 +596,11 @@ Status Ledger::SealBlockLocked() {
   }
   if (pending_block_.empty()) return Status::OK();
   LEDGERDB_OBS_SPAN(span, obs::stages::kSeal);
-  ShrubsAccumulator tx_tree;
-  for (uint64_t jsn : pending_block_) {
-    tx_tree.Append(delta_log_[jsn].tx_hash);
-  }
-  BlockHeader header;
-  header.height = blocks_.size();
-  header.first_jsn = pending_block_.front();
-  header.journal_count = static_cast<uint32_t>(pending_block_.size());
-  header.timestamp = clock_->Now();
-  header.prev_block_hash = blocks_.empty() ? Digest() : blocks_.back().Hash();
-  header.tx_root = tx_tree.Root();
-  header.fam_root = fam_.Root();
-  header.clue_root = cmtree_.Root();
-  header.state_root = world_state_.Root();
-  // Persist before mutating: a failed header write keeps the journals in
-  // pending_block_, and recovery simply sees them as not-yet-sealed.
-  if (storage_.enabled()) {
-    uint64_t index = 0;
-    LEDGERDB_RETURN_IF_ERROR(
-        storage_.blocks->Append(Slice(header.Serialize()), &index));
-  }
-  for (uint64_t jsn : pending_block_) jsn_to_block_[jsn] = header.height;
-  blocks_.push_back(header);
+  SealJob job = PrepareSeal();
+  // A failed header write keeps the journals in pending_block_; recovery
+  // simply sees them as not-yet-sealed.
+  LEDGERDB_RETURN_IF_ERROR(PublishSeal(job, TxTreeRoot(job.tx_hashes)));
   pending_block_.clear();
-  LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
-  // Seal published: the roots moved past every cached serialized proof's
-  // stamp, so reclaim those bytes now (stale stamps are never served
-  // regardless — this is garbage collection, not correctness).
-  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
   seal_cv_.notify_all();
   return Status::OK();
 }
@@ -599,62 +609,58 @@ void Ledger::SetSealScheduler(SealScheduler scheduler) {
   seal_scheduler_ = std::move(scheduler);
 }
 
-void Ledger::PrepareSeal(SealJob* job) {
-  job->first_jsn = pending_block_.front();
-  job->tx_hashes.reserve(pending_block_.size());
+Ledger::SealJob Ledger::PrepareSeal() const {
+  SealJob job;
+  job.first_jsn = pending_block_.front();
+  job.tx_hashes.reserve(pending_block_.size());
   for (uint64_t jsn : pending_block_) {
-    job->tx_hashes.push_back(delta_log_[jsn].tx_hash);
+    job.tx_hashes.push_back(delta_log_[jsn].tx_hash);
   }
-  job->timestamp = clock_->Now();
-  job->fam_root = fam_.Root();
-  job->clue_root = cmtree_.Root();
-  job->state_root = world_state_.Root();
-  {
-    std::lock_guard<std::mutex> lock(seal_mu_);
-    ++inflight_seals_;
+  job.timestamp = clock_->Now();
+  job.fam_root = fam_.Root();
+  job.clue_root = cmtree_.Root();
+  job.state_root = world_state_.Root();
+  return job;
+}
+
+Status Ledger::PublishSeal(const SealJob& job, const Digest& tx_root) {
+  BlockHeader header;
+  header.height = blocks_.size();
+  header.first_jsn = job.first_jsn;
+  header.journal_count = static_cast<uint32_t>(job.tx_hashes.size());
+  header.timestamp = job.timestamp;
+  header.prev_block_hash = blocks_.empty() ? Digest() : blocks_.back().Hash();
+  header.tx_root = tx_root;
+  header.fam_root = job.fam_root;
+  header.clue_root = job.clue_root;
+  header.state_root = job.state_root;
+  // Persist before publishing.
+  if (storage_.enabled()) {
+    uint64_t index = 0;
+    LEDGERDB_RETURN_IF_ERROR(
+        storage_.blocks->Append(Slice(header.Serialize()), &index));
   }
-  pending_block_.clear();
+  for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
+    jsn_to_block_[job.first_jsn + i] = header.height;
+  }
+  blocks_.push_back(header);
+  LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
+  // Seal published: the roots moved past every cached serialized proof's
+  // stamp, so reclaim those bytes now (stale stamps are never served
+  // regardless — this is garbage collection, not correctness).
+  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
+  return Status::OK();
 }
 
 void Ledger::CompleteSeal(SealJob&& job) {
   LEDGERDB_OBS_SPAN(span, obs::stages::kSeal);
   // The intra-block tx tree only needs the frozen hashes — build it
   // before taking the lock.
-  ShrubsAccumulator tx_tree;
-  for (const Digest& tx_hash : job.tx_hashes) tx_tree.Append(tx_hash);
-
+  const Digest tx_root = TxTreeRoot(job.tx_hashes);
   std::unique_lock<std::mutex> lock(seal_mu_);
-  Status status;
-  if (!seal_failure_.ok()) {
-    // An earlier job in the lane failed; blocks must stay contiguous, so
-    // this one cannot seal either.
-    status = seal_failure_;
-  } else {
-    BlockHeader header;
-    header.height = blocks_.size();
-    header.first_jsn = job.first_jsn;
-    header.journal_count = static_cast<uint32_t>(job.tx_hashes.size());
-    header.timestamp = job.timestamp;
-    header.prev_block_hash =
-        blocks_.empty() ? Digest() : blocks_.back().Hash();
-    header.tx_root = tx_tree.Root();
-    header.fam_root = job.fam_root;
-    header.clue_root = job.clue_root;
-    header.state_root = job.state_root;
-    if (storage_.enabled()) {
-      uint64_t index = 0;
-      status = storage_.blocks->Append(Slice(header.Serialize()), &index);
-    }
-    if (status.ok()) {
-      for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
-        jsn_to_block_[job.first_jsn + i] = header.height;
-      }
-      blocks_.push_back(header);
-      LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
-      // Same seal-time blob GC as the inline path (see SealBlockLocked).
-      if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-    }
-  }
+  // After an earlier job in the lane failed, blocks must stay contiguous,
+  // so this one cannot seal either.
+  Status status = seal_failure_.ok() ? PublishSeal(job, tx_root) : seal_failure_;
   if (!status.ok()) {
     seal_failure_ = status;
     for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
@@ -1288,138 +1294,49 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
 }
 
 Status Ledger::ReplayRecord(uint64_t index, const Bytes& raw) {
-  if (IsTombstoneFrame(raw)) {
-    Tombstone tombstone;
-    if (!DecodeTombstone(raw, &tombstone)) {
-      return Status::Corruption("undecodable purge tombstone");
-    }
+  std::optional<Journal> journal;
+  JournalDelta tombstone;
+  LEDGERDB_RETURN_IF_ERROR(DecodeStreamRecord(index, raw, /*check_payload=*/true,
+                                              &journal, &tombstone));
+  if (!journal.has_value()) {
     // Digest-only replay of a purged journal.
-    fam_.Append(tombstone.tx_hash);
-    for (const std::string& clue : tombstone.clues) {
-      cmtree_.Append(clue, tombstone.tx_hash, nullptr);
-      clue_index_.Append(clue, index);
-      world_state_.Put(clue, tombstone.payload_digest.ToBytes());
-    }
-    delta_log_.push_back(
-        {tombstone.tx_hash, tombstone.payload_digest, tombstone.clues});
-    journals_.push_back(std::nullopt);
-    occult_bitmap_.Resize(index + 1);
-    jsn_to_block_.push_back(kUnsealedBlock);
+    Accumulate(tombstone);
+    IndexRecord(std::move(tombstone), std::nullopt);
     return Status::OK();
   }
-  Journal journal;
-  if (!Journal::Deserialize(raw, &journal)) {
-    return Status::Corruption("undecodable journal record at index " +
-                              std::to_string(index));
-  }
-  if (journal.jsn != index) {
-    return Status::Corruption("journal stream out of order");
-  }
-  if (index == 0 && journal.type != JournalType::kGenesis) {
-    // Position 0 is either the genesis journal or (after a full purge)
-    // its tombstone — anything else means the stream head was replaced.
-    return Status::Corruption("journal stream does not begin with genesis");
-  }
-  // A present payload must still match its retained digest (occulted
-  // journals carry an empty payload and are exempt: the digest IS the
-  // record, per Protocol 2).
-  if (!journal.payload.empty() &&
-      !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
-    return Status::Corruption("journal payload digest mismatch at jsn " +
-                              std::to_string(index));
-  }
-  uint64_t assigned = 0;
-  LEDGERDB_RETURN_IF_ERROR(
-      CommitJournal(journal, &assigned, /*persist=*/false));
-  // Restore the occult bit from the rewritten record's flag (covers both
-  // the single-journal and by-clue occult forms).
-  if (journals_[assigned]->occulted) {
-    occult_bitmap_.Set(assigned);
-  }
-  ApplyJournalEffects(*journals_[assigned]);
+  LEDGERDB_RETURN_IF_ERROR(ApplyCommitted(std::move(*journal)));
+  ApplyJournalEffects(*journals_[index]);
   return Status::OK();
 }
 
-Status Ledger::RestoreIndexedRecord(
-    uint64_t index, const Bytes& raw, const Digest& tx_hash,
-    std::vector<std::pair<PublicKey, std::string>>* key_ids, bool trusted) {
-  if (IsTombstoneFrame(raw)) {
-    Tombstone tombstone;
-    if (!DecodeTombstone(raw, &tombstone)) {
-      return Status::Corruption("undecodable purge tombstone");
-    }
-    if (tombstone.tx_hash != tx_hash) {
+Status Ledger::RestoreIndexedRecord(uint64_t index, const Bytes& raw,
+                                    const Digest& tx_hash, KeyIdMemo* key_ids,
+                                    bool trusted) {
+  // An untrusted record's stream bytes diverge from the snapshot —
+  // legitimate only for post-checkpoint occult rewrites and purge
+  // tombstones, which never change a record's tx-hash. It is re-validated
+  // at full replay strength and its tx-hash must equal the snapshot's:
+  // anything else is tampering and rejects the checkpoint.
+  std::optional<Journal> journal;
+  JournalDelta delta;
+  LEDGERDB_RETURN_IF_ERROR(DecodeStreamRecord(
+      index, raw, /*check_payload=*/!trusted, &journal, &delta));
+  if (!journal.has_value()) {
+    if (delta.tx_hash != tx_hash) {
       return Status::Corruption(
           "checkpoint: tombstone tx-hash diverges from snapshot at jsn " +
           std::to_string(index));
     }
-    for (const std::string& clue : tombstone.clues) {
-      clue_index_.Append(clue, index);
-    }
-    delta_log_.push_back(
-        {tombstone.tx_hash, tombstone.payload_digest, tombstone.clues});
-    journals_.push_back(std::nullopt);
-    occult_bitmap_.Resize(index + 1);
-    jsn_to_block_.push_back(kUnsealedBlock);
+    IndexRecord(std::move(delta), std::nullopt);
     return Status::OK();
   }
-  Journal journal;
-  if (!Journal::Deserialize(raw, &journal)) {
-    return Status::Corruption("undecodable journal record at index " +
-                              std::to_string(index));
+  if (!trusted && journal->TxHash() != tx_hash) {
+    return Status::Corruption(
+        "checkpoint: stream tx-hash diverges from snapshot at jsn " +
+        std::to_string(index));
   }
-  if (journal.jsn != index) {
-    return Status::Corruption("journal stream out of order");
-  }
-  if (index == 0 && journal.type != JournalType::kGenesis) {
-    return Status::Corruption("journal stream does not begin with genesis");
-  }
-  if (!trusted) {
-    // The stream bytes diverge from the snapshot — legitimate only for
-    // post-checkpoint occult rewrites and purge tombstones, which never
-    // change a record's tx-hash. Re-validate at full replay strength and
-    // require the recomputed tx-hash to equal the snapshot's: anything
-    // else is tampering and rejects the checkpoint.
-    if (!journal.payload.empty() &&
-        !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
-      return Status::Corruption("journal payload digest mismatch at jsn " +
-                                std::to_string(index));
-    }
-    if (journal.TxHash() != tx_hash) {
-      return Status::Corruption(
-          "checkpoint: stream tx-hash diverges from snapshot at jsn " +
-          std::to_string(index));
-    }
-  }
-  for (const std::string& clue : journal.clues) {
-    clue_index_.Append(clue, index);
-  }
-  delta_log_.push_back({tx_hash, journal.payload_digest, journal.clues});
-  if (journal.client_key.valid()) {
-    // Client-id derivation (SHA-256 + hex) dominates this loop for busy
-    // clients; distinct clients are bounded by the member registry, so a
-    // linear scan over seen keys beats hashing every record.
-    std::string* id_hex = nullptr;
-    for (auto& seen : *key_ids) {
-      if (seen.first == journal.client_key) {
-        id_hex = &seen.second;
-        break;
-      }
-    }
-    if (id_hex == nullptr) {
-      key_ids->emplace_back(journal.client_key,
-                            journal.client_key.Id().ToHex());
-      id_hex = &key_ids->back().second;
-    }
-    dedup_[*id_hex][journal.nonce] = {index, journal.request_hash};
-  }
-  last_server_ts_ = std::max(last_server_ts_, journal.server_ts);
-  journals_.push_back(std::move(journal));
-  occult_bitmap_.Resize(index + 1);
-  jsn_to_block_.push_back(kUnsealedBlock);
-  if (journals_[index]->occulted) {
-    occult_bitmap_.Set(index);
-  }
+  delta = {tx_hash, journal->payload_digest, journal->clues};
+  IndexRecord(std::move(delta), std::move(journal), key_ids);
   ApplyJournalEffects(*journals_[index]);
   return Status::OK();
 }
@@ -1654,7 +1571,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   jsn_to_block_.reserve(n);
   delta_log_.reserve(n);
   Bytes snapshot_record, stream_record;
-  std::vector<std::pair<PublicKey, std::string>> key_ids;
+  KeyIdMemo key_ids;
   for (uint64_t i = 0; i < manifest.watermark; ++i) {
     uint32_t snapshot_crc = 0;
     if (!GetLengthPrefixed(jraw, &jpos, &snapshot_record) ||

@@ -213,7 +213,9 @@ class Ledger {
   /// Appends a client transaction (Figure 1 journal-level commitment).
   /// Validates membership and π_c, assigns a jsn, and threads the journal
   /// through the fam tree, CM-Tree and world-state. Equivalent to
-  /// Prevalidate() + CommitPrevalidated().
+  /// Prevalidate() + CommitPrevalidatedGroup() of one: a block-boundary
+  /// seal failure is returned with `*jsn` set, because the journal itself
+  /// is durable and a retry converges on it.
   Status Append(const ClientTransaction& tx, uint64_t* jsn);
 
   /// A client transaction that has passed every shard-independent check:
@@ -242,20 +244,17 @@ class Ledger {
   void PrevalidateBatch(std::span<const ClientTransaction* const> txs,
                         PrevalidatedTx* outs, Status* statuses) const;
 
-  /// Stage 2: assigns server_ts and jsn, then threads the pre-validated
-  /// journal through fam/CM-Tree/world-state. Cheap relative to stage 1;
-  /// must run on the shard's single committer thread (or any externally
-  /// serialized caller).
-  Status CommitPrevalidated(PrevalidatedTx&& prevalidated, uint64_t* jsn);
-
-  /// Stage 2 for a whole committer group: dedup-screens the batch, then
+  /// Stage 2: dedup-screens the batch, assigns server_ts and jsns, then
   /// persists every surviving journal through one StreamStore::AppendBatch
   /// group (one data fsync + one watermark fsync for the entire group)
   /// before applying them to the accumulators in order. `jsns` and
   /// `statuses` are indexed like `batch`; retried submissions converge on
   /// their original jsn, nonce conflicts fail alone, and a storage
   /// failure fails every surviving journal without mutating the ledger.
-  /// Same threading contract as CommitPrevalidated.
+  /// A block-boundary seal failure is the return value while every
+  /// journal stays committed. Cheap relative to stage 1; must run on the
+  /// shard's single committer thread (or any externally serialized
+  /// caller).
   Status CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
                                  std::vector<uint64_t>* jsns,
                                  std::vector<Status>* statuses);
@@ -547,22 +546,43 @@ class Ledger {
          Clock* clock, KeyPair lsp_key, const MemberRegistry* members,
          LedgerStorage storage);
 
-  /// Commits a fully-formed journal: accumulators, clue tree, world state,
-  /// pending block. `persist` is false during recovery replay. The journal
-  /// is persisted *before* any in-memory state changes, so a failed write
-  /// leaves the ledger untouched and consistent with its streams.
-  Status CommitJournal(Journal journal, uint64_t* jsn, bool persist = true);
+  /// Client-key id -> hex memo carried across a checkpoint restore loop.
+  using KeyIdMemo = std::vector<std::pair<PublicKey, std::string>>;
+
+  /// The one write path. Assigns `run` the jsns that follow NumJournals(),
+  /// persists it with one StreamStore::AppendBatch, then applies each
+  /// journal in order. A persist failure is returned and leaves the ledger
+  /// untouched, consistent with its streams. Once the run is durable every
+  /// journal is applied; the first block-boundary seal failure goes to
+  /// `seal_status` (the journals stay queued for the next seal).
+  Status CommitRun(std::span<Journal* const> run, Status* seal_status);
 
   /// In-memory half of a commit: threads an already-persisted journal
-  /// through the accumulators and handles the block boundary (inline seal
-  /// or async hand-off).
-  Status ApplyCommitted(Journal journal, uint64_t* jsn);
+  /// through the accumulators and ledger bookkeeping and, outside
+  /// recovery, handles the block boundary (inline seal or async hand-off).
+  Status ApplyCommitted(Journal journal);
 
-  /// Freezes the current pending block into a SealJob on the committer
-  /// thread (hashes copied, roots snapshotted) and clears the pending set.
-  void PrepareSeal(SealJob* job);
+  /// Accumulator transitions of one record: fam, CM-Tree and world state.
+  void Accumulate(const JournalDelta& delta);
 
-  /// SealBlock body; requires seal_mu_ held.
+  /// Ledger bookkeeping of the record at jsn NumJournals(): clue index,
+  /// delta log, dedup, server-ts high-water mark, the journal slot
+  /// (`journal` is empty for a purge tombstone), occult bit and an
+  /// unsealed jsn_to_block_ slot. `key_ids` (optional) memoizes signer ids.
+  void IndexRecord(JournalDelta delta, std::optional<Journal> journal,
+                   KeyIdMemo* key_ids = nullptr);
+
+  /// Freezes the current pending block into a SealJob (hashes copied,
+  /// roots snapshotted). The pending set is left for the caller to clear.
+  SealJob PrepareSeal() const;
+
+  /// Builds the header for `job` on top of blocks_, persists it and
+  /// publishes it. Requires seal_mu_ held. On failure nothing is
+  /// published.
+  Status PublishSeal(const SealJob& job, const Digest& tx_root);
+
+  /// SealBlock body: seals the pending set inline through PrepareSeal +
+  /// PublishSeal; requires seal_mu_ held.
   Status SealBlockLocked();
 
   /// Tracks ledger-level side effects of special journal types (purge
@@ -586,9 +606,9 @@ class Ledger {
   /// is the stream's version, which is re-validated at full replay
   /// strength here. `key_ids` memoizes client-key -> hex id across the
   /// restore loop.
-  Status RestoreIndexedRecord(
-      uint64_t index, const Bytes& raw, const Digest& tx_hash,
-      std::vector<std::pair<PublicKey, std::string>>* key_ids, bool trusted);
+  Status RestoreIndexedRecord(uint64_t index, const Bytes& raw,
+                              const Digest& tx_hash, KeyIdMemo* key_ids,
+                              bool trusted);
 
   /// Shared recovery tail: self-heals interrupted mutations, restores and
   /// cross-checks sealed blocks, queues the unsealed suffix and re-seals
@@ -641,7 +661,6 @@ class Ledger {
   std::vector<BlockHeader> blocks_;
   std::vector<uint64_t> pending_block_;          // jsns awaiting sealing
   std::vector<uint64_t> jsn_to_block_;           // jsn -> block height (sealed)
-  ShrubsAccumulator pending_tx_tree_;            // scratch per block
 
   /// Async sealing state. seal_mu_ guards everything the sealer lane and
   /// the committer/readers share: blocks_, jsn_to_block_ (growth on the

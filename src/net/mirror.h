@@ -11,7 +11,7 @@ namespace ledgerdb {
 
 /// Client-side replica of the server's three commitment accumulators, fed
 /// by JournalDeltas. Apply() performs exactly the accumulator transitions
-/// Ledger::CommitJournal performs, so after replaying the same deltas the
+/// Ledger::Accumulate performs, so after replaying the same deltas the
 /// mirror's roots are bit-identical to the server's — this is what lets an
 /// audited RefreshTrustedRoots *verify* a claimed commitment instead of
 /// blindly pinning it, and what CrossCheckCommitments compares at

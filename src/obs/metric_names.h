@@ -90,8 +90,6 @@ inline constexpr char kStorageFaultsInjectedTotal[] =
     "ledgerdb_storage_faults_injected_total";  // label: kind
 inline constexpr char kStorageGroupCommitSizeCount[] =
     "ledgerdb_storage_group_commit_size_count";
-inline constexpr char kStorageGroupCommitFlushUs[] =
-    "ledgerdb_storage_group_commit_flush_us";
 
 // --- ckpt: verified checkpoints + tail replay ----------------------------
 inline constexpr char kCkptWritesTotal[] = "ledgerdb_ckpt_writes_total";
@@ -201,7 +199,6 @@ inline constexpr const char* kAll[] = {
     kStorageRecoveredFramesTotal,
     kStorageFaultsInjectedTotal,
     kStorageGroupCommitSizeCount,
-    kStorageGroupCommitFlushUs,
     kCkptWritesTotal,
     kCkptWriteFailuresTotal,
     kCkptWriteUs,

@@ -28,14 +28,22 @@ uint32_t DecodeU32(const uint8_t* p) {
   return v;
 }
 
-void EncodeFrameHeader(uint8_t* h, uint32_t capacity, uint32_t length,
-                       uint32_t seq, uint32_t payload_crc) {
+// Encodes one frame (header + `record`) at `h`, which must hold
+// kFrameHeaderSize + record.size() bytes; returns the payload crc.
+uint32_t EncodeFrame(uint8_t* h, uint32_t capacity, uint32_t seq,
+                     Slice record) {
+  uint32_t length = static_cast<uint32_t>(record.size());
+  uint32_t payload_crc = Crc32(record.data(), record.size());
   std::memcpy(h, &capacity, 4);
   std::memcpy(h + 4, &length, 4);
   std::memcpy(h + 8, &seq, 4);
   std::memcpy(h + 12, &payload_crc, 4);
   uint32_t header_crc = Crc32(h, 16);
   std::memcpy(h + 16, &header_crc, 4);
+  if (length > 0) {
+    std::memcpy(h + FileStreamStore::kFrameHeaderSize, record.data(), length);
+  }
+  return payload_crc;
 }
 
 constexpr size_t kWatermarkRecordSize = 12;  // [u64 size][u32 crc]
@@ -243,44 +251,20 @@ Status FileStreamStore::PersistWatermark() {
   std::memcpy(rec, &watermark_, 8);
   uint32_t crc = Crc32(rec, 8);
   std::memcpy(rec + 8, &crc, 4);
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(retry_, [&] {
-    return wm_file_->Write(0, Slice(rec, kWatermarkRecordSize));
-  }));
+  return WriteAndSync(wm_file_.get(), 0, Slice(rec, kWatermarkRecordSize));
+}
+
+Status FileStreamStore::WriteAndSync(File* file, uint64_t offset, Slice data) {
+  LEDGERDB_RETURN_IF_ERROR(
+      RetryTransient(retry_, [&] { return file->Write(offset, data); }));
   return RetryTransient(retry_, [&] {
     LEDGERDB_OBS_COUNT(obs::names::kStorageFsyncsTotal);
-    return wm_file_->Sync();
+    return file->Sync();
   });
 }
 
 Status FileStreamStore::Append(Slice record, uint64_t* index) {
-  LEDGERDB_OBS_TIMER(append_timer, obs::names::kStorageAppendUs);
-  LEDGERDB_OBS_COUNT(obs::names::kStorageAppendsTotal);
-  LEDGERDB_OBS_COUNT_N(obs::names::kStorageAppendBytesTotal, record.size());
-  uint32_t length = static_cast<uint32_t>(record.size());
-  uint32_t seq = static_cast<uint32_t>(offsets_.size());
-  uint32_t payload_crc = Crc32(record.data(), record.size());
-  Bytes frame(kFrameHeaderSize + record.size());
-  EncodeFrameHeader(frame.data(), /*capacity=*/length, length, seq,
-                    payload_crc);
-  if (length > 0) {
-    std::memcpy(frame.data() + kFrameHeaderSize, record.data(), record.size());
-  }
-  uint64_t offset = end_offset_;
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
-      retry_, [&] { return file_->Write(offset, Slice(frame)); }));
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(retry_, [&] {
-    LEDGERDB_OBS_COUNT(obs::names::kStorageFsyncsTotal);
-    return file_->Sync();
-  }));
-  offsets_.push_back(offset);
-  lengths_.push_back(length);
-  capacities_.push_back(length);
-  crcs_.push_back(payload_crc);
-  end_offset_ = offset + frame.size();
-  watermark_ = end_offset_;
-  LEDGERDB_RETURN_IF_ERROR(PersistWatermark());
-  *index = seq;
-  return Status::OK();
+  return AppendBatch({record}, index);
 }
 
 Status FileStreamStore::AppendBatch(const std::vector<Slice>& records,
@@ -289,7 +273,7 @@ Status FileStreamStore::AppendBatch(const std::vector<Slice>& records,
     *first_index = offsets_.size();
     return Status::OK();
   }
-  LEDGERDB_OBS_TIMER(flush_timer, obs::names::kStorageGroupCommitFlushUs);
+  LEDGERDB_OBS_TIMER(append_timer, obs::names::kStorageAppendUs);
   LEDGERDB_OBS_OBSERVE(obs::names::kStorageGroupCommitSizeCount,
                        records.size());
   LEDGERDB_OBS_COUNT_N(obs::names::kStorageAppendsTotal, records.size());
@@ -306,15 +290,10 @@ Status FileStreamStore::AppendBatch(const std::vector<Slice>& records,
   std::vector<uint32_t> group_crcs;
   group_crcs.reserve(records.size());
   for (const Slice& record : records) {
-    uint32_t length = static_cast<uint32_t>(record.size());
-    group_crcs.push_back(Crc32(record.data(), record.size()));
-    EncodeFrameHeader(group.data() + pos, /*capacity=*/length, length,
-                      seq++, group_crcs.back());
-    if (length > 0) {
-      std::memcpy(group.data() + pos + kFrameHeaderSize, record.data(),
-                  record.size());
-    }
-    pos += kFrameHeaderSize + length;
+    group_crcs.push_back(EncodeFrame(
+        group.data() + pos, /*capacity=*/static_cast<uint32_t>(record.size()),
+        seq++, record));
+    pos += kFrameHeaderSize + record.size();
   }
 
   // One write, one data sync for the whole group. Nothing is indexed (and
@@ -322,12 +301,7 @@ Status FileStreamStore::AppendBatch(const std::vector<Slice>& records,
   // leaves the durable watermark at the pre-group offset and reopen
   // quarantines whatever prefix of the group made it to disk.
   uint64_t offset = end_offset_;
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
-      retry_, [&] { return file_->Write(offset, Slice(group)); }));
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(retry_, [&] {
-    LEDGERDB_OBS_COUNT(obs::names::kStorageFsyncsTotal);
-    return file_->Sync();
-  }));
+  LEDGERDB_RETURN_IF_ERROR(WriteAndSync(file_.get(), offset, Slice(group)));
   *first_index = offsets_.size();
   for (size_t i = 0; i < records.size(); ++i) {
     uint32_t length = static_cast<uint32_t>(records[i].size());
@@ -378,22 +352,13 @@ Status FileStreamStore::Overwrite(uint64_t index, Slice record) {
   if (record.size() > capacity) {
     return Status::NotSupported("overwrite larger than original frame");
   }
-  uint32_t length = static_cast<uint32_t>(record.size());
-  uint32_t payload_crc = Crc32(record.data(), record.size());
   Bytes frame(kFrameHeaderSize + record.size());
-  EncodeFrameHeader(frame.data(), capacity, length,
-                    static_cast<uint32_t>(index), payload_crc);
-  if (length > 0) {
-    std::memcpy(frame.data() + kFrameHeaderSize, record.data(), record.size());
-  }
+  uint32_t payload_crc = EncodeFrame(frame.data(), capacity,
+                                     static_cast<uint32_t>(index), record);
   LEDGERDB_OBS_COUNT(obs::names::kStorageOverwritesTotal);
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
-      retry_, [&] { return file_->Write(offsets_[index], Slice(frame)); }));
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(retry_, [&] {
-    LEDGERDB_OBS_COUNT(obs::names::kStorageFsyncsTotal);
-    return file_->Sync();
-  }));
-  lengths_[index] = length;
+  LEDGERDB_RETURN_IF_ERROR(
+      WriteAndSync(file_.get(), offsets_[index], Slice(frame)));
+  lengths_[index] = static_cast<uint32_t>(record.size());
   crcs_[index] = payload_crc;
   return Status::OK();
 }

@@ -123,12 +123,14 @@ class FileStreamStore : public StreamStore {
   FileStreamStore(const FileStreamStore&) = delete;
   FileStreamStore& operator=(const FileStreamStore&) = delete;
 
+  /// A group of one through AppendBatch.
   Status Append(Slice record, uint64_t* index) override;
 
-  /// Group commit: encodes all frames into one buffer, writes it with a
-  /// single Write + Sync and advances the durable watermark with one more
-  /// sync — two fsyncs per group instead of two per record. Either the
-  /// whole group is acknowledged or (on any error) none of it is indexed.
+  /// Group commit, the store's one write body: encodes all frames into
+  /// one buffer, writes it with a single Write + Sync and advances the
+  /// durable watermark with one more sync — two fsyncs per group instead
+  /// of two per record. Either the whole group is acknowledged or (on any
+  /// error) none of it is indexed.
   Status AppendBatch(const std::vector<Slice>& records,
                      uint64_t* first_index) override;
 
@@ -151,6 +153,10 @@ class FileStreamStore : public StreamStore {
 
   /// Rewrites the watermark sidecar to cover `end_offset_` and syncs it.
   Status PersistWatermark();
+
+  /// Writes `data` at `offset` and syncs `file`, each step retried on
+  /// transient errors.
+  Status WriteAndSync(File* file, uint64_t offset, Slice data);
 
   Env* env_;
   std::string path_;

@@ -228,6 +228,81 @@ TEST_F(RecoveryTest, PendingBlockJournalsRecovered) {
   EXPECT_EQ(recovered->blocks().back().journal_count, 2u);
 }
 
+/// Block stream whose next Append fails once armed: a block header write
+/// lost at a boundary while the process keeps running.
+class FailingBlockStream : public MemoryStreamStore {
+ public:
+  void FailNextAppend() { fail_next_ = true; }
+
+  Status Append(Slice record, uint64_t* index) override {
+    if (fail_next_) {
+      fail_next_ = false;
+      return Status::IOError("injected block header write failure");
+    }
+    return MemoryStreamStore::Append(record, index);
+  }
+
+ private:
+  bool fail_next_ = false;
+};
+
+TEST_F(RecoveryTest, BoundarySealFailureKeepsJournalDurableAndRetries) {
+  MemoryStreamStore journals;
+  FailingBlockStream blocks;
+  Ledger ledger("lg://rec", options_, &clock_, lsp_, &registry_,
+                {&journals, &blocks});
+  ASSERT_TRUE(ledger.init_status().ok());
+  auto make_tx = [&](const std::string& payload) {
+    ClientTransaction tx;
+    tx.ledger_uri = "lg://rec";
+    tx.clues = {"seal-fail"};
+    tx.payload = StringToBytes(payload);
+    tx.nonce = nonce_++;
+    tx.client_ts = clock_.Now();
+    tx.Sign(alice_);
+    clock_.Advance(kMicrosPerSecond);
+    return tx;
+  };
+  // Genesis + two appends: the next append fills the 4-journal block.
+  uint64_t jsn = 0;
+  ASSERT_TRUE(ledger.Append(make_tx("a"), &jsn).ok());
+  ASSERT_TRUE(ledger.Append(make_tx("b"), &jsn).ok());
+  blocks.FailNextAppend();
+  ClientTransaction boundary = make_tx("c");
+  Status s = ledger.Append(boundary, &jsn);
+
+  // The seal error surfaces, but the journal itself is durable.
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(jsn, 3u);
+  EXPECT_EQ(ledger.NumJournals(), 4u);
+  EXPECT_EQ(journals.Count(), 4u);
+  EXPECT_TRUE(ledger.blocks().empty());
+  EXPECT_EQ(blocks.Count(), 0u);
+
+  // A client retrying after the error converges on the same jsn.
+  uint64_t retried = 0;
+  ASSERT_TRUE(ledger.Append(boundary, &retried).ok());
+  EXPECT_EQ(retried, 3u);
+  EXPECT_EQ(ledger.NumJournals(), 4u);
+
+  // The next seal covers the whole pending set, jsn-contiguous.
+  ASSERT_TRUE(ledger.SealBlock().ok());
+  ASSERT_EQ(ledger.blocks().size(), 1u);
+  EXPECT_EQ(ledger.blocks()[0].first_jsn, 0u);
+  EXPECT_EQ(ledger.blocks()[0].journal_count, 4u);
+
+  std::unique_ptr<Ledger> recovered;
+  s = Ledger::Recover("lg://rec", options_, &clock_, lsp_, &registry_,
+                      {&journals, &blocks}, &recovered);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(recovered->NumJournals(), 4u);
+  EXPECT_EQ(recovered->FamRoot(), ledger.FamRoot());
+  EXPECT_EQ(recovered->ClueRoot(), ledger.ClueRoot());
+  EXPECT_EQ(recovered->StateRoot(), ledger.StateRoot());
+  ASSERT_EQ(recovered->blocks().size(), 1u);
+  EXPECT_EQ(recovered->blocks()[0].Hash(), ledger.blocks()[0].Hash());
+}
+
 TEST_F(RecoveryTest, TamperedJournalStreamDetected) {
   for (int i = 0; i < 8; ++i) Append("p" + std::to_string(i));
   ledger_->SealBlock();

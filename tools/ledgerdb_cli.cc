@@ -82,11 +82,11 @@ namespace {
 struct CliContext {
   std::string dir;
   std::string uri;
-  std::string seed;
   SystemClock clock;
   std::unique_ptr<CertificateAuthority> ca;
   std::unique_ptr<MemberRegistry> registry;
   KeyPair lsp, user, dba, regulator, tsa_key;
+  KeyPair exercise;  // signer of `stats --exercise` rounds
   std::unique_ptr<TsaService> tsa;
   std::unique_ptr<FileStreamStore> journal_stream, block_stream;
   std::unique_ptr<CheckpointStore> ckpt_store;
@@ -127,12 +127,15 @@ void DeriveIdentities(CliContext* ctx, const std::string& seed) {
   ctx->dba = KeyPair::FromSeedString(seed + ":dba");
   ctx->regulator = KeyPair::FromSeedString(seed + ":regulator");
   ctx->tsa_key = KeyPair::FromSeedString(seed + ":tsa");
+  ctx->exercise = KeyPair::FromSeedString(seed + ":stats");
   ctx->registry->Register(ctx->ca->Certify("lsp", ctx->lsp.public_key(), Role::kLsp));
   ctx->registry->Register(ctx->ca->Certify("user", ctx->user.public_key(), Role::kUser));
   ctx->registry->Register(ctx->ca->Certify("dba", ctx->dba.public_key(), Role::kDba));
   ctx->registry->Register(
       ctx->ca->Certify("regulator", ctx->regulator.public_key(), Role::kRegulator));
   ctx->registry->Register(ctx->ca->Certify("tsa", ctx->tsa_key.public_key(), Role::kTsa));
+  ctx->registry->Register(ctx->ca->Certify(
+      "stats-exercise", ctx->exercise.public_key(), Role::kUser));
   ctx->tsa = std::make_unique<TsaService>(ctx->tsa_key, &ctx->clock);
 }
 
@@ -145,7 +148,6 @@ int OpenLedger(CliContext* ctx, const std::string& dir) {
       !ReadFileString(dir + "/uri", &ctx->uri)) {
     return Fail("not a ledger directory (run `init` first): " + dir);
   }
-  ctx->seed = seed;
   DeriveIdentities(ctx, seed);
   Status s = FileStreamStore::Open(dir + "/journals.log", &ctx->journal_stream);
   if (!s.ok()) return FailStatus("open journals", s);
@@ -176,7 +178,6 @@ int OpenRemoteContext(CliContext* ctx, const std::string& dir) {
       !ReadFileString(dir + "/uri", &ctx->uri)) {
     return Fail("not a ledger directory (run `init` first): " + dir);
   }
-  ctx->seed = seed;
   DeriveIdentities(ctx, seed);
   return 0;
 }
@@ -767,16 +768,7 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
 /// network faults (masked by retries and server-side dedup), an audited
 /// trusted-root refresh, proof builds, and a full Dasein audit. Counters
 /// for every stage of the verification plane move as a side effect.
-int RunStatsExercise(CliContext* ctx, const std::string& seed) {
-  // A fresh registered identity per round: its (signer, nonce) space is
-  // empty, so exercise appends never collide with the ledger's history,
-  // while injected duplicate deliveries still converge via dedup.
-  std::string eseed =
-      seed + ":stats:" + std::to_string(ctx->ledger->NumJournals());
-  KeyPair ekey = KeyPair::FromSeedString(eseed);
-  ctx->registry->Register(
-      ctx->ca->Certify("stats-exercise", ekey.public_key(), Role::kUser));
-
+int RunStatsExercise(CliContext* ctx) {
   LocalTransport local(ctx->ledger.get());
   ByzantineTransport byz(&local, /*seed=*/0x57A75);
   // Network-plane faults only — each is masked by the client's retry loop
@@ -790,7 +782,13 @@ int RunStatsExercise(CliContext* ctx, const std::string& seed) {
   LedgerClient::Options copts;
   copts.lsp_key = ctx->lsp.public_key();
   copts.fractal_height = 10;  // must match OpenLedger's LedgerOptions
-  LedgerClient client(&byz, ekey, copts);
+  // The exercise identity is derived from the ledger seed, so a reopened
+  // directory registers it again and its earlier journals still audit.
+  // Every earlier round consumed nonces below the journal count it left
+  // behind, so starting there never collides with the identity's history,
+  // while injected duplicate deliveries still converge via dedup.
+  copts.start_nonce = ctx->ledger->NumJournals();
+  LedgerClient client(&byz, ctx->exercise, copts);
 
   uint64_t last_jsn = 0;
   for (int i = 0; i < 4; ++i) {
@@ -831,8 +829,7 @@ int RunStatsExercise(CliContext* ctx, const std::string& seed) {
   return 0;
 }
 
-int CmdStats(CliContext* ctx, const std::string& seed,
-             const std::vector<std::string>& args) {
+int CmdStats(CliContext* ctx, const std::vector<std::string>& args) {
   std::string format = "json";
   bool exercise = false;
   bool spans = false;
@@ -869,7 +866,7 @@ int CmdStats(CliContext* ctx, const std::string& seed,
       std::this_thread::sleep_for(std::chrono::seconds(watch_secs));
     }
     if (exercise) {
-      int rc = RunStatsExercise(ctx, seed);
+      int rc = RunStatsExercise(ctx);
       if (rc != 0) return rc;
     }
     if (spans || slow) {
@@ -982,7 +979,7 @@ int main(int argc, char** argv) {
   if (command == "checkpoint") return CmdCheckpoint(&ctx);
   if (command == "stats") {
     std::vector<std::string> args(argv + 3, argv + argc);
-    return CmdStats(&ctx, ctx.seed, args);
+    return CmdStats(&ctx, args);
   }
   if (command == "receipt" && argc == 5) {
     return CmdReceipt(&ctx, std::strtoull(argv[3], nullptr, 10), argv[4]);
