@@ -16,8 +16,9 @@
 //                               replay + 3-root compare (per-journal rate).
 //   fetch/verify-journal      — journal + fam proof fetch and verification
 //                               against the pinned root.
-//   remote-audit              — full distrusted-LSP audit via the transport
-//                               (per-journal rate, verify_journals=true).
+//   remote-audit              — full distrusted-LSP audit via the transport:
+//                               one audited refresh, then FetchAndVerifyJournal
+//                               for every jsn (per-journal rate).
 //
 // `--json BENCH_transport.json` emits machine-readable results.
 

@@ -1,104 +1,30 @@
 #include "audit/remote_audit.h"
 
-#include <vector>
-
-#include "accum/fam.h"
-#include "ledger/ledger.h"
-#include "net/mirror.h"
+#include "client/ledger_client.h"
 
 namespace ledgerdb {
-
-namespace {
-
-Status Fail(RemoteAuditReport* report, const std::string& reason) {
-  report->passed = false;
-  report->failure_reason = reason;
-  return Status::VerificationFailed(reason);
-}
-
-}  // namespace
 
 Status RemoteAudit(LedgerTransport* transport,
                    const RemoteAuditOptions& options,
                    RemoteAuditReport* report) {
   *report = RemoteAuditReport{};
+  LedgerClient::Options copts;
+  copts.lsp_key = options.lsp_key;
+  copts.fractal_height = options.fractal_height;
+  copts.mpt_cache_depth = options.mpt_cache_depth;
+  copts.retry = options.retry;
+  // The auditor only reads, so it needs no signing identity.
+  LedgerClient client(transport, KeyPair(), copts);
 
-  SignedCommitment commitment;
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(options.retry, [&] {
-    return transport->GetCommitment(&commitment);
-  }));
-  if (commitment.ledger_uri != transport->uri()) {
-    return Fail(report, "commitment for a different ledger");
+  Status s = client.RefreshTrustedRoots();
+  const uint64_t count = client.mirror().journal_count();
+  for (uint64_t jsn = 0; s.ok() && jsn < count; ++jsn) {
+    Journal journal;
+    s = client.FetchAndVerifyJournal(jsn, &journal);
+    if (s.ok()) ++report->journals_verified;
   }
-  if (!commitment.Verify(options.lsp_key)) {
-    return Fail(report, "commitment signature invalid");
-  }
-  ++report->signatures_verified;
-  report->journal_count = commitment.journal_count;
-
-  // Replay the entire claimed history into a fresh mirror; the committed
-  // roots must fall out of the replay.
-  LedgerMirror mirror(options.fractal_height, options.mpt_cache_depth);
-  std::vector<JournalDelta> deltas;
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(options.retry, [&] {
-    return transport->GetDelta(0, commitment.journal_count, &deltas);
-  }));
-  if (deltas.size() != commitment.journal_count) {
-    return Fail(report, "journal delta does not cover the committed range");
-  }
-  for (const JournalDelta& d : deltas) {
-    Status st = mirror.Apply(d);
-    if (!st.ok()) return Fail(report, "delta replay failed: " + st.message());
-    ++report->deltas_replayed;
-  }
-  if (!(mirror.fam_root() == commitment.fam_root) ||
-      !(mirror.clue_root() == commitment.clue_root) ||
-      !(mirror.state_root() == commitment.state_root)) {
-    return Fail(report, "committed roots diverge from the replayed delta");
-  }
-
-  if (options.verify_journals) {
-    for (uint64_t jsn = 0; jsn < commitment.journal_count; ++jsn) {
-      Journal journal;
-      LEDGERDB_RETURN_IF_ERROR(RetryTransient(options.retry, [&] {
-        return transport->GetJournal(jsn, &journal);
-      }));
-      if (journal.jsn != jsn) {
-        return Fail(report, "journal served under the wrong jsn");
-      }
-      if (!(journal.TxHash() == deltas[jsn].tx_hash)) {
-        return Fail(report, "journal content diverges from the delta");
-      }
-      if (!journal.occulted &&
-          !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
-        return Fail(report, "payload digest mismatch");
-      }
-      if (journal.client_key.valid()) {
-        if (!VerifySignature(journal.client_key, journal.request_hash,
-                             journal.client_sig)) {
-          return Fail(report, "journal author signature invalid");
-        }
-        ++report->signatures_verified;
-      }
-      FamProof proof;
-      LEDGERDB_RETURN_IF_ERROR(RetryTransient(options.retry, [&] {
-        return transport->GetProof(jsn, &proof);
-      }));
-      uint64_t expected_epoch = 0;
-      uint64_t expected_leaf = 0;
-      FamAccumulator::ExpectedLocation(options.fractal_height, jsn,
-                                       &expected_epoch, &expected_leaf);
-      if (proof.jsn != jsn || proof.epoch != expected_epoch ||
-          proof.local.leaf_index != expected_leaf) {
-        return Fail(report, "fam proof at the wrong position for its jsn");
-      }
-      if (!Ledger::VerifyJournalProof(journal, proof, commitment.fam_root)) {
-        return Fail(report, "fam proof does not bind journal to the root");
-      }
-      ++report->journals_verified;
-    }
-  }
-
+  if (s.IsVerificationFailed()) report->failure_reason = s.message();
+  if (!s.ok()) return s;
   report->passed = true;
   return Status::OK();
 }

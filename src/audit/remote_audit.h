@@ -9,16 +9,12 @@
 
 namespace ledgerdb {
 
-/// Outcome of a transport-level audit, with counters so tests can assert
+/// Outcome of a transport-level audit, with a counter so tests can assert
 /// the audit actually covered the ledger it claims to have covered.
 struct RemoteAuditReport {
   bool passed = false;
   std::string failure_reason;
-
-  uint64_t journal_count = 0;       ///< journals the commitment covers
-  uint64_t deltas_replayed = 0;     ///< deltas replayed into the mirror
-  uint64_t journals_verified = 0;   ///< journals fetched + fully checked
-  uint64_t signatures_verified = 0; ///< π_c + π_s (commitment) signatures
+  uint64_t journals_verified = 0;  ///< journals fetched + fully checked
 };
 
 struct RemoteAuditOptions {
@@ -26,20 +22,17 @@ struct RemoteAuditOptions {
   int fractal_height = 15;
   int mpt_cache_depth = 6;
   RetryPolicy retry;
-  /// Verify every journal individually (fetch + content + fam proof). When
-  /// false only the commitment/delta replay runs — O(n) hashing, no
-  /// per-journal round trips.
-  bool verify_journals = true;
 };
 
 /// Audits a ledger THROUGH its transport, trusting nothing the server
-/// says: fetches the signed commitment, replays the full journal delta
-/// into a fresh local mirror (the committed roots must be reproduced
-/// bit-for-bit), then fetches and verifies every journal — content
-/// digests, author signature, and fam proof against the committed root at
-/// the position its jsn requires. This is the distrusted-LSP counterpart
-/// of the server-side DaseinAuditor: a matrix cell counts as *masked* only
-/// if this audit still passes on the post-fault ledger.
+/// says. It is a LedgerClient that never signs: one audited
+/// RefreshTrustedRoots (the signed commitment must fall out of replaying
+/// the full journal delta into a fresh mirror), then FetchAndVerifyJournal
+/// for every jsn the commitment covers. So the audit accepts exactly what
+/// the client accepts, check for check. This is the distrusted-LSP
+/// counterpart of the server-side DaseinAuditor: a matrix cell counts as
+/// *masked* only if this audit still passes on the post-fault ledger.
+/// VerificationFailed sets `failure_reason`; transport errors pass through.
 Status RemoteAudit(LedgerTransport* transport,
                    const RemoteAuditOptions& options,
                    RemoteAuditReport* report);

@@ -180,37 +180,47 @@ Status LedgerClient::CheckJournalContent(const Journal& journal) {
   return Status::OK();
 }
 
-Status LedgerClient::FetchAndVerifyJournal(uint64_t jsn,
-                                           Journal* journal) const {
-  Journal fetched;
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
-      options_.retry, [&] { return transport_->GetJournal(jsn, &fetched); }));
-  if (fetched.jsn != jsn) {
+Status LedgerClient::VerifyJournalAt(const Journal& journal, uint64_t jsn,
+                                     const FamProof& proof,
+                                     int fractal_height,
+                                     const Digest& fam_root) {
+  if (journal.jsn != jsn) {
     return Status::VerificationFailed(
         "server returned a journal with a different jsn");
   }
-  LEDGERDB_RETURN_IF_ERROR(CheckJournalContent(fetched));
+  LEDGERDB_RETURN_IF_ERROR(CheckJournalContent(journal));
   // what: the fam proof must bind the journal at the position this jsn is
   // *required* to occupy — never trust the proof's own labels.
-  FamProof proof;
-  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
-      options_.retry, [&] { return transport_->GetProof(jsn, &proof); }));
   if (proof.jsn != jsn) {
     return Status::VerificationFailed("fam proof names a different jsn");
   }
   uint64_t expected_epoch = 0;
   uint64_t expected_leaf = 0;
-  FamAccumulator::ExpectedLocation(options_.fractal_height, jsn,
-                                   &expected_epoch, &expected_leaf);
+  FamAccumulator::ExpectedLocation(fractal_height, jsn, &expected_epoch,
+                                   &expected_leaf);
   if (proof.epoch != expected_epoch ||
       proof.local.leaf_index != expected_leaf) {
     return Status::VerificationFailed(
         "fam proof places the journal at the wrong position for its jsn");
   }
-  if (!Ledger::VerifyJournalProof(fetched, proof, trusted_fam_root_)) {
+  if (!Ledger::VerifyJournalProof(journal, proof, fam_root)) {
     return Status::VerificationFailed(
         "fam proof does not bind journal to the trusted root");
   }
+  return Status::OK();
+}
+
+Status LedgerClient::FetchAndVerifyJournal(uint64_t jsn,
+                                           Journal* journal) const {
+  Journal fetched;
+  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
+      options_.retry, [&] { return transport_->GetJournal(jsn, &fetched); }));
+  FamProof proof;
+  LEDGERDB_RETURN_IF_ERROR(RetryTransient(
+      options_.retry, [&] { return transport_->GetProof(jsn, &proof); }));
+  LEDGERDB_RETURN_IF_ERROR(VerifyJournalAt(fetched, jsn, proof,
+                                           options_.fractal_height,
+                                           trusted_fam_root_));
   *journal = std::move(fetched);
   return Status::OK();
 }
@@ -265,24 +275,37 @@ Status LedgerClient::BatchAuditRange(const std::string& clue, Timestamp from,
   LEDGERDB_RETURN_IF_ERROR(RetryTransient(options_.retry, [&] {
     return transport_->ProveClueRange(clue, from, to, &result);
   }));
+  LEDGERDB_RETURN_IF_ERROR(VerifyClueRange(result, clue, from, to,
+                                           options_.fractal_height,
+                                           trusted_clue_root_,
+                                           trusted_fam_root_));
+  *journals = result.journals;
+  if (raw != nullptr) *raw = std::move(result);
+  return Status::OK();
+}
+
+Status LedgerClient::VerifyClueRange(const ClueRangeResult& result,
+                                     const std::string& clue, Timestamp from,
+                                     Timestamp to, int fractal_height,
+                                     const Digest& clue_root,
+                                     const Digest& fam_root) {
   if (result.clue != clue) {
     return Status::VerificationFailed("range result is for a different clue");
   }
   if (result.end < result.begin) {
     return Status::VerificationFailed("range result has an inverted range");
   }
+  // An honest server answers a window with no entries NotFound; an OK
+  // reply must prove at least one entry, or it would pass unchecked.
+  if (result.end == result.begin) {
+    return Status::VerificationFailed("range result proves no entries");
+  }
   // COMPLETENESS over the claimed entry range: every entry in [begin, end)
   // must be present, so a server silently dropping journals from the
   // middle of the range is caught before any crypto runs.
-  uint64_t count = result.end - result.begin;
-  if (result.journals.size() != count) {
+  if (result.journals.size() != result.end - result.begin) {
     return Status::VerificationFailed(
         "range read is missing journals the clue proof covers");
-  }
-  if (count == 0) {
-    journals->clear();
-    if (raw != nullptr) *raw = std::move(result);
-    return Status::OK();
   }
   // Per-journal local checks + the requested time window. The window check
   // is against the SERVER's timestamps; their monotonicity is what makes
@@ -312,7 +335,7 @@ Status LedgerClient::BatchAuditRange(const std::string& clue, Timestamp from,
           "clue proof places an entry at the wrong lineage position");
     }
   }
-  if (!CmTree::VerifyClueProof(trusted_clue_root_, digests, result.clue_proof)) {
+  if (!CmTree::VerifyClueProof(clue_root, digests, result.clue_proof)) {
     return Status::VerificationFailed(
         "clue range does not verify against the trusted root");
   }
@@ -336,14 +359,28 @@ Status LedgerClient::BatchAuditRange(const std::string& clue, Timestamp from,
     jsns.push_back(jsn);
     fam_digests.push_back(digests[i]);
   }
-  if (!FamAccumulator::VerifyBatchProof(options_.fractal_height, jsns,
-                                        fam_digests, result.fam_batch,
-                                        trusted_fam_root_)) {
+  if (!FamAccumulator::VerifyBatchProof(fractal_height, jsns, fam_digests,
+                                        result.fam_batch, fam_root)) {
     return Status::VerificationFailed(
         "fam batch proof does not bind the range to the trusted root");
   }
-  *journals = result.journals;
-  if (raw != nullptr) *raw = std::move(result);
+  return Status::OK();
+}
+
+Status LedgerClient::CheckReceiptNamesJournal(const Receipt& receipt,
+                                              const Journal& journal) {
+  if (journal.jsn != receipt.jsn) {
+    return Status::VerificationFailed(
+        "server returned a journal with a different jsn");
+  }
+  if (!(journal.request_hash == receipt.request_hash)) {
+    return Status::VerificationFailed(
+        "journal request-hash does not match the receipt");
+  }
+  if (!(journal.TxHash() == receipt.tx_hash)) {
+    return Status::VerificationFailed(
+        "ledger content diverged from the receipt (threat-C rewrite)");
+  }
   return Status::OK();
 }
 
@@ -355,15 +392,19 @@ Status LedgerClient::CheckReceiptStillHolds(const Receipt& receipt) const {
   LEDGERDB_RETURN_IF_ERROR(RetryTransient(options_.retry, [&] {
     return transport_->GetJournal(receipt.jsn, &journal);
   }));
-  if (journal.jsn != receipt.jsn) {
-    return Status::VerificationFailed(
-        "server returned a journal with a different jsn");
+  return CheckReceiptNamesJournal(receipt, journal);
+}
+
+Status LedgerClient::VerifyReceipt(const Receipt& receipt) const {
+  if (!receipt.Verify(options_.lsp_key)) {
+    return Status::VerificationFailed("receipt signature invalid");
   }
-  if (!(journal.TxHash() == receipt.tx_hash)) {
-    return Status::VerificationFailed(
-        "ledger content diverged from the receipt (threat-C rewrite)");
-  }
-  return Status::OK();
+  // One fetch: the journal bound to the pinned root is the one compared
+  // with the receipt, so a server cannot answer the two checks with
+  // different journals.
+  Journal journal;
+  LEDGERDB_RETURN_IF_ERROR(FetchAndVerifyJournal(receipt.jsn, &journal));
+  return CheckReceiptNamesJournal(receipt, journal);
 }
 
 Status LedgerClient::CrossCheckCommitments(const LedgerClient& other,
@@ -373,33 +414,6 @@ Status LedgerClient::CrossCheckCommitments(const LedgerClient& other,
   }
   for (const SignedCommitment& c : log_.entries()) {
     LEDGERDB_RETURN_IF_ERROR(CrossCheckCommitment(c, *other.mirror_, ev));
-  }
-  return Status::OK();
-}
-
-Status LedgerClient::VerifyReceiptOffline(const Receipt& receipt,
-                                          const Journal& journal,
-                                          const FamProof& proof,
-                                          const PublicKey& lsp_key,
-                                          const Digest& trusted_fam_root) {
-  if (!receipt.Verify(lsp_key)) {
-    return Status::VerificationFailed("receipt signature invalid");
-  }
-  if (journal.jsn != receipt.jsn) {
-    return Status::VerificationFailed("journal does not match receipt jsn");
-  }
-  if (!(journal.request_hash == receipt.request_hash)) {
-    return Status::VerificationFailed(
-        "journal request-hash does not match the receipt");
-  }
-  if (!(journal.TxHash() == receipt.tx_hash)) {
-    return Status::VerificationFailed(
-        "journal tx-hash does not match the receipt");
-  }
-  LEDGERDB_RETURN_IF_ERROR(CheckJournalContent(journal));
-  if (!Ledger::VerifyJournalProof(journal, proof, trusted_fam_root)) {
-    return Status::VerificationFailed(
-        "fam proof does not bind journal to the trusted root");
   }
   return Status::OK();
 }

@@ -83,11 +83,8 @@ class LedgerClient {
   const Digest& trusted_clue_root() const { return trusted_clue_root_; }
   const Digest& trusted_state_root() const { return trusted_state_root_; }
 
-  /// Fetches journal `jsn` and verifies it locally: the journal is the one
-  /// asked for, its payload matches the retained digest (occulted journals
-  /// exempt, Protocol 2), π_c verifies, and the fam proof binds the
-  /// journal to the pinned root at the (epoch, leaf) position the jsn
-  /// *must* occupy — the proof's own labels are never trusted.
+  /// Fetches journal `jsn` and its fam proof, then accepts them only
+  /// through VerifyJournalAt against the pinned fam root.
   Status FetchAndVerifyJournal(uint64_t jsn, Journal* journal) const;
 
   /// Fetches a clue's journals and verifies the full lineage — every
@@ -97,26 +94,53 @@ class LedgerClient {
                                std::vector<Journal>* journals) const;
 
   /// Batch-audit mode for range reads: ONE ProveClueRange round-trip
-  /// replaces the per-journal GetJournal + GetProof loop, verified against
-  /// the roots pinned by a single (amortized) RefreshTrustedRoots. Checks:
-  /// the journal list covers the claimed entry range exactly; every
-  /// journal's content verifies (payload digest + π_c) and its server_ts
-  /// falls in [from, to); the clue proof binds each entry at the position
-  /// `begin + i` (labels are never trusted) against the pinned clue root;
-  /// and the fam batch proof binds every journal's tx-hash at its
-  /// jsn-derived (epoch, leaf) against the pinned fam root. `raw`
-  /// (optional) receives the server response for callers that want the
-  /// proofs too.
+  /// replaces the per-journal GetJournal + GetProof loop. The reply is
+  /// accepted only through VerifyClueRange against the roots pinned by a
+  /// single (amortized) RefreshTrustedRoots. `raw` (optional) receives the
+  /// server response for callers that want the proofs too.
   Status BatchAuditRange(const std::string& clue, Timestamp from, Timestamp to,
                          std::vector<Journal>* journals,
                          ClueRangeResult* raw = nullptr) const;
 
+  /// The acceptance rule for one journal, with no I/O: `journal` is the
+  /// record at `jsn`, its payload matches the retained digest (an occulted
+  /// journal with its payload erased is exempt, Protocol 2), π_c verifies,
+  /// and `proof` binds it to `fam_root` at the (epoch, leaf) position the
+  /// jsn *must* occupy — the proof's own labels are never trusted.
+  static Status VerifyJournalAt(const Journal& journal, uint64_t jsn,
+                                const FamProof& proof, int fractal_height,
+                                const Digest& fam_root);
+
+  /// The acceptance rule for a ProveClueRange reply, with no I/O: it is
+  /// for `clue` and covers a non-empty entry range [begin, end) exactly
+  /// (an honest server answers an empty window with NotFound); every
+  /// journal's content verifies (payload digest + π_c) and its server_ts
+  /// falls in [from, to); the clue proof binds each entry at lineage
+  /// position `begin + i` against `clue_root`; and the fam batch proof
+  /// binds every journal's tx-hash at its jsn-derived (epoch, leaf)
+  /// against `fam_root`.
+  static Status VerifyClueRange(const ClueRangeResult& result,
+                                const std::string& clue, Timestamp from,
+                                Timestamp to, int fractal_height,
+                                const Digest& clue_root,
+                                const Digest& fam_root);
+
   /// Receipts retained by AppendVerified, in submission order.
   const std::vector<Receipt>& receipts() const { return receipts_; }
 
-  /// Re-validates a retained receipt against the live ledger (detects
-  /// post-hoc rewrites of this client's own journals: threat-C).
+  /// Re-validates a retained receipt against the live ledger: the receipt
+  /// verifies under the LSP key, and the journal served at its jsn carries
+  /// the request-hash and tx-hash it commits to (detects post-hoc rewrites
+  /// of this client's own journals: threat-C). The journal is not bound to
+  /// a pinned root; VerifyReceipt does that.
   Status CheckReceiptStillHolds(const Receipt& receipt) const;
+
+  /// CheckReceiptStillHolds against the pinned roots: the journal at the
+  /// receipt's jsn is fetched once through FetchAndVerifyJournal, and that
+  /// same journal must carry the receipt's request-hash and tx-hash. A
+  /// ledger rewritten under a re-signed root fails here even if the server
+  /// answers some fetches with the original journal.
+  Status VerifyReceipt(const Receipt& receipt) const;
 
   /// Gossip: checks every commitment the other client accepted against
   /// this client's independently built mirror, and vice versa. Two validly
@@ -127,17 +151,6 @@ class LedgerClient {
   Status CrossCheckCommitments(const LedgerClient& other,
                                EquivocationEvidence* ev = nullptr) const;
 
-  /// Offline receipt verification (no transport): the receipt verifies
-  /// under `lsp_key`, names this journal, commits to the journal's
-  /// request-hash, the journal's content digests check out, and the fam
-  /// proof binds it to `trusted_fam_root`. Used by `ledgerdb_cli
-  /// verify-receipt`.
-  static Status VerifyReceiptOffline(const Receipt& receipt,
-                                     const Journal& journal,
-                                     const FamProof& proof,
-                                     const PublicKey& lsp_key,
-                                     const Digest& trusted_fam_root);
-
   const CommitmentLog& commitment_log() const { return log_; }
   const LedgerMirror& mirror() const { return *mirror_; }
 
@@ -146,8 +159,15 @@ class LedgerClient {
   /// a speculative apply that failed the root comparison).
   void RebuildMirror();
 
-  /// Per-journal local checks shared by journal and lineage verification.
+  /// Per-journal local checks shared by journal, range and lineage
+  /// verification.
   static Status CheckJournalContent(const Journal& journal);
+
+  /// The post-fetch receipt checks shared by CheckReceiptStillHolds and
+  /// VerifyReceipt: `journal` is the record at the receipt's jsn and
+  /// carries the request-hash and tx-hash the receipt commits to.
+  static Status CheckReceiptNamesJournal(const Receipt& receipt,
+                                         const Journal& journal);
 
   LedgerTransport* transport_;
   KeyPair identity_;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "audit/remote_audit.h"
 #include "client/ledger_client.h"
 #include "net/byzantine_transport.h"
 #include "net/transport.h"
@@ -304,6 +307,171 @@ TEST_F(ByzantineTransportTest, EquivocationWithWrongKeyCaughtImmediately) {
   LedgerClient alice = MakeClient(byz_.get(), alice_);
   Status s = alice.RefreshTrustedRoots();
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Rewritten replies: every acceptor runs the client's checks, so a reply the
+// client rejects is rejected by the transport-level audit too.
+// ---------------------------------------------------------------------------
+
+/// Forwards every RPC to `inner`; when set, the hooks rewrite an OK
+/// GetJournal or ProveClueRange response before the caller sees it.
+class RewritingTransport : public LedgerTransport {
+ public:
+  explicit RewritingTransport(LedgerTransport* inner) : inner_(inner) {}
+
+  std::function<void(Journal*)> on_journal;
+  std::function<void(ClueRangeResult*)> on_range;
+
+  Status AppendTx(const ClientTransaction& tx, uint64_t* jsn) override {
+    return inner_->AppendTx(tx, jsn);
+  }
+  Status GetReceipt(uint64_t jsn, Receipt* out) override {
+    return inner_->GetReceipt(jsn, out);
+  }
+  Status GetJournal(uint64_t jsn, Journal* out) override {
+    Status s = inner_->GetJournal(jsn, out);
+    if (s.ok() && on_journal) on_journal(out);
+    return s;
+  }
+  Status GetProof(uint64_t jsn, FamProof* out) override {
+    return inner_->GetProof(jsn, out);
+  }
+  Status GetClueProof(const std::string& clue, uint64_t begin, uint64_t end,
+                      ClueProof* out) override {
+    return inner_->GetClueProof(clue, begin, end, out);
+  }
+  Status ListTx(const std::string& clue,
+                std::vector<uint64_t>* jsns) override {
+    return inner_->ListTx(clue, jsns);
+  }
+  Status GetCommitment(SignedCommitment* out) override {
+    return inner_->GetCommitment(out);
+  }
+  Status GetDelta(uint64_t from, uint64_t to,
+                  std::vector<JournalDelta>* out) override {
+    return inner_->GetDelta(from, to, out);
+  }
+  Status GetProofBatch(const std::vector<uint64_t>& jsns,
+                       FamBatchProof* out) override {
+    return inner_->GetProofBatch(jsns, out);
+  }
+  Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
+                        ClueRangeResult* out) override {
+    Status s = inner_->ProveClueRange(clue, from, to, out);
+    if (s.ok() && on_range) on_range(out);
+    return s;
+  }
+  const std::string& uri() const override { return inner_->uri(); }
+
+ private:
+  LedgerTransport* inner_;
+};
+
+TEST_F(ByzantineTransportTest, RemoteAuditRejectsOccultedJournalWithOtherBytes) {
+  LedgerClient alice = MakeClient(local_.get(), alice_);
+  uint64_t jsn = 0;
+  ASSERT_TRUE(alice.AppendVerified(StringToBytes("original"), {"asset"}, &jsn)
+                  .ok());
+  RewritingTransport rewriting(local_.get());
+  RemoteAuditOptions ropts;
+  ropts.lsp_key = lsp_.public_key();
+  ropts.fractal_height = options_.fractal_height;
+  RemoteAuditReport report;
+  Status s = RemoteAudit(&rewriting, ropts, &report);
+  ASSERT_TRUE(s.ok()) << s.ToString() << " " << report.failure_reason;
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.journals_verified, ledger_->NumJournals());
+
+  // "Occulted" but still carrying bytes: the tx-hash, π_c and fam proof
+  // bind only the payload digest, so the payload check alone must fail it.
+  rewriting.on_journal = [&](Journal* journal) {
+    if (journal->jsn != jsn) return;
+    journal->occulted = true;
+    journal->payload = StringToBytes("forged");
+  };
+  s = RemoteAudit(&rewriting, ropts, &report);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_FALSE(report.passed);
+  EXPECT_EQ(report.failure_reason, "payload digest mismatch");
+}
+
+TEST_F(ByzantineTransportTest, EmptyRangeReplyRejected) {
+  RewritingTransport rewriting(local_.get());
+  LedgerClient alice = MakeClient(&rewriting, alice_);
+  for (int i = 0; i < 2; ++i) {
+    uint64_t jsn = 0;
+    ASSERT_TRUE(alice
+                    .AppendVerified(StringToBytes("r-" + std::to_string(i)),
+                                    {"asset"}, &jsn)
+                    .ok());
+  }
+  ASSERT_TRUE(alice.RefreshTrustedRoots().ok());
+  const Timestamp to = clock_.Now() + 1;
+  std::vector<Journal> journals;
+  Status s = alice.BatchAuditRange("asset", 0, to, &journals);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(journals.size(), 2u);
+
+  // An honest server answers a window with no entries NotFound...
+  s = alice.BatchAuditRange("asset", to, to + 1, &journals);
+  EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+
+  // ...so an OK reply that proves no entries is a lie about the window.
+  rewriting.on_range = [](ClueRangeResult* result) {
+    result->begin = result->end;
+    result->journals.clear();
+  };
+  s = alice.BatchAuditRange("asset", 0, to, &journals);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+}
+
+TEST_F(ByzantineTransportTest, ReceiptCheckedOnTheJournalBoundToTheRoot) {
+  LedgerClient alice = MakeClient(local_.get(), alice_);
+  uint64_t jsn = 0;
+  Receipt receipt;
+  ASSERT_TRUE(alice.AppendVerified(StringToBytes("original"), {"asset"}, &jsn,
+                                   &receipt)
+                  .ok());
+  ASSERT_TRUE(alice.RefreshTrustedRoots().ok());
+  ASSERT_TRUE(alice.VerifyReceipt(receipt).ok());
+  Journal original;
+  ASSERT_TRUE(local_->GetJournal(jsn, &original).ok());
+
+  // The LSP rewrites history under its own key: the same jsn now holds
+  // other content, and every root it signs commits to the rewrite.
+  Ledger rewritten("lg://byz", options_, &clock_, lsp_, &registry_);
+  LocalTransport rewritten_local(&rewritten);
+  LedgerClient forger = MakeClient(&rewritten_local, alice_);
+  uint64_t rewritten_jsn = 0;
+  ASSERT_TRUE(forger.AppendVerified(StringToBytes("rewritten"), {"asset"},
+                                    &rewritten_jsn)
+                  .ok());
+  ASSERT_EQ(rewritten_jsn, jsn);
+
+  // The server shows the receipt's journal to the first GetJournal only.
+  RewritingTransport rewriting(&rewritten_local);
+  int fetches = 0;
+  rewriting.on_journal = [&](Journal* journal) {
+    if (journal->jsn == jsn && fetches++ == 0) *journal = original;
+  };
+  LedgerClient verifier = MakeClient(&rewriting, bob_);
+  ASSERT_TRUE(verifier.RefreshTrustedRoots().ok());
+
+  // Two fetches can be answered with two journals: each check passes.
+  Journal fetched;
+  EXPECT_TRUE(verifier.CheckReceiptStillHolds(receipt).ok());
+  EXPECT_TRUE(verifier.FetchAndVerifyJournal(jsn, &fetched).ok());
+
+  // VerifyReceipt makes both checks on one journal: the original fails
+  // the root, the rewrite fails the receipt.
+  fetches = 0;
+  Status s = verifier.VerifyReceipt(receipt);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  s = verifier.VerifyReceipt(receipt);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_EQ(s.message(),
+            "journal request-hash does not match the receipt");
 }
 
 // ---------------------------------------------------------------------------

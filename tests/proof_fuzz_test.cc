@@ -290,45 +290,12 @@ TEST_F(ProofPlaneFuzz, ClueRangeResultEveryByte) {
   Digest clue_root = client_->trusted_clue_root();
   Digest fam_root = client_->trusted_fam_root();
   Bytes original = result.Serialize();
-  // The full BatchAuditRange acceptance path, reimplemented against the
-  // mutant (the client API itself only takes a transport).
+  // The client's own acceptance rule for a ProveClueRange reply.
   auto accept = [&](const ClueRangeResult& m) {
-    if (m.clue != "asset") return false;
-    if (m.journals.size() != m.end - m.begin) return false;
-    std::vector<Digest> digests;
-    for (const Journal& j : m.journals) {
-      if (!(j.occulted && j.payload.empty()) &&
-          !(Sha256::Hash(j.payload) == j.payload_digest)) {
-        return false;
-      }
-      if (!VerifySignature(j.client_key, j.request_hash, j.client_sig)) {
-        return false;
-      }
-      if (j.server_ts < from || j.server_ts >= to) return false;
-      digests.push_back(j.TxHash());
-    }
-    if (m.clue_proof.clue != "asset") return false;
-    if (m.clue_proof.batch.leaf_indices.size() != digests.size()) return false;
-    for (size_t i = 0; i < digests.size(); ++i) {
-      if (m.clue_proof.batch.leaf_indices[i] != m.begin + i) return false;
-    }
-    if (!CmTree::VerifyClueProof(clue_root, digests, m.clue_proof)) {
-      return false;
-    }
-    std::vector<uint64_t> jsns;
-    std::vector<Digest> fam_digests;
-    for (size_t i = 0; i < m.journals.size(); ++i) {
-      uint64_t jsn = m.journals[i].jsn;
-      if (!jsns.empty() && jsn == jsns.back()) {
-        if (!(digests[i] == fam_digests.back())) return false;
-        continue;
-      }
-      jsns.push_back(jsn);
-      fam_digests.push_back(digests[i]);
-    }
-    if (!FamAccumulator::VerifyBatchProof(options_.fractal_height, jsns,
-                                          fam_digests, m.fam_batch,
-                                          fam_root)) {
+    if (!LedgerClient::VerifyClueRange(m, "asset", from, to,
+                                       options_.fractal_height, clue_root,
+                                       fam_root)
+             .ok()) {
       return false;
     }
     // Presentation-flag mutants that leave every verified byte unchanged
@@ -393,14 +360,12 @@ TEST_F(ProofPlaneFuzz, JournalEveryByte) {
   Digest true_tx_hash = journal.TxHash();
   Bytes original = journal.Serialize();
   auto accept = [&](const Journal& m) {
-    // The full client acceptance path for a fetched journal...
-    bool accepted =
-        m.jsn == jsn &&
-        ((m.occulted && m.payload.empty()) ||
-         Sha256::Hash(m.payload) == m.payload_digest) &&
-        VerifySignature(m.client_key, m.request_hash, m.client_sig) &&
-        Ledger::VerifyJournalProof(m, proof, root);
-    if (!accepted) return false;
+    // The client's own acceptance rule for a fetched journal...
+    if (!LedgerClient::VerifyJournalAt(m, jsn, proof, options_.fractal_height,
+                                       root)
+             .ok()) {
+      return false;
+    }
     // ...where a MUTANT whose tx-hash AND payload are unchanged (e.g. a
     // flipped `occulted` presentation flag) is semantically the same
     // record: count it as killed, the adversary gained nothing.

@@ -6,19 +6,20 @@
 //
 //   ledgerdb_cli init   <dir> <uri>              create a ledger directory
 //   ledgerdb_cli append <dir> <payload> [clue..] append a signed journal
-//   ledgerdb_cli get    <dir> <jsn>              fetch one journal
-//   ledgerdb_cli verify <dir> <jsn>              client-side fam verification
+//                                                (receipt checked)
+//   ledgerdb_cli get    <dir> <jsn>              print one verified journal
+//   ledgerdb_cli verify <dir> <jsn>              client-side journal check
 //   ledgerdb_cli lineage <dir> <clue>            list + verify a clue
 //   ledgerdb_cli anchor <dir>                    TSA time anchor
 //   ledgerdb_cli occult <dir> <jsn>              hide a journal (DBA+regulator)
 //   ledgerdb_cli purge  <dir> <before_jsn>       purge history
 //   ledgerdb_cli audit  <dir>                    full Dasein-complete audit
-//   ledgerdb_cli status <dir>                    roots & counters
+//   ledgerdb_cli status <dir>                    audited roots & counters
 //   ledgerdb_cli checkpoint <dir>                write an audited checkpoint
 //   ledgerdb_cli fsck   <dir> [--json]           stream + checkpoint integrity
 //                                                check
 //   ledgerdb_cli receipt <dir> <jsn> <file>      export a receipt (hex)
-//   ledgerdb_cli verify-receipt <dir> <file>     offline receipt check
+//   ledgerdb_cli verify-receipt <dir> <file>     client-side receipt check
 //                                                (exit 0 valid, 2 forged)
 //   ledgerdb_cli stats  <dir> [--format json|prom] [--exercise]
 //                       [--spans] [--slow]
@@ -29,13 +30,15 @@
 //                       [--drain-deadline-us <n>] [--ticks <n>]
 //                                                host the ledger over a socket
 //
-// Remote mode: `append`, `get`, `verify`, `lineage` and `status` accept
-// `--remote <addr>` ("unix:<path>" or "tcp:<ipv4>:<port>") and then talk
-// to a running `serve` process through SocketTransport + LedgerClient
-// instead of reopening the streams — <dir> supplies only the seed-derived
-// identities and uri. Verification still happens client-side: remote
-// `verify`/`lineage` pin trusted roots via an audited refresh and check
-// the proofs locally, trusting nothing the server sends.
+// Client commands: `append`, `get`, `verify`, `lineage`, `status` and
+// `verify-receipt` run one body against a LedgerTransport and a
+// LedgerClient over it, so a ledger read from disk is accepted by exactly
+// the checks a remote client applies: roots are pinned by an audited
+// refresh, and journals, lineages and receipts are verified by
+// LedgerClient. The transport is a LocalTransport over the recovered
+// ledger, or, with `--remote <addr>` ("unix:<path>" or
+// "tcp:<ipv4>:<port>"), a SocketTransport to a running `serve` process; then
+// <dir> supplies only the seed-derived identities and uri.
 //
 // `stats` opens the ledger through the instrumented recovery path and
 // prints the process-wide metrics registry (counters, gauges, histogram
@@ -58,6 +61,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -78,6 +82,15 @@
 using namespace ledgerdb;
 
 namespace {
+
+/// Fam height and block capacity of every ledger this tool creates, opens
+/// or verifies: clients derive proof positions from the same height.
+LedgerOptions CliLedgerOptions() {
+  LedgerOptions options;
+  options.fractal_height = 10;
+  options.block_capacity = 16;
+  return options;
+}
 
 struct CliContext {
   std::string dir;
@@ -139,9 +152,10 @@ void DeriveIdentities(CliContext* ctx, const std::string& seed) {
   ctx->tsa = std::make_unique<TsaService>(ctx->tsa_key, &ctx->clock);
 }
 
-/// Opens an existing ledger directory: reads seed + uri, reopens the
-/// streams, and recovers the full ledger state from disk.
-int OpenLedger(CliContext* ctx, const std::string& dir) {
+/// Reads the directory's seed + uri and derives its identities. Enough for
+/// a client command with `--remote`: the `serve` process owns the streams,
+/// and a second recovery against live files would race it.
+int OpenIdentities(CliContext* ctx, const std::string& dir) {
   ctx->dir = dir;
   std::string seed;
   if (!ReadFileString(dir + "/seed", &seed) ||
@@ -149,6 +163,14 @@ int OpenLedger(CliContext* ctx, const std::string& dir) {
     return Fail("not a ledger directory (run `init` first): " + dir);
   }
   DeriveIdentities(ctx, seed);
+  return 0;
+}
+
+/// Opens an existing ledger directory: reads seed + uri, reopens the
+/// streams, and recovers the full ledger state from disk.
+int OpenLedger(CliContext* ctx, const std::string& dir) {
+  int rc = OpenIdentities(ctx, dir);
+  if (rc != 0) return rc;
   Status s = FileStreamStore::Open(dir + "/journals.log", &ctx->journal_stream);
   if (!s.ok()) return FailStatus("open journals", s);
   s = FileStreamStore::Open(dir + "/blocks.log", &ctx->block_stream);
@@ -157,28 +179,11 @@ int OpenLedger(CliContext* ctx, const std::string& dir) {
       std::make_unique<CheckpointStore>(Env::Default(), dir + "/ckpt");
   LedgerStorage storage{ctx->journal_stream.get(), ctx->block_stream.get(),
                         ctx->ckpt_store.get()};
-  LedgerOptions options;
-  options.fractal_height = 10;
-  options.block_capacity = 16;
-  s = Ledger::Recover(ctx->uri, options, &ctx->clock, ctx->lsp,
+  s = Ledger::Recover(ctx->uri, CliLedgerOptions(), &ctx->clock, ctx->lsp,
                       ctx->registry.get(), storage, &ctx->ledger,
                       &ctx->recovery);
   if (!s.ok()) return FailStatus("recover (ledger may be tampered)", s);
   ctx->ledger->AttachDirectTsa(ctx->tsa.get());
-  return 0;
-}
-
-/// Remote-mode context: reads seed + uri and derives identities but does
-/// NOT recover the ledger — the `serve` process owns the streams, and a
-/// second recovery against live files would race it.
-int OpenRemoteContext(CliContext* ctx, const std::string& dir) {
-  ctx->dir = dir;
-  std::string seed;
-  if (!ReadFileString(dir + "/seed", &seed) ||
-      !ReadFileString(dir + "/uri", &ctx->uri)) {
-    return Fail("not a ledger directory (run `init` first): " + dir);
-  }
-  DeriveIdentities(ctx, seed);
   return 0;
 }
 
@@ -239,118 +244,28 @@ int CmdServe(CliContext* ctx, const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Builds the remote verified client: socket transport plus a LedgerClient
-/// whose nonce space starts past the server's current journal count (the
-/// same nonce scheme local `append` uses, resumed across processes).
-int MakeRemoteClient(CliContext* ctx, const std::string& addr,
-                     std::unique_ptr<SocketTransport>* transport,
-                     std::unique_ptr<LedgerClient>* client) {
-  *transport = std::make_unique<SocketTransport>(addr, ctx->uri);
+/// The one client every client command runs: a LedgerClient over
+/// `transport` whose nonce space starts past the ledger's current journal
+/// count, so a fresh process resumes the user identity without reusing a
+/// nonce. The signed commitment is checked first, so a wrong directory or
+/// an impostor server fails before any operation runs.
+int MakeClient(CliContext* ctx, LedgerTransport* transport,
+               std::unique_ptr<LedgerClient>* client) {
   SignedCommitment commitment;
-  Status s = (*transport)->GetCommitment(&commitment);
-  if (!s.ok()) return FailStatus("connect " + addr, s);
+  Status s = transport->GetCommitment(&commitment);
+  if (!s.ok()) return FailStatus("connect", s);
   if (!commitment.Verify(ctx->lsp.public_key())) {
     return Fail("server commitment does not verify under this ledger's "
                 "LSP key — wrong directory or impostor server");
   }
   LedgerClient::Options copts;
   copts.lsp_key = ctx->lsp.public_key();
-  copts.fractal_height = 10;  // must match OpenLedger's LedgerOptions
+  copts.fractal_height = CliLedgerOptions().fractal_height;
   copts.start_nonce = commitment.journal_count;
   copts.retry.max_attempts = 4;
   copts.retry.decorrelated_jitter = true;
-  *client = std::make_unique<LedgerClient>(transport->get(), ctx->user, copts);
+  *client = std::make_unique<LedgerClient>(transport, ctx->user, copts);
   return 0;
-}
-
-int CmdRemoteAppend(CliContext* ctx, const std::string& addr,
-                    const std::string& payload,
-                    const std::vector<std::string>& clues) {
-  std::unique_ptr<SocketTransport> transport;
-  std::unique_ptr<LedgerClient> client;
-  int rc = MakeRemoteClient(ctx, addr, &transport, &client);
-  if (rc != 0) return rc;
-  uint64_t jsn = 0;
-  Receipt receipt;
-  Status s = client->AppendVerified(StringToBytes(payload), clues, &jsn,
-                                    &receipt);
-  if (!s.ok()) return FailStatus("remote append", s);
-  std::printf("jsn:        %llu\n", (unsigned long long)jsn);
-  std::printf("tx-hash:    %s\n", receipt.tx_hash.ToHex().c_str());
-  std::printf("block-hash: %s\n", receipt.block_hash.ToHex().c_str());
-  std::printf("receipt:    %s\n", ToHex(receipt.Serialize()).c_str());
-  return 0;
-}
-
-int CmdRemoteGet(CliContext* ctx, const std::string& addr, uint64_t jsn) {
-  SocketTransport transport(addr, ctx->uri);
-  Journal journal;
-  Status s = transport.GetJournal(jsn, &journal);
-  if (!s.ok()) return FailStatus("remote get", s);
-  std::printf("jsn:      %llu\n", (unsigned long long)jsn);
-  std::printf("payload:  %s\n",
-              journal.occulted
-                  ? "<erased>"
-                  : std::string(journal.payload.begin(), journal.payload.end())
-                        .c_str());
-  std::printf("digest:   %s\n", journal.payload_digest.ToHex().c_str());
-  for (const std::string& clue : journal.clues) {
-    std::printf("clue:     %s\n", clue.c_str());
-  }
-  return 0;
-}
-
-int CmdRemoteVerify(CliContext* ctx, const std::string& addr, uint64_t jsn) {
-  std::unique_ptr<SocketTransport> transport;
-  std::unique_ptr<LedgerClient> client;
-  int rc = MakeRemoteClient(ctx, addr, &transport, &client);
-  if (rc != 0) return rc;
-  Status s = client->RefreshTrustedRoots();
-  if (!s.ok()) return FailStatus("refresh trusted roots", s);
-  Journal journal;
-  s = client->FetchAndVerifyJournal(jsn, &journal);
-  std::printf("fam root:  %s\n", client->trusted_fam_root().ToHex().c_str());
-  std::printf("result:    %s\n", s.ok() ? "VALID" : "INVALID");
-  if (!s.ok()) std::printf("reason:    %s\n", s.ToString().c_str());
-  return s.ok() ? 0 : 1;
-}
-
-int CmdRemoteLineage(CliContext* ctx, const std::string& addr,
-                     const std::string& clue) {
-  std::unique_ptr<SocketTransport> transport;
-  std::unique_ptr<LedgerClient> client;
-  int rc = MakeRemoteClient(ctx, addr, &transport, &client);
-  if (rc != 0) return rc;
-  Status s = client->RefreshTrustedRoots();
-  if (!s.ok()) return FailStatus("refresh trusted roots", s);
-  std::vector<Journal> journals;
-  s = client->FetchAndVerifyLineage(clue, &journals);
-  if (!s.ok()) return FailStatus("remote lineage", s);
-  for (const Journal& journal : journals) {
-    std::printf("jsn %-8llu %s\n", (unsigned long long)journal.jsn,
-                journal.occulted
-                    ? "<erased>"
-                    : std::string(journal.payload.begin(), journal.payload.end())
-                          .c_str());
-  }
-  std::printf("%zu records; lineage VALID\n", journals.size());
-  return 0;
-}
-
-int CmdRemoteStatus(CliContext* ctx, const std::string& addr) {
-  SocketTransport transport(addr, ctx->uri);
-  SignedCommitment commitment;
-  Status s = transport.GetCommitment(&commitment);
-  if (!s.ok()) return FailStatus("remote status", s);
-  bool signature_ok = commitment.Verify(ctx->lsp.public_key());
-  std::printf("uri:        %s\n", commitment.ledger_uri.c_str());
-  std::printf("journals:   %llu\n",
-              (unsigned long long)commitment.journal_count);
-  std::printf("fam root:   %s\n", commitment.fam_root.ToHex().c_str());
-  std::printf("clue root:  %s\n", commitment.clue_root.ToHex().c_str());
-  std::printf("state root: %s\n", commitment.state_root.ToHex().c_str());
-  std::printf("lsp sig:    %s\n", signature_ok ? "VALID" : "INVALID");
-  return signature_ok ? 0 : 1;
 }
 
 int CmdInit(const std::string& dir, const std::string& uri) {
@@ -373,31 +288,28 @@ int CmdInit(const std::string& dir, const std::string& uri) {
   s = FileStreamStore::Open(dir + "/blocks.log", &ctx.block_stream);
   if (!s.ok()) return FailStatus("create blocks", s);
   LedgerStorage storage{ctx.journal_stream.get(), ctx.block_stream.get()};
-  LedgerOptions options;
-  options.fractal_height = 10;
-  options.block_capacity = 16;
-  Ledger ledger(uri, options, &ctx.clock, ctx.lsp, ctx.registry.get(), storage);
+  Ledger ledger(uri, CliLedgerOptions(), &ctx.clock, ctx.lsp,
+                ctx.registry.get(), storage);
   ledger.SealBlock();
   std::printf("initialized %s (uri %s)\n", dir.c_str(), uri.c_str());
   std::printf("genesis fam root: %s\n", ledger.FamRoot().ToHex().c_str());
   return 0;
 }
 
-int CmdAppend(CliContext* ctx, const std::string& payload,
-              const std::vector<std::string>& clues) {
-  ClientTransaction tx;
-  tx.ledger_uri = ctx->uri;
-  tx.clues = clues;
-  tx.payload = StringToBytes(payload);
-  tx.nonce = ctx->ledger->NumJournals();
-  tx.client_ts = ctx->clock.Now();
-  tx.Sign(ctx->user);
+std::string PayloadText(const Journal& journal) {
+  return journal.occulted
+             ? "<erased>"
+             : std::string(journal.payload.begin(), journal.payload.end());
+}
+
+int CmdAppend(CliContext*, LedgerClient* client,
+              const std::vector<std::string>& args) {
   uint64_t jsn = 0;
-  Status s = ctx->ledger->Append(tx, &jsn);
-  if (!s.ok()) return FailStatus("append", s);
   Receipt receipt;
-  s = ctx->ledger->GetReceipt(jsn, &receipt);
-  if (!s.ok()) return FailStatus("receipt", s);
+  Status s = client->AppendVerified(StringToBytes(args[0]),
+                                    {args.begin() + 1, args.end()}, &jsn,
+                                    &receipt);
+  if (!s.ok()) return FailStatus("append", s);
   std::printf("jsn:        %llu\n", (unsigned long long)jsn);
   std::printf("tx-hash:    %s\n", receipt.tx_hash.ToHex().c_str());
   std::printf("block-hash: %s\n", receipt.block_hash.ToHex().c_str());
@@ -405,18 +317,24 @@ int CmdAppend(CliContext* ctx, const std::string& payload,
   return 0;
 }
 
-int CmdGet(CliContext* ctx, uint64_t jsn) {
+uint64_t ParseJsn(const std::string& arg) {
+  return std::strtoull(arg.c_str(), nullptr, 10);
+}
+
+/// Prints journal `jsn` as FetchAndVerifyJournal accepts it against an
+/// audited root.
+int CmdGet(CliContext*, LedgerClient* client,
+           const std::vector<std::string>& args) {
+  const uint64_t jsn = ParseJsn(args[0]);
+  Status s = client->RefreshTrustedRoots();
+  if (!s.ok()) return FailStatus("refresh trusted roots", s);
   Journal journal;
-  Status s = ctx->ledger->GetJournal(jsn, &journal);
+  s = client->FetchAndVerifyJournal(jsn, &journal);
   if (!s.ok()) return FailStatus("get", s);
   std::printf("jsn:      %llu\n", (unsigned long long)jsn);
   std::printf("type:     %d%s\n", static_cast<int>(journal.type),
               journal.occulted ? " (occulted)" : "");
-  std::printf("payload:  %s\n",
-              journal.occulted
-                  ? "<erased>"
-                  : std::string(journal.payload.begin(), journal.payload.end())
-                        .c_str());
+  std::printf("payload:  %s\n", PayloadText(journal).c_str());
   std::printf("digest:   %s\n", journal.payload_digest.ToHex().c_str());
   for (const std::string& clue : journal.clues) {
     std::printf("clue:     %s\n", clue.c_str());
@@ -424,43 +342,31 @@ int CmdGet(CliContext* ctx, uint64_t jsn) {
   return 0;
 }
 
-int CmdVerify(CliContext* ctx, uint64_t jsn) {
+int CmdVerify(CliContext*, LedgerClient* client,
+              const std::vector<std::string>& args) {
+  Status s = client->RefreshTrustedRoots();
+  if (!s.ok()) return FailStatus("refresh trusted roots", s);
   Journal journal;
-  Status s = ctx->ledger->GetJournal(jsn, &journal);
-  if (!s.ok()) return FailStatus("get", s);
-  FamProof proof;
-  s = ctx->ledger->GetProof(jsn, &proof);
-  if (!s.ok()) return FailStatus("proof", s);
-  bool ok = Ledger::VerifyJournalProof(journal, proof, ctx->ledger->FamRoot());
-  std::printf("fam root:  %s\n", ctx->ledger->FamRoot().ToHex().c_str());
-  std::printf("proof:     %zu digests\n", proof.CostInHashes());
-  std::printf("result:    %s\n", ok ? "VALID" : "INVALID");
-  return ok ? 0 : 1;
+  s = client->FetchAndVerifyJournal(ParseJsn(args[0]), &journal);
+  std::printf("fam root:  %s\n", client->trusted_fam_root().ToHex().c_str());
+  std::printf("result:    %s\n", s.ok() ? "VALID" : "INVALID");
+  if (!s.ok()) std::printf("reason:    %s\n", s.ToString().c_str());
+  return s.ok() ? 0 : 1;
 }
 
-int CmdLineage(CliContext* ctx, const std::string& clue) {
-  std::vector<uint64_t> jsns;
-  Status s = ctx->ledger->ListTx(clue, &jsns);
+int CmdLineage(CliContext*, LedgerClient* client,
+               const std::vector<std::string>& args) {
+  Status s = client->RefreshTrustedRoots();
+  if (!s.ok()) return FailStatus("refresh trusted roots", s);
+  std::vector<Journal> journals;
+  s = client->FetchAndVerifyLineage(args[0], &journals);
   if (!s.ok()) return FailStatus("lineage", s);
-  std::vector<Digest> digests;
-  for (uint64_t jsn : jsns) {
-    Journal journal;
-    s = ctx->ledger->GetJournal(jsn, &journal);
-    if (!s.ok()) return FailStatus("get", s);
-    digests.push_back(journal.TxHash());
-    std::printf("jsn %-8llu %s\n", (unsigned long long)jsn,
-                journal.occulted
-                    ? "<erased>"
-                    : std::string(journal.payload.begin(), journal.payload.end())
-                          .c_str());
+  for (const Journal& journal : journals) {
+    std::printf("jsn %-8llu %s\n", (unsigned long long)journal.jsn,
+                PayloadText(journal).c_str());
   }
-  ClueProof proof;
-  s = ctx->ledger->GetClueProof(clue, 0, 0, &proof);
-  if (!s.ok()) return FailStatus("clue proof", s);
-  bool ok = CmTree::VerifyClueProof(ctx->ledger->ClueRoot(), digests, proof);
-  std::printf("%zu records; lineage %s\n", jsns.size(),
-              ok ? "VALID" : "INVALID");
-  return ok ? 0 : 1;
+  std::printf("%zu records; lineage VALID\n", journals.size());
+  return 0;
 }
 
 int CmdAnchor(CliContext* ctx) {
@@ -526,19 +432,28 @@ int CmdAudit(CliContext* ctx) {
   return report.passed && s.ok() ? 0 : 1;
 }
 
-int CmdStatus(CliContext* ctx) {
+/// The roots come from an audited refresh; a recovered ledger (no
+/// `--remote`) adds the lines only the ledger itself can tell.
+int CmdStatus(CliContext* ctx, LedgerClient* client,
+              const std::vector<std::string>&) {
+  Status s = client->RefreshTrustedRoots();
+  if (!s.ok()) return FailStatus("refresh trusted roots", s);
   std::printf("uri:             %s\n", ctx->uri.c_str());
   std::printf("journals:        %llu\n",
-              (unsigned long long)ctx->ledger->NumJournals());
+              (unsigned long long)client->mirror().journal_count());
+  std::printf("fam root:        %s\n",
+              client->trusted_fam_root().ToHex().c_str());
+  std::printf("clue root:       %s\n",
+              client->trusted_clue_root().ToHex().c_str());
+  std::printf("state root:      %s\n",
+              client->trusted_state_root().ToHex().c_str());
+  if (ctx->ledger == nullptr) return 0;
   std::printf("purged boundary: %llu\n",
               (unsigned long long)ctx->ledger->PurgedBoundary());
   std::printf("occulted:        %llu\n",
               (unsigned long long)ctx->ledger->OccultedCount());
   std::printf("blocks:          %zu\n", ctx->ledger->blocks().size());
   std::printf("time journals:   %zu\n", ctx->ledger->time_journals().size());
-  std::printf("fam root:        %s\n", ctx->ledger->FamRoot().ToHex().c_str());
-  std::printf("clue root:       %s\n", ctx->ledger->ClueRoot().ToHex().c_str());
-  std::printf("state root:      %s\n", ctx->ledger->StateRoot().ToHex().c_str());
   if (ctx->recovery.used_checkpoint) {
     std::printf("recovered via:   checkpoint (watermark %llu, tail %llu, "
                 "%llu reconciled)\n",
@@ -582,11 +497,14 @@ int CmdReceipt(CliContext* ctx, uint64_t jsn, const std::string& out_path) {
   return 0;
 }
 
-/// Offline receipt verification: the receipt file is the client's retained
-/// π_s evidence; the ledger directory supplies the journal, fam proof and
-/// current root. Exit 0 when the receipt binds, 2 when it is forged or the
-/// ledger content diverged (threat-C), 1 on I/O problems.
-int CmdVerifyReceipt(CliContext* ctx, const std::string& receipt_path) {
+/// Receipt verification: the receipt file is the client's retained π_s
+/// evidence. The receipt must verify under the LSP key and name the
+/// journal the ledger serves at its jsn, and that journal must verify
+/// against audited roots. Exit 0 when the receipt binds, 2 when it is
+/// forged or the ledger content diverged (threat-C), 1 on I/O problems.
+int CmdVerifyReceipt(CliContext*, LedgerClient* client,
+                     const std::vector<std::string>& args) {
+  const std::string& receipt_path = args[0];
   std::string hex;
   if (!ReadFileString(receipt_path, &hex)) {
     return Fail("cannot read receipt file: " + receipt_path);
@@ -597,38 +515,17 @@ int CmdVerifyReceipt(CliContext* ctx, const std::string& receipt_path) {
     std::printf("receipt: FORGED (undecodable)\n");
     return 2;
   }
-  Journal journal;
-  Status s = ctx->ledger->GetJournal(receipt.jsn, &journal);
-  if (!s.ok()) return FailStatus("get journal", s);
-  FamProof proof;
-  s = ctx->ledger->GetProof(receipt.jsn, &proof);
-  if (!s.ok()) return FailStatus("get proof", s);
-  s = LedgerClient::VerifyReceiptOffline(receipt, journal, proof,
-                                         ctx->ledger->lsp_key(),
-                                         ctx->ledger->FamRoot());
+  Status s = client->RefreshTrustedRoots();
+  if (s.ok()) s = client->VerifyReceipt(receipt);
   std::printf("jsn:      %llu\n", (unsigned long long)receipt.jsn);
   std::printf("tx-hash:  %s\n", receipt.tx_hash.ToHex().c_str());
-  if (!s.ok()) {
+  if (s.IsVerificationFailed()) {
     std::printf("receipt: FORGED (%s)\n", s.message().c_str());
     return 2;
   }
+  if (!s.ok()) return FailStatus("verify receipt", s);
   std::printf("receipt: VALID\n");
   return 0;
-}
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 /// Stream-level integrity check plus the checkpoint inventory. Unlike
@@ -658,8 +555,8 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
     if (!s.ok()) {
       if (json) {
         if (!stream_json.empty()) stream_json += ",";
-        stream_json += "{\"name\":\"" + std::string(name) + "\",\"open\":\"" +
-                       JsonEscape(s.ToString()) + "\"}";
+        stream_json += "{\"name\":\"" + std::string(name) +
+                       "\",\"open\":" + obs::JsonString(s.ToString()) + "}";
       } else {
         std::printf("  open:        %s\n", s.ToString().c_str());
       }
@@ -677,7 +574,7 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
           "\",\"frames\":" + std::to_string(report.frames) +
           ",\"watermark\":" + std::to_string(stream->DurableWatermark()) +
           ",\"torn_tail\":" + (report.tail_quarantined ? "true" : "false") +
-          ",\"fsck\":\"" + JsonEscape(fsck.ToString()) + "\"}";
+          ",\"fsck\":" + obs::JsonString(fsck.ToString()) + "}";
     } else {
       std::printf("  frames:      %llu\n", (unsigned long long)report.frames);
       std::printf("  watermark:   %llu%s\n",
@@ -729,7 +626,7 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
       ckpt_json += "{\"slot\":" + std::to_string(entry.slot) +
                    ",\"watermark\":" + std::to_string(watermark) +
                    ",\"block_height\":" + std::to_string(height) +
-                   ",\"status\":\"" + JsonEscape(verdict) + "\"}";
+                   ",\"status\":" + obs::JsonString(verdict) + "}";
     } else {
       std::printf("  slot %u:      watermark %llu, blocks %llu — %s\n",
                   entry.slot, (unsigned long long)watermark,
@@ -781,7 +678,7 @@ int RunStatsExercise(CliContext* ctx) {
 
   LedgerClient::Options copts;
   copts.lsp_key = ctx->lsp.public_key();
-  copts.fractal_height = 10;  // must match OpenLedger's LedgerOptions
+  copts.fractal_height = CliLedgerOptions().fractal_height;
   // The exercise identity is derived from the ledger seed, so a reopened
   // directory registers it again and its earlier journals still audit.
   // Every earlier round consumed nonces below the journal count it left
@@ -905,9 +802,57 @@ int Usage() {
                "usage: ledgerdb_cli <init|append|get|verify|lineage|anchor|"
                "occult|purge|audit|status|checkpoint|stats|fsck|receipt|"
                "verify-receipt|serve> <dir> [args...]\n"
-               "       append/get/verify/lineage/status also accept "
-               "--remote <unix:path|tcp:host:port>\n");
+               "       append/get/verify/lineage/status/verify-receipt also "
+               "accept --remote <unix:path|tcp:host:port>\n");
   return 2;
+}
+
+/// The client commands: each runs one body against a LedgerClient, over
+/// the recovered ledger or a `serve` process. `main` and RunClientCommand
+/// both read this one table.
+struct ClientCommand {
+  const char* name;
+  size_t min_args;
+  size_t max_args;
+  int (*run)(CliContext* ctx, LedgerClient* client,
+             const std::vector<std::string>& args);
+};
+
+constexpr ClientCommand kClientCommands[] = {
+    {"append", 1, SIZE_MAX, CmdAppend},
+    {"get", 1, 1, CmdGet},
+    {"verify", 1, 1, CmdVerify},
+    {"lineage", 1, 1, CmdLineage},
+    {"status", 0, 0, CmdStatus},
+    {"verify-receipt", 1, 1, CmdVerifyReceipt},
+};
+
+const ClientCommand* FindClientCommand(const std::string& name) {
+  for (const ClientCommand& command : kClientCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+/// Runs one client command over the recovered ledger (LocalTransport) or,
+/// with `remote` set, over a socket to a `serve` process. Either way the
+/// same body and the same LedgerClient checks run.
+int RunClientCommand(CliContext* ctx, const ClientCommand& command,
+                     const std::vector<std::string>& args,
+                     const std::string& remote) {
+  if (args.size() < command.min_args || args.size() > command.max_args) {
+    return Usage();
+  }
+  std::unique_ptr<LedgerTransport> transport;
+  if (remote.empty()) {
+    transport = std::make_unique<LocalTransport>(ctx->ledger.get());
+  } else {
+    transport = std::make_unique<SocketTransport>(remote, ctx->uri);
+  }
+  std::unique_ptr<LedgerClient> client;
+  int rc = MakeClient(ctx, transport.get(), &client);
+  if (rc != 0) return rc;
+  return command.run(ctx, client.get(), args);
 }
 
 }  // namespace
@@ -918,8 +863,8 @@ int main(int argc, char** argv) {
   std::string dir = argv[2];
 
   // Strip a global `--remote <addr>` pair anywhere after <dir>; when
-  // present, the supporting commands go over the socket instead of
-  // reopening the ledger streams.
+  // present, the client commands go over the socket instead of reopening
+  // the ledger streams.
   std::string remote;
   std::vector<std::string> rest;
   for (int i = 3; i < argc; ++i) {
@@ -936,56 +881,28 @@ int main(int argc, char** argv) {
   }
   if (command == "fsck") return CmdFsck(dir, rest);
 
+  const ClientCommand* client_command = FindClientCommand(command);
+  if (!remote.empty() && client_command == nullptr) return Usage();
   CliContext ctx;
-  if (!remote.empty()) {
-    int rc = OpenRemoteContext(&ctx, dir);
-    if (rc != 0) return rc;
-    if (command == "append" && !rest.empty()) {
-      return CmdRemoteAppend(&ctx, remote, rest[0],
-                             {rest.begin() + 1, rest.end()});
-    }
-    if (command == "get" && rest.size() == 1) {
-      return CmdRemoteGet(&ctx, remote,
-                          std::strtoull(rest[0].c_str(), nullptr, 10));
-    }
-    if (command == "verify" && rest.size() == 1) {
-      return CmdRemoteVerify(&ctx, remote,
-                             std::strtoull(rest[0].c_str(), nullptr, 10));
-    }
-    if (command == "lineage" && rest.size() == 1) {
-      return CmdRemoteLineage(&ctx, remote, rest[0]);
-    }
-    if (command == "status") return CmdRemoteStatus(&ctx, remote);
-    return Usage();
-  }
-
-  int rc = OpenLedger(&ctx, dir);
+  int rc = remote.empty() ? OpenLedger(&ctx, dir) : OpenIdentities(&ctx, dir);
   if (rc != 0) return rc;
+  if (client_command != nullptr) {
+    return RunClientCommand(&ctx, *client_command, rest, remote);
+  }
 
   if (command == "serve") return CmdServe(&ctx, rest);
-  if (command == "append") {
-    if (argc < 4) return Usage();
-    std::vector<std::string> clues(argv + 4, argv + argc);
-    return CmdAppend(&ctx, argv[3], clues);
-  }
-  if (command == "get" && argc == 4) return CmdGet(&ctx, std::strtoull(argv[3], nullptr, 10));
-  if (command == "verify" && argc == 4) return CmdVerify(&ctx, std::strtoull(argv[3], nullptr, 10));
-  if (command == "lineage" && argc == 4) return CmdLineage(&ctx, argv[3]);
   if (command == "anchor") return CmdAnchor(&ctx);
-  if (command == "occult" && argc == 4) return CmdOccult(&ctx, std::strtoull(argv[3], nullptr, 10));
-  if (command == "purge" && argc == 4) return CmdPurge(&ctx, std::strtoull(argv[3], nullptr, 10));
+  if (command == "occult" && rest.size() == 1) {
+    return CmdOccult(&ctx, ParseJsn(rest[0]));
+  }
+  if (command == "purge" && rest.size() == 1) {
+    return CmdPurge(&ctx, ParseJsn(rest[0]));
+  }
   if (command == "audit") return CmdAudit(&ctx);
-  if (command == "status") return CmdStatus(&ctx);
   if (command == "checkpoint") return CmdCheckpoint(&ctx);
-  if (command == "stats") {
-    std::vector<std::string> args(argv + 3, argv + argc);
-    return CmdStats(&ctx, args);
-  }
-  if (command == "receipt" && argc == 5) {
-    return CmdReceipt(&ctx, std::strtoull(argv[3], nullptr, 10), argv[4]);
-  }
-  if (command == "verify-receipt" && argc == 4) {
-    return CmdVerifyReceipt(&ctx, argv[3]);
+  if (command == "stats") return CmdStats(&ctx, rest);
+  if (command == "receipt" && rest.size() == 2) {
+    return CmdReceipt(&ctx, ParseJsn(rest[0]), rest[1]);
   }
   return Usage();
 }
