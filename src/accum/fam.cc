@@ -20,24 +20,15 @@ Bytes FamProof::Serialize() const {
   return out;
 }
 
-bool FamProof::Deserialize(const Bytes& raw, FamProof* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->jsn)) return false;
-  if (!GetU64(raw, &pos, &out->epoch)) return false;
-  if (!GetU64(raw, &pos, &out->target_epoch)) return false;
-  Bytes block;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!MembershipProof::Deserialize(block, &out->local)) return false;
-  uint32_t count = 0;
-  if (!GetU32(raw, &pos, &count) || count > (1u << 20)) return false;
-  out->epoch_links.assign(count, MembershipProof());
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-    if (!MembershipProof::Deserialize(block, &out->epoch_links[i])) {
-      return false;
-    }
-  }
-  return pos == raw.size();
+bool FamProof::Deserialize(Slice raw, FamProof* out) {
+  ByteReader r(raw);
+  out->jsn = r.U64();
+  out->epoch = r.U64();
+  out->target_epoch = r.U64();
+  r.Nested(&out->local);
+  out->epoch_links.assign(r.Count(1u << 20), MembershipProof());
+  for (MembershipProof& link : out->epoch_links) r.Nested(&link);
+  return r.AtEnd();
 }
 
 Bytes FamBatchProof::Serialize() const {
@@ -57,41 +48,19 @@ Bytes FamBatchProof::Serialize() const {
   return out;
 }
 
-bool FamBatchProof::Deserialize(const Bytes& raw, FamBatchProof* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->target_epoch)) return false;
-  uint32_t group_count = 0;
-  if (!GetU32(raw, &pos, &group_count) || group_count > (1u << 20)) {
-    return false;
+bool FamBatchProof::Deserialize(Slice raw, FamBatchProof* out) {
+  ByteReader r(raw);
+  out->target_epoch = r.U64();
+  out->groups.assign(r.Count(1u << 20), EpochGroup());
+  for (EpochGroup& group : out->groups) {
+    group.epoch = r.U64();
+    group.jsns.assign(r.Count(1u << 20), 0);
+    for (uint64_t& jsn : group.jsns) jsn = r.U64();
+    r.Nested(&group.batch);
   }
-  out->groups.assign(group_count, EpochGroup());
-  Bytes block;
-  for (uint32_t g = 0; g < group_count; ++g) {
-    EpochGroup& group = out->groups[g];
-    if (!GetU64(raw, &pos, &group.epoch)) return false;
-    uint32_t jsn_count = 0;
-    if (!GetU32(raw, &pos, &jsn_count) || jsn_count > (1u << 20)) {
-      return false;
-    }
-    group.jsns.assign(jsn_count, 0);
-    for (uint32_t i = 0; i < jsn_count; ++i) {
-      if (!GetU64(raw, &pos, &group.jsns[i])) return false;
-    }
-    if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-    if (!BatchProof::Deserialize(block, &group.batch)) return false;
-  }
-  uint32_t link_count = 0;
-  if (!GetU32(raw, &pos, &link_count) || link_count > (1u << 20)) {
-    return false;
-  }
-  out->epoch_links.assign(link_count, MembershipProof());
-  for (uint32_t i = 0; i < link_count; ++i) {
-    if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-    if (!MembershipProof::Deserialize(block, &out->epoch_links[i])) {
-      return false;
-    }
-  }
-  return pos == raw.size();
+  out->epoch_links.assign(r.Count(1u << 20), MembershipProof());
+  for (MembershipProof& link : out->epoch_links) r.Nested(&link);
+  return r.AtEnd();
 }
 
 FamAccumulator::FamAccumulator(int fractal_height)
@@ -122,8 +91,7 @@ void FamAccumulator::SerializeTo(Bytes* out) const {
   current_.SerializeTo(out);
   PutU32(out, static_cast<uint32_t>(sealed_roots_.size()));
   for (size_t e = 0; e < sealed_roots_.size(); ++e) {
-    out->insert(out->end(), sealed_roots_[e].bytes.begin(),
-                sealed_roots_[e].bytes.end());
+    PutDigest(out, sealed_roots_[e]);
     const bool retained = sealed_trees_[e] != nullptr;
     out->push_back(retained ? 1 : 0);
     if (retained) sealed_trees_[e]->SerializeTo(out);
@@ -134,52 +102,28 @@ void FamAccumulator::SerializeTo(Bytes* out) const {
   }
 }
 
-bool FamAccumulator::DeserializeFrom(const Bytes& raw, size_t* pos,
-                                     FamAccumulator* out) {
-  auto get_digest = [&raw](size_t* p, Digest* d) {
-    if (*p + 32 > raw.size()) return false;
-    std::copy(raw.begin() + static_cast<long>(*p),
-              raw.begin() + static_cast<long>(*p) + 32, d->bytes.begin());
-    *p += 32;
-    return true;
-  };
-  uint32_t height = 0;
-  uint64_t num_journals = 0;
-  if (!GetU32(raw, pos, &height)) return false;
-  if (static_cast<int>(height) != out->fractal_height_) return false;
-  if (!GetU64(raw, pos, &num_journals)) return false;
-  if (!ShrubsAccumulator::DeserializeFrom(raw, pos, &out->current_)) {
-    return false;
-  }
-  uint32_t sealed = 0;
-  if (!GetU32(raw, pos, &sealed) || sealed > (1u << 26)) return false;
+bool FamAccumulator::DeserializeFrom(Slice raw, FamAccumulator* out) {
+  ByteReader r(raw);
+  if (static_cast<int>(r.U32()) != out->fractal_height_) return false;
+  const uint64_t num_journals = r.U64();
+  if (!ShrubsAccumulator::DeserializeFrom(&r, &out->current_)) return false;
+  const uint32_t sealed = r.Count(1u << 26);
   out->sealed_roots_.assign(sealed, Digest());
   out->sealed_trees_.clear();
   out->sealed_trees_.resize(sealed);
   for (uint32_t e = 0; e < sealed; ++e) {
-    if (!get_digest(pos, &out->sealed_roots_[e])) return false;
-    if (*pos >= raw.size() || raw[*pos] > 1) return false;
-    bool retained = raw[(*pos)++] == 1;
-    if (retained) {
+    out->sealed_roots_[e] = r.Digest();
+    if (r.Bool()) {
       auto tree = std::make_unique<ShrubsAccumulator>();
-      if (!ShrubsAccumulator::DeserializeFrom(raw, pos, tree.get())) {
-        return false;
-      }
+      if (!ShrubsAccumulator::DeserializeFrom(&r, tree.get())) return false;
       if (tree->size() != out->epoch_capacity_) return false;
       if (tree->Root() != out->sealed_roots_[e]) return false;
       out->sealed_trees_[e] = std::move(tree);
     }
   }
-  uint32_t links = 0;
-  if (!GetU32(raw, pos, &links) || links > sealed) return false;
-  out->pruned_links_.assign(links, MembershipProof());
-  Bytes block;
-  for (uint32_t i = 0; i < links; ++i) {
-    if (!GetLengthPrefixed(raw, pos, &block)) return false;
-    if (!MembershipProof::Deserialize(block, &out->pruned_links_[i])) {
-      return false;
-    }
-  }
+  out->pruned_links_.assign(r.Count(sealed), MembershipProof());
+  for (MembershipProof& link : out->pruned_links_) r.Nested(&link);
+  if (!r.AtEnd()) return false;
   // Shape invariants: the live tree seals (and resets) the instant it hits
   // epoch capacity, and with sealed epochs present its first cell must be
   // the merged root of the last sealed epoch.

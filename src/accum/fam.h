@@ -37,7 +37,7 @@ struct FamProof {
   }
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, FamProof* out);
+  static bool Deserialize(Slice raw, FamProof* out);
 };
 
 /// Batched fam proof: the §IV-C shared-node-set idea applied across the
@@ -74,7 +74,7 @@ struct FamBatchProof {
   }
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, FamBatchProof* out);
+  static bool Deserialize(Slice raw, FamBatchProof* out);
 };
 
 /// A trusted anchor in the aoa (accumulator-oriented anchor) model: the
@@ -216,8 +216,7 @@ class FamAccumulator {
   /// digest contents are trusted pending the caller's commitment-chain
   /// cross-check (RootAtJournalCount against signed block headers).
   void SerializeTo(Bytes* out) const;
-  static bool DeserializeFrom(const Bytes& raw, size_t* pos,
-                              FamAccumulator* out);
+  static bool DeserializeFrom(Slice raw, FamAccumulator* out);
 
  private:
   struct JournalLocation {

@@ -8,18 +8,6 @@ namespace ledgerdb {
 
 namespace {
 
-void PutDigest(Bytes* out, const Digest& d) {
-  out->insert(out->end(), d.bytes.begin(), d.bytes.end());
-}
-
-bool GetDigest(const Bytes& raw, size_t* pos, Digest* d) {
-  if (*pos + 32 > raw.size()) return false;
-  std::copy(raw.begin() + static_cast<long>(*pos),
-            raw.begin() + static_cast<long>(*pos) + 32, d->bytes.begin());
-  *pos += 32;
-  return true;
-}
-
 constexpr uint32_t kMaxProofElements = 1 << 20;
 
 }  // namespace
@@ -39,28 +27,21 @@ Bytes MembershipProof::Serialize() const {
   return out;
 }
 
-bool MembershipProof::Deserialize(const Bytes& raw, MembershipProof* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->leaf_index)) return false;
-  if (!GetU64(raw, &pos, &out->tree_size)) return false;
-  uint32_t count = 0;
-  if (!GetU32(raw, &pos, &count) || count > 64) return false;
+bool MembershipProof::Deserialize(Slice raw, MembershipProof* out) {
+  ByteReader r(raw);
+  out->leaf_index = r.U64();
+  out->tree_size = r.U64();
+  uint32_t count = r.Count(64);
   out->siblings.assign(count, Digest());
   out->sibling_is_left.assign(count, false);
   for (uint32_t i = 0; i < count; ++i) {
-    if (pos >= raw.size() || raw[pos] > 1) return false;
-    out->sibling_is_left[i] = raw[pos++] == 1;
-    if (!GetDigest(raw, &pos, &out->siblings[i])) return false;
+    out->sibling_is_left[i] = r.Bool();
+    out->siblings[i] = r.Digest();
   }
-  if (!GetU32(raw, &pos, &count) || count > 64) return false;
-  out->peaks.assign(count, Digest());
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetDigest(raw, &pos, &out->peaks[i])) return false;
-  }
-  uint32_t pk = 0;
-  if (!GetU32(raw, &pos, &pk)) return false;
-  out->peak_index = pk;
-  return pos == raw.size();
+  out->peaks.assign(r.Count(64), Digest());
+  for (Digest& peak : out->peaks) peak = r.Digest();
+  out->peak_index = r.U32();
+  return r.AtEnd();
 }
 
 Bytes BatchProof::Serialize() const {
@@ -79,30 +60,22 @@ Bytes BatchProof::Serialize() const {
   return out;
 }
 
-bool BatchProof::Deserialize(const Bytes& raw, BatchProof* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->tree_size)) return false;
-  uint32_t count = 0;
-  if (!GetU32(raw, &pos, &count) || count > kMaxProofElements) return false;
-  out->leaf_indices.assign(count, 0);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetU64(raw, &pos, &out->leaf_indices[i])) return false;
+bool BatchProof::Deserialize(Slice raw, BatchProof* out) {
+  ByteReader r(raw);
+  out->tree_size = r.U64();
+  out->leaf_indices.assign(r.Count(kMaxProofElements), 0);
+  for (uint64_t& index : out->leaf_indices) index = r.U64();
+  out->nodes.assign(r.Count(kMaxProofElements), ProofNode());
+  for (ProofNode& node : out->nodes) {
+    uint32_t level = r.U32();
+    if (level > 63) return false;
+    node.level = static_cast<int>(level);
+    node.index = r.U64();
+    node.digest = r.Digest();
   }
-  if (!GetU32(raw, &pos, &count) || count > kMaxProofElements) return false;
-  out->nodes.assign(count, ProofNode());
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t level = 0;
-    if (!GetU32(raw, &pos, &level) || level > 63) return false;
-    out->nodes[i].level = static_cast<int>(level);
-    if (!GetU64(raw, &pos, &out->nodes[i].index)) return false;
-    if (!GetDigest(raw, &pos, &out->nodes[i].digest)) return false;
-  }
-  if (!GetU32(raw, &pos, &count) || count > 64) return false;
-  out->peaks.assign(count, Digest());
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetDigest(raw, &pos, &out->peaks[i])) return false;
-  }
-  return pos == raw.size();
+  out->peaks.assign(r.Count(64), Digest());
+  for (Digest& peak : out->peaks) peak = r.Digest();
+  return r.AtEnd();
 }
 
 void ShrubsAccumulator::SerializeTo(Bytes* out) const {
@@ -114,29 +87,26 @@ void ShrubsAccumulator::SerializeTo(Bytes* out) const {
   }
 }
 
-bool ShrubsAccumulator::DeserializeFrom(const Bytes& raw, size_t* pos,
+bool ShrubsAccumulator::DeserializeFrom(ByteReader* r,
                                         ShrubsAccumulator* out) {
-  uint64_t num_leaves = 0, hash_count = 0;
-  uint32_t num_levels = 0;
-  if (!GetU64(raw, pos, &num_leaves)) return false;
-  if (!GetU64(raw, pos, &hash_count)) return false;
-  if (!GetU32(raw, pos, &num_levels) || num_levels > 64) return false;
+  const uint64_t num_leaves = r->U64();
+  const uint64_t hash_count = r->U64();
+  const uint32_t num_levels = r->U32();
   // Append's cascade invariant pins the whole shape: level h holds exactly
   // num_leaves >> h nodes and the top level is the first empty one.
   uint32_t expected_levels = 0;
   for (uint64_t n = num_leaves; n > 0; n >>= 1) ++expected_levels;
-  if (num_levels != expected_levels) return false;
+  if (!r->ok() || num_levels != expected_levels) return false;
   out->num_leaves_ = num_leaves;
   out->hash_count_ = hash_count;
   out->levels_.assign(num_levels, {});
   for (uint32_t h = 0; h < num_levels; ++h) {
     uint64_t count = num_leaves >> h;
+    if (count > r->remaining() / 32) return r->Fail();
     out->levels_[h].assign(count, Digest());
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!GetDigest(raw, pos, &out->levels_[h][i])) return false;
-    }
+    for (Digest& node : out->levels_[h]) node = r->Digest();
   }
-  return true;
+  return r->ok();
 }
 
 uint64_t ShrubsAccumulator::Append(const Digest& digest) {

@@ -34,7 +34,7 @@ struct MembershipProof {
 
   /// Wire format (client-side verification ships proofs over the network).
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, MembershipProof* out);
+  static bool Deserialize(Slice raw, MembershipProof* out);
 };
 
 /// Batched membership proof for a set of leaves (§IV-C): the supplied
@@ -57,7 +57,7 @@ struct BatchProof {
   size_t CostInHashes() const { return nodes.size() + peaks.size(); }
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, BatchProof* out);
+  static bool Deserialize(Slice raw, BatchProof* out);
 };
 
 /// Shrubs accumulator (§III-A1): an append-only Merkle forest with O(1)
@@ -166,8 +166,7 @@ class ShrubsAccumulator {
   /// holds exactly size() >> h nodes) but trusts digest contents; callers
   /// must cross-check Root() against an authenticated commitment.
   void SerializeTo(Bytes* out) const;
-  static bool DeserializeFrom(const Bytes& raw, size_t* pos,
-                              ShrubsAccumulator* out);
+  static bool DeserializeFrom(ByteReader* r, ShrubsAccumulator* out);
 
  private:
   uint64_t num_leaves_ = 0;

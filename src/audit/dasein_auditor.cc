@@ -21,39 +21,25 @@ Status Fail(AuditReport* report, const std::string& reason) {
 
 Status DaseinAuditor::MutationRequestHash(const Journal& journal,
                                           Digest* request) const {
-  if (journal.type == JournalType::kPurge) {
-    size_t pos = StringToBytes("purge").size();
-    uint64_t purge_before = 0;
-    if (!GetU64(journal.payload, &pos, &purge_before)) {
-      return Status::VerificationFailed("purge journal payload undecodable");
-    }
-    *request = Ledger::PurgeRequestHash(context_.ledger->uri(), purge_before);
-    return Status::OK();
+  MutationPayload m;
+  const bool purge = journal.type == JournalType::kPurge;
+  if (!MutationPayload::Decode(journal.payload, &m) ||
+      purge != (m.form == MutationPayload::Form::kPurge)) {
+    return Status::VerificationFailed(std::string(purge ? "purge" : "occult") +
+                                      " journal payload undecodable");
   }
-  // Occult: two payload forms exist — "occult" + u64 target, and
-  // "occult-clue" + clue + u64 count.
-  const Bytes clue_prefix = StringToBytes("occult-clue");
-  if (journal.payload.size() >= clue_prefix.size() &&
-      std::equal(clue_prefix.begin(), clue_prefix.end(),
-                 journal.payload.begin())) {
-    size_t pos = clue_prefix.size();
-    Bytes clue;
-    uint64_t count = 0;
-    if (!GetLengthPrefixed(journal.payload, &pos, &clue) ||
-        !GetU64(journal.payload, &pos, &count)) {
-      return Status::VerificationFailed(
-          "occult-clue journal payload undecodable");
-    }
-    *request = Ledger::OccultClueRequestHash(
-        context_.ledger->uri(), std::string(clue.begin(), clue.end()));
-    return Status::OK();
+  const std::string& uri = context_.ledger->uri();
+  switch (m.form) {
+    case MutationPayload::Form::kPurge:
+      *request = Ledger::PurgeRequestHash(uri, m.jsn);
+      break;
+    case MutationPayload::Form::kOccult:
+      *request = Ledger::OccultRequestHash(uri, m.jsn);
+      break;
+    case MutationPayload::Form::kOccultClue:
+      *request = Ledger::OccultClueRequestHash(uri, m.clue);
+      break;
   }
-  size_t pos = StringToBytes("occult").size();
-  uint64_t target = 0;
-  if (!GetU64(journal.payload, &pos, &target)) {
-    return Status::VerificationFailed("occult journal payload undecodable");
-  }
-  *request = Ledger::OccultRequestHash(context_.ledger->uri(), target);
   return Status::OK();
 }
 

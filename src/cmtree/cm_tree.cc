@@ -13,17 +13,13 @@ Bytes ClueProof::Serialize() const {
   return out;
 }
 
-bool ClueProof::Deserialize(const Bytes& raw, ClueProof* out) {
-  size_t pos = 0;
-  Bytes block;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  out->clue.assign(block.begin(), block.end());
-  if (!GetU64(raw, &pos, &out->entry_count)) return false;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!BatchProof::Deserialize(block, &out->batch)) return false;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!MptProof::Deserialize(block, &out->mpt)) return false;
-  return pos == raw.size();
+bool ClueProof::Deserialize(Slice raw, ClueProof* out) {
+  ByteReader r(raw);
+  out->clue = r.LengthPrefixed().ToString();
+  out->entry_count = r.U64();
+  r.Nested(&out->batch);
+  r.Nested(&out->mpt);
+  return r.AtEnd();
 }
 
 CmTree::CmTree(NodeStore* store, int cache_depth)
@@ -32,7 +28,7 @@ CmTree::CmTree(NodeStore* store, int cache_depth)
 Bytes CmTree::EncodeClueValue(uint64_t count, const Digest& accum_root) {
   Bytes out;
   PutU64(&out, count);
-  out.insert(out.end(), accum_root.bytes.begin(), accum_root.bytes.end());
+  PutDigest(&out, accum_root);
   return out;
 }
 
@@ -116,7 +112,7 @@ Status CmTree::SerializeTo(Bytes* out) const {
     PutLengthPrefixed(out, StringToBytes(*clue));
     accumulators_.at(*clue).SerializeTo(out);
   }
-  out->insert(out->end(), mpt_root_.bytes.begin(), mpt_root_.bytes.end());
+  PutDigest(out, mpt_root_);
   std::unordered_set<Digest, DigestHasher> live;
   LEDGERDB_RETURN_IF_ERROR(mpt_.CollectReachable(mpt_root_, &live));
   std::vector<Digest> keys(live.begin(), live.end());
@@ -130,45 +126,36 @@ Status CmTree::SerializeTo(Bytes* out) const {
   return Status::OK();
 }
 
-Status CmTree::RestoreFrom(const Bytes& raw, size_t* pos) {
-  uint64_t clue_count = 0;
-  if (!GetU64(raw, pos, &clue_count)) {
+Status CmTree::RestoreFrom(Slice raw) {
+  ByteReader r(raw);
+  const uint64_t clue_count = r.U64();
+  if (clue_count > r.remaining()) {
     return Status::Corruption("cmtree snapshot: clue count");
   }
   accumulators_.clear();
-  Bytes block;
   for (uint64_t i = 0; i < clue_count; ++i) {
-    if (!GetLengthPrefixed(raw, pos, &block)) {
-      return Status::Corruption("cmtree snapshot: clue name");
-    }
-    std::string clue(block.begin(), block.end());
+    std::string clue = r.LengthPrefixed().ToString();
     ShrubsAccumulator accum;
-    if (!ShrubsAccumulator::DeserializeFrom(raw, pos, &accum)) {
+    if (!ShrubsAccumulator::DeserializeFrom(&r, &accum)) {
       return Status::Corruption("cmtree snapshot: clue accumulator");
     }
     if (accum.empty() || !accumulators_.emplace(clue, std::move(accum)).second) {
       return Status::Corruption("cmtree snapshot: duplicate or empty clue");
     }
   }
-  if (*pos + 32 > raw.size()) {
-    return Status::Corruption("cmtree snapshot: root");
-  }
-  Digest root;
-  std::copy(raw.begin() + static_cast<long>(*pos),
-            raw.begin() + static_cast<long>(*pos) + 32, root.bytes.begin());
-  *pos += 32;
-  uint64_t node_count = 0;
-  if (!GetU64(raw, pos, &node_count)) {
+  const Digest root = r.Digest();
+  const uint64_t node_count = r.U64();
+  if (!r.ok() || node_count > r.remaining()) {
     return Status::Corruption("cmtree snapshot: node count");
   }
   for (uint64_t i = 0; i < node_count; ++i) {
-    if (!GetLengthPrefixed(raw, pos, &block)) {
-      return Status::Corruption("cmtree snapshot: node");
-    }
+    Slice node = r.LengthPrefixed();
+    if (!r.ok()) return Status::Corruption("cmtree snapshot: node");
     // Content addresses are re-derived, never read from the snapshot: a
     // node that doesn't hash to its own key cannot enter the store.
-    LEDGERDB_RETURN_IF_ERROR(store_->Put(Sha256::Hash(block), Slice(block)));
+    LEDGERDB_RETURN_IF_ERROR(store_->Put(Sha256::Hash(node), node));
   }
+  if (!r.AtEnd()) return Status::Corruption("cmtree snapshot: trailing bytes");
   mpt_root_ = root;
   // Coherence spot-check: CM-Tree1 must map a restored clue to exactly
   // its restored accumulator's commitment. The binding check is the

@@ -29,7 +29,7 @@ struct ClueProof {
   }
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, ClueProof* out);
+  static bool Deserialize(Slice raw, ClueProof* out);
 };
 
 /// Two-layer clue merged tree (CM-Tree, §IV-B). CM-Tree1 is a Merkle
@@ -97,7 +97,7 @@ class CmTree {
   /// clue to exactly its restored accumulator's (count, root) commitment,
   /// so only a coherent tree can load. The caller must still cross-check
   /// Root() against an authenticated commitment.
-  Status RestoreFrom(const Bytes& raw, size_t* pos);
+  Status RestoreFrom(Slice raw);
 
  private:
   /// MPT leaf value: [u64 entry_count][32-byte accumulator root].

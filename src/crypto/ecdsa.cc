@@ -31,7 +31,7 @@ Bytes PublicKey::Serialize() const {
   return out;
 }
 
-bool PublicKey::Deserialize(const Bytes& raw, PublicKey* out) {
+bool PublicKey::Deserialize(Slice raw, PublicKey* out) {
   if (raw.size() != 64) return false;
   AffinePoint p;
   p.x = U256::FromBigEndian(raw.data());
@@ -51,7 +51,7 @@ Bytes Signature::Serialize() const {
   return out;
 }
 
-bool Signature::Deserialize(const Bytes& raw, Signature* out) {
+bool Signature::Deserialize(Slice raw, Signature* out) {
   if (raw.size() != 64) return false;
   out->r = U256::FromBigEndian(raw.data());
   out->s = U256::FromBigEndian(raw.data() + 32);

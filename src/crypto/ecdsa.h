@@ -23,7 +23,7 @@ class PublicKey {
   bool valid() const { return !point_.infinity && point_.IsOnCurve(); }
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, PublicKey* out);
+  static bool Deserialize(Slice raw, PublicKey* out);
 
   /// Stable identifier for registries and receipts: SHA-256 of the
   /// serialized key.
@@ -42,7 +42,7 @@ struct Signature {
   U256 s;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, Signature* out);
+  static bool Deserialize(Slice raw, Signature* out);
 };
 
 /// Private/public key pair. The threat model (§II-B) assumes ECDSA is

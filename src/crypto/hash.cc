@@ -15,12 +15,6 @@
 
 namespace ledgerdb {
 
-bool Digest::FromBytes(const Bytes& raw, Digest* out) {
-  if (raw.size() != 32) return false;
-  std::memcpy(out->bytes.data(), raw.data(), 32);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // SHA-256
 // ---------------------------------------------------------------------------

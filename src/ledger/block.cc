@@ -10,28 +10,23 @@ Bytes BlockHeader::Serialize() const {
   PutU64(&out, static_cast<uint64_t>(timestamp));
   for (const Digest* d :
        {&prev_block_hash, &tx_root, &fam_root, &clue_root, &state_root}) {
-    out.insert(out.end(), d->bytes.begin(), d->bytes.end());
+    PutDigest(&out, *d);
   }
   return out;
 }
 
-bool BlockHeader::Deserialize(const Bytes& raw, BlockHeader* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->height)) return false;
-  if (!GetU64(raw, &pos, &out->first_jsn)) return false;
-  if (!GetU32(raw, &pos, &out->journal_count)) return false;
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->timestamp = static_cast<Timestamp>(ts);
+bool BlockHeader::Deserialize(Slice raw, BlockHeader* out) {
+  ByteReader r(raw);
+  out->height = r.U64();
+  out->first_jsn = r.U64();
+  out->journal_count = r.U32();
+  out->timestamp = static_cast<Timestamp>(r.U64());
   for (Digest* d :
        {&out->prev_block_hash, &out->tx_root, &out->fam_root, &out->clue_root,
         &out->state_root}) {
-    if (pos + 32 > raw.size()) return false;
-    std::copy(raw.begin() + static_cast<long>(pos),
-              raw.begin() + static_cast<long>(pos) + 32, d->bytes.begin());
-    pos += 32;
+    *d = r.Digest();
   }
-  return pos == raw.size();
+  return r.AtEnd();
 }
 
 Digest BlockHeader::Hash() const { return Sha256::Hash(Serialize()); }

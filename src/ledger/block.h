@@ -29,7 +29,7 @@ struct BlockHeader {
   Digest Hash() const;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, BlockHeader* out);
+  static bool Deserialize(Slice raw, BlockHeader* out);
 };
 
 }  // namespace ledgerdb

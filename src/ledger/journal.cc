@@ -142,9 +142,9 @@ Bytes Journal::Serialize() const {
     PutLengthPrefixed(&out, StringToBytes(clue));
   }
   PutLengthPrefixed(&out, payload);
-  out.insert(out.end(), payload_digest.bytes.begin(), payload_digest.bytes.end());
+  PutDigest(&out, payload_digest);
   out.push_back(occulted ? 1 : 0);
-  out.insert(out.end(), request_hash.bytes.begin(), request_hash.bytes.end());
+  PutDigest(&out, request_hash);
   out.push_back(client_key.valid() ? 1 : 0);
   if (client_key.valid()) {
     Bytes key = client_key.Serialize();
@@ -164,113 +164,74 @@ Bytes Journal::Serialize() const {
 
 namespace {
 
-bool ReadDigest(const Bytes& raw, size_t* pos, Digest* out) {
-  if (*pos + 32 > raw.size()) return false;
-  std::copy(raw.begin() + static_cast<long>(*pos),
-            raw.begin() + static_cast<long>(*pos) + 32, out->bytes.begin());
-  *pos += 32;
+// Journal types stop at kPseudoGenesis; any other byte is a forgery.
+bool ReadJournalType(ByteReader* r, JournalType* type) {
+  uint8_t v = r->U8();
+  if (v > static_cast<uint8_t>(JournalType::kPseudoGenesis)) return r->Fail();
+  *type = static_cast<JournalType>(v);
   return true;
 }
 
-bool ReadKeySig(const Bytes& raw, size_t* pos, PublicKey* key, Signature* sig) {
-  if (*pos + 128 > raw.size()) return false;
-  Bytes key_raw(raw.begin() + static_cast<long>(*pos),
-                raw.begin() + static_cast<long>(*pos) + 64);
-  if (!PublicKey::Deserialize(key_raw, key)) return false;
-  *pos += 64;
-  Bytes sig_raw(raw.begin() + static_cast<long>(*pos),
-                raw.begin() + static_cast<long>(*pos) + 64);
-  if (!Signature::Deserialize(sig_raw, sig)) return false;
-  *pos += 64;
-  return true;
+std::vector<std::string> ReadClues(ByteReader* r) {
+  std::vector<std::string> clues(r->Count(1024));
+  for (std::string& clue : clues) clue = r->LengthPrefixed().ToString();
+  return clues;
 }
 
 }  // namespace
 
-bool Journal::Deserialize(const Bytes& raw, Journal* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->jsn)) return false;
-  if (!GetU64(raw, &pos, &out->nonce)) return false;
-  if (pos >= raw.size()) return false;
-  out->type = static_cast<JournalType>(raw[pos++]);
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->server_ts = static_cast<Timestamp>(ts);
-  uint32_t clue_count = 0;
-  if (!GetU32(raw, &pos, &clue_count)) return false;
-  if (clue_count > 1024) return false;
-  out->clues.clear();
-  for (uint32_t i = 0; i < clue_count; ++i) {
-    Bytes clue;
-    if (!GetLengthPrefixed(raw, &pos, &clue)) return false;
-    out->clues.emplace_back(clue.begin(), clue.end());
-  }
-  if (!GetLengthPrefixed(raw, &pos, &out->payload)) return false;
-  if (!ReadDigest(raw, &pos, &out->payload_digest)) return false;
-  if (pos >= raw.size()) return false;
-  // Canonical booleans only: any other byte is a forgery/corruption.
-  if (raw[pos] > 1) return false;
-  out->occulted = raw[pos++] == 1;
-  if (!ReadDigest(raw, &pos, &out->request_hash)) return false;
-  if (pos >= raw.size()) return false;
-  if (raw[pos] > 1) return false;
-  bool has_client = raw[pos++] == 1;
-  if (has_client) {
-    if (!ReadKeySig(raw, &pos, &out->client_key, &out->client_sig)) return false;
-  } else {
-    out->client_key = PublicKey();
-  }
-  uint32_t endorsement_count = 0;
-  if (!GetU32(raw, &pos, &endorsement_count)) return false;
-  if (endorsement_count > 1024) return false;
-  out->endorsements.clear();
-  for (uint32_t i = 0; i < endorsement_count; ++i) {
-    Endorsement e;
-    if (!ReadKeySig(raw, &pos, &e.key, &e.signature)) return false;
-    out->endorsements.push_back(std::move(e));
-  }
-  return pos == raw.size();
-}
-
-bool ClientTransaction::Deserialize(const Bytes& raw, ClientTransaction* out) {
-  size_t pos = 0;
-  Bytes uri;
-  if (!GetLengthPrefixed(raw, &pos, &uri)) return false;
-  out->ledger_uri.assign(uri.begin(), uri.end());
-  if (pos >= raw.size()) return false;
-  out->type = static_cast<JournalType>(raw[pos++]);
-  uint32_t clue_count = 0;
-  if (!GetU32(raw, &pos, &clue_count)) return false;
-  if (clue_count > 1024) return false;
-  out->clues.clear();
-  for (uint32_t i = 0; i < clue_count; ++i) {
-    Bytes clue;
-    if (!GetLengthPrefixed(raw, &pos, &clue)) return false;
-    out->clues.emplace_back(clue.begin(), clue.end());
-  }
-  if (!GetLengthPrefixed(raw, &pos, &out->payload)) return false;
-  if (!GetU64(raw, &pos, &out->nonce)) return false;
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->client_ts = static_cast<Timestamp>(ts);
-  if (pos >= raw.size()) return false;
-  if (raw[pos] > 1) return false;
-  bool has_client = raw[pos++] == 1;
-  if (has_client) {
-    if (!ReadKeySig(raw, &pos, &out->client_key, &out->client_sig)) {
+bool Journal::Deserialize(Slice raw, Journal* out) {
+  ByteReader r(raw);
+  out->jsn = r.U64();
+  out->nonce = r.U64();
+  if (!ReadJournalType(&r, &out->type)) return false;
+  out->server_ts = static_cast<Timestamp>(r.U64());
+  out->clues = ReadClues(&r);
+  out->payload = r.LengthPrefixed().ToBytes();
+  out->payload_digest = r.Digest();
+  out->occulted = r.Bool();
+  out->request_hash = r.Digest();
+  if (r.Bool()) {
+    if (!PublicKey::Deserialize(r.Fixed(64), &out->client_key) ||
+        !Signature::Deserialize(r.Fixed(64), &out->client_sig)) {
       return false;
     }
   } else {
     out->client_key = PublicKey();
   }
-  return pos == raw.size();
+  out->endorsements.assign(r.Count(1024), Endorsement());
+  for (Endorsement& e : out->endorsements) {
+    if (!PublicKey::Deserialize(r.Fixed(64), &e.key) ||
+        !Signature::Deserialize(r.Fixed(64), &e.signature)) {
+      return false;
+    }
+  }
+  return r.AtEnd();
+}
+
+bool ClientTransaction::Deserialize(Slice raw, ClientTransaction* out) {
+  ByteReader r(raw);
+  out->ledger_uri = r.LengthPrefixed().ToString();
+  if (!ReadJournalType(&r, &out->type)) return false;
+  out->clues = ReadClues(&r);
+  out->payload = r.LengthPrefixed().ToBytes();
+  out->nonce = r.U64();
+  out->client_ts = static_cast<Timestamp>(r.U64());
+  if (r.Bool()) {
+    if (!PublicKey::Deserialize(r.Fixed(64), &out->client_key) ||
+        !Signature::Deserialize(r.Fixed(64), &out->client_sig)) {
+      return false;
+    }
+  } else {
+    out->client_key = PublicKey();
+  }
+  return r.AtEnd();
 }
 
 Bytes JournalDelta::Serialize() const {
   Bytes out;
-  out.insert(out.end(), tx_hash.bytes.begin(), tx_hash.bytes.end());
-  out.insert(out.end(), payload_digest.bytes.begin(),
-             payload_digest.bytes.end());
+  PutDigest(&out, tx_hash);
+  PutDigest(&out, payload_digest);
   PutU32(&out, static_cast<uint32_t>(clues.size()));
   for (const std::string& clue : clues) {
     PutLengthPrefixed(&out, StringToBytes(clue));
@@ -278,20 +239,69 @@ Bytes JournalDelta::Serialize() const {
   return out;
 }
 
-bool JournalDelta::Deserialize(const Bytes& raw, JournalDelta* out) {
-  size_t pos = 0;
-  if (!ReadDigest(raw, &pos, &out->tx_hash)) return false;
-  if (!ReadDigest(raw, &pos, &out->payload_digest)) return false;
-  uint32_t clue_count = 0;
-  if (!GetU32(raw, &pos, &clue_count)) return false;
-  if (clue_count > 1024) return false;
-  out->clues.clear();
-  for (uint32_t i = 0; i < clue_count; ++i) {
-    Bytes clue;
-    if (!GetLengthPrefixed(raw, &pos, &clue)) return false;
-    out->clues.emplace_back(clue.begin(), clue.end());
+bool JournalDelta::Deserialize(Slice raw, JournalDelta* out) {
+  ByteReader r(raw);
+  out->tx_hash = r.Digest();
+  out->payload_digest = r.Digest();
+  out->clues = ReadClues(&r);
+  return r.AtEnd();
+}
+
+namespace {
+
+std::string_view MutationTag(MutationPayload::Form form) {
+  switch (form) {
+    case MutationPayload::Form::kPurge:
+      return "purge";
+    case MutationPayload::Form::kOccult:
+      return "occult";
+    case MutationPayload::Form::kOccultClue:
+      return "occult-clue";
   }
-  return pos == raw.size();
+  return "";
+}
+
+}  // namespace
+
+Bytes MutationPayload::Encode() const {
+  Bytes out = StringToBytes(MutationTag(form));
+  switch (form) {
+    case Form::kPurge:
+      PutU64(&out, jsn);
+      PutU64(&out, pseudo_genesis_jsn);
+      break;
+    case Form::kOccult:
+      PutU64(&out, jsn);
+      break;
+    case Form::kOccultClue:
+      PutLengthPrefixed(&out, Slice(std::string_view(clue)));
+      PutU64(&out, occulted_count);
+      break;
+  }
+  return out;
+}
+
+bool MutationPayload::Decode(Slice raw, MutationPayload* out) {
+  // "occult" is a prefix of "occult-clue", so each form is tried in full.
+  for (Form form : {Form::kPurge, Form::kOccult, Form::kOccultClue}) {
+    const std::string_view tag = MutationTag(form);
+    ByteReader r(raw);
+    if (!(r.Fixed(tag.size()) == Slice(tag))) continue;
+    MutationPayload m;
+    m.form = form;
+    if (form == Form::kOccultClue) {
+      m.clue = r.LengthPrefixed().ToString();
+      m.occulted_count = r.U64();
+    } else {
+      m.jsn = r.U64();
+      if (form == Form::kPurge) m.pseudo_genesis_jsn = r.U64();
+    }
+    if (r.AtEnd()) {
+      *out = std::move(m);
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace ledgerdb

@@ -46,7 +46,7 @@ struct ClientTransaction {
   bool VerifyClientSignature() const;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, ClientTransaction* out);
+  static bool Deserialize(Slice raw, ClientTransaction* out);
 };
 
 /// An additional endorsement on a journal (multi-signature prerequisite
@@ -84,7 +84,7 @@ struct Journal {
   Digest EndorsementHash() const;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, Journal* out);
+  static bool Deserialize(Slice raw, Journal* out);
 };
 
 /// The per-journal effect an audited client needs to mirror the server's
@@ -98,7 +98,25 @@ struct JournalDelta {
   std::vector<std::string> clues;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, JournalDelta* out);
+  static bool Deserialize(Slice raw, JournalDelta* out);
+};
+
+/// The payload of a purge or occult journal, in one of three forms:
+///   purge        "purge"       [u64 jsn][u64 pseudo_genesis_jsn]
+///   occult       "occult"      [u64 jsn]
+///   occult-clue  "occult-clue" [lp clue][u64 occulted_count]
+/// Decode requires the exact tag and rejects trailing bytes.
+struct MutationPayload {
+  enum class Form : uint8_t { kPurge, kOccult, kOccultClue };
+
+  Form form = Form::kPurge;
+  uint64_t jsn = 0;  ///< purge: the purge point; occult: the hidden journal
+  uint64_t pseudo_genesis_jsn = 0;  ///< purge only
+  std::string clue;                 ///< occult-clue only
+  uint64_t occulted_count = 0;      ///< occult-clue only
+
+  Bytes Encode() const;
+  static bool Decode(Slice raw, MutationPayload* out);
 };
 
 }  // namespace ledgerdb

@@ -21,7 +21,7 @@ constexpr uint64_t kUnsealedBlock = ~0ULL;
 // single 0xff byte would collide with every jsn ≡ 255 mod 256).
 constexpr size_t kTombstoneTagSize = 8;
 
-bool IsTombstoneFrame(const Bytes& raw) {
+bool IsTombstoneFrame(Slice raw) {
   if (raw.size() < kTombstoneTagSize) return false;
   for (size_t i = 0; i < kTombstoneTagSize; ++i) {
     if (raw[i] != 0xff) return false;
@@ -29,48 +29,25 @@ bool IsTombstoneFrame(const Bytes& raw) {
   return true;
 }
 
+// The body after the tag is exactly the purged journal's mirror delta.
 Bytes EncodeTombstone(const Journal& journal) {
-  Bytes out;
-  out.insert(out.end(), kTombstoneTagSize, 0xff);
-  Digest tx_hash = journal.TxHash();
-  out.insert(out.end(), tx_hash.bytes.begin(), tx_hash.bytes.end());
-  out.insert(out.end(), journal.payload_digest.bytes.begin(),
-             journal.payload_digest.bytes.end());
-  PutU32(&out, static_cast<uint32_t>(journal.clues.size()));
-  for (const std::string& clue : journal.clues) {
-    PutLengthPrefixed(&out, StringToBytes(clue));
-  }
+  Bytes out(kTombstoneTagSize, 0xff);
+  Bytes delta =
+      JournalDelta{journal.TxHash(), journal.payload_digest, journal.clues}
+          .Serialize();
+  out.insert(out.end(), delta.begin(), delta.end());
   return out;
-}
-
-// A tombstone decodes into exactly the purged journal's mirror delta.
-bool DecodeTombstone(const Bytes& raw, JournalDelta* out) {
-  if (!IsTombstoneFrame(raw) || raw.size() < kTombstoneTagSize + 68) {
-    return false;
-  }
-  auto body = raw.begin() + kTombstoneTagSize;
-  std::copy(body, body + 32, out->tx_hash.bytes.begin());
-  std::copy(body + 32, body + 64, out->payload_digest.bytes.begin());
-  size_t pos = kTombstoneTagSize + 64;
-  uint32_t count = 0;
-  if (!GetU32(raw, &pos, &count) || count > 1024) return false;
-  out->clues.clear();
-  for (uint32_t i = 0; i < count; ++i) {
-    Bytes clue;
-    if (!GetLengthPrefixed(raw, &pos, &clue)) return false;
-    out->clues.emplace_back(clue.begin(), clue.end());
-  }
-  return pos == raw.size();
 }
 
 // Decodes journal stream record `index`: a journal into `journal`, or a
 // purge tombstone into `tombstone` (leaving `journal` empty).
 // `check_payload` re-verifies a present payload against its digest.
-Status DecodeStreamRecord(uint64_t index, const Bytes& raw, bool check_payload,
+Status DecodeStreamRecord(uint64_t index, Slice raw, bool check_payload,
                           std::optional<Journal>* journal,
                           JournalDelta* tombstone) {
   if (IsTombstoneFrame(raw)) {
-    if (!DecodeTombstone(raw, tombstone)) {
+    Slice body(raw.data() + kTombstoneTagSize, raw.size() - kTombstoneTagSize);
+    if (!JournalDelta::Deserialize(body, tombstone)) {
       return Status::Corruption("undecodable purge tombstone");
     }
     return Status::OK();
@@ -156,7 +133,7 @@ size_t ApproxProofBytes(const FamBatchProof& proof) {
 Bytes TimeEvidence::Serialize() const {
   Bytes out;
   out.push_back(static_cast<uint8_t>(mode));
-  out.insert(out.end(), ledger_digest.bytes.begin(), ledger_digest.bytes.end());
+  PutDigest(&out, ledger_digest);
   PutU64(&out, covered_jsn_count);
   Bytes att = attestation.Serialize();
   out.insert(out.end(), att.begin(), att.end());
@@ -169,27 +146,24 @@ Bytes TimeEvidence::Serialize() const {
   return out;
 }
 
-bool TimeEvidence::Deserialize(const Bytes& raw, TimeEvidence* out) {
-  size_t expected = 1 + 32 + 8 + (32 + 8 + 64) + 8 + 8 + 8 + 8 + 64;
-  if (raw.size() != expected) return false;
-  size_t pos = 0;
-  out->mode = static_cast<TimeNotaryMode>(raw[pos++]);
-  std::copy(raw.begin() + 1, raw.begin() + 33, out->ledger_digest.bytes.begin());
-  pos += 32;
-  if (!GetU64(raw, &pos, &out->covered_jsn_count)) return false;
-  Bytes att(raw.begin() + static_cast<long>(pos),
-            raw.begin() + static_cast<long>(pos) + 104);
-  if (!TimeAttestation::Deserialize(att, &out->attestation)) return false;
-  pos += 104;
-  if (!GetU64(raw, &pos, &out->tledger_index)) return false;
-  if (!GetU64(raw, &pos, &out->tledger_receipt.index)) return false;
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->tledger_receipt.client_ts = static_cast<Timestamp>(ts);
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->tledger_receipt.tledger_ts = static_cast<Timestamp>(ts);
-  Bytes sig(raw.begin() + static_cast<long>(pos), raw.end());
-  return Signature::Deserialize(sig, &out->tledger_receipt.lsp_signature);
+bool TimeEvidence::Deserialize(Slice raw, TimeEvidence* out) {
+  ByteReader r(raw);
+  const uint8_t mode = r.U8();
+  if (mode > static_cast<uint8_t>(TimeNotaryMode::kTLedger)) return false;
+  out->mode = static_cast<TimeNotaryMode>(mode);
+  out->ledger_digest = r.Digest();
+  out->covered_jsn_count = r.U64();
+  // The attestation is embedded at its fixed width, not length-prefixed.
+  if (!TimeAttestation::Deserialize(r.Fixed(32 + 8 + 64), &out->attestation)) {
+    return false;
+  }
+  out->tledger_index = r.U64();
+  out->tledger_receipt.index = r.U64();
+  out->tledger_receipt.client_ts = static_cast<Timestamp>(r.U64());
+  out->tledger_receipt.tledger_ts = static_cast<Timestamp>(r.U64());
+  return Signature::Deserialize(r.Fixed(64),
+                                &out->tledger_receipt.lsp_signature) &&
+         r.AtEnd();
 }
 
 // ---------------------------------------------------------------------------
@@ -210,27 +184,21 @@ Bytes ClueRangeResult::Serialize() const {
   return out;
 }
 
-bool ClueRangeResult::Deserialize(const Bytes& raw, ClueRangeResult* out) {
-  size_t pos = 0;
-  Bytes block;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  out->clue.assign(block.begin(), block.end());
-  if (!GetU64(raw, &pos, &out->begin)) return false;
-  if (!GetU64(raw, &pos, &out->end)) return false;
-  uint32_t count = 0;
-  if (!GetU32(raw, &pos, &count) || count > (1u << 20)) return false;
+bool ClueRangeResult::Deserialize(Slice raw, ClueRangeResult* out) {
+  ByteReader r(raw);
+  out->clue = r.LengthPrefixed().ToString();
+  out->begin = r.U64();
+  out->end = r.U64();
+  const uint32_t count = r.Count(1u << 20);
   // The journal list must cover the claimed entry range exactly.
-  if (out->end <= out->begin || out->end - out->begin != count) return false;
-  out->journals.assign(count, Journal());
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-    if (!Journal::Deserialize(block, &out->journals[i])) return false;
+  if (!r.ok() || out->end <= out->begin || out->end - out->begin != count) {
+    return false;
   }
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!ClueProof::Deserialize(block, &out->clue_proof)) return false;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!FamBatchProof::Deserialize(block, &out->fam_batch)) return false;
-  return pos == raw.size();
+  out->journals.assign(count, Journal());
+  for (Journal& journal : out->journals) r.Nested(&journal);
+  r.Nested(&out->clue_proof);
+  r.Nested(&out->fam_batch);
+  return r.AtEnd();
 }
 
 // ---------------------------------------------------------------------------
@@ -985,25 +953,22 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
   // in the pseudo genesis).
   Bytes snapshot = StringToBytes("pseudo-genesis");
   PutU64(&snapshot, purge_before_jsn);
-  Digest fam_root = fam_.Root();
-  Digest clue_root = cmtree_.Root();
-  Digest state_root = world_state_.Root();
-  for (const Digest* d : {&fam_root, &clue_root, &state_root}) {
-    snapshot.insert(snapshot.end(), d->bytes.begin(), d->bytes.end());
-  }
+  PutDigest(&snapshot, fam_.Root());
+  PutDigest(&snapshot, cmtree_.Root());
+  PutDigest(&snapshot, world_state_.Root());
   uint64_t pg_jsn = 0;
   LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPseudoGenesis, {},
                                           std::move(snapshot), {}, &pg_jsn));
 
   // The purge journal, doubly linked with the pseudo genesis for mutual
   // proving and fast locating.
-  Bytes purge_payload = StringToBytes("purge");
-  PutU64(&purge_payload, purge_before_jsn);
-  PutU64(&purge_payload, pg_jsn);
+  MutationPayload purge;
+  purge.form = MutationPayload::Form::kPurge;
+  purge.jsn = purge_before_jsn;
+  purge.pseudo_genesis_jsn = pg_jsn;
   uint64_t pj = 0;
   LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPurge, {},
-                                          std::move(purge_payload),
-                                          endorsements, &pj));
+                                          purge.Encode(), endorsements, &pj));
 
   // Copy milestone journals into the survival stream before erasure.
   for (uint64_t jsn : survivors) {
@@ -1089,9 +1054,10 @@ Status Ledger::Occult(uint64_t jsn, const std::vector<Endorsement>& endorsements
     pending_occult_.push_back(jsn);
   }
 
-  Bytes payload = StringToBytes("occult");
-  PutU64(&payload, jsn);
-  return AppendInternal(JournalType::kOccult, {}, std::move(payload),
+  MutationPayload occult;
+  occult.form = MutationPayload::Form::kOccult;
+  occult.jsn = jsn;
+  return AppendInternal(JournalType::kOccult, {}, occult.Encode(),
                         endorsements, occult_jsn);
 }
 
@@ -1146,10 +1112,11 @@ Status Ledger::OccultByClue(const std::string& clue,
   }
   if (occulted_count != nullptr) *occulted_count = count;
 
-  Bytes payload = StringToBytes("occult-clue");
-  PutLengthPrefixed(&payload, StringToBytes(clue));
-  PutU64(&payload, count);
-  return AppendInternal(JournalType::kOccult, {}, std::move(payload),
+  MutationPayload occult;
+  occult.form = MutationPayload::Form::kOccultClue;
+  occult.clue = clue;
+  occult.occulted_count = count;
+  return AppendInternal(JournalType::kOccult, {}, occult.Encode(),
                         endorsements, occult_jsn);
 }
 
@@ -1252,28 +1219,25 @@ size_t Ledger::ReorganizeOcculted() {
 void Ledger::ApplyJournalEffects(const Journal& journal) {
   switch (journal.type) {
     case JournalType::kPurge: {
-      size_t pos = StringToBytes("purge").size();
-      uint64_t purge_before = 0;
-      if (GetU64(journal.payload, &pos, &purge_before) &&
-          purge_before > purged_boundary_) {
-        purged_boundary_ = purge_before;
+      MutationPayload purge;
+      if (MutationPayload::Decode(journal.payload, &purge) &&
+          purge.form == MutationPayload::Form::kPurge &&
+          purge.jsn > purged_boundary_) {
+        purged_boundary_ = purge.jsn;
       }
       break;
     }
     case JournalType::kOccult: {
-      // Single-journal form only: "occult" + u64. The by-clue form
-      // ("occult-clue" + ...) needs no replay here because each hidden
-      // journal's record was rewritten with its occult flag set.
-      size_t prefix = StringToBytes("occult").size();
-      if (journal.payload.size() == prefix + 8) {
-        size_t pos = prefix;
-        uint64_t target = 0;
-        if (GetU64(journal.payload, &pos, &target) &&
-            target < occult_bitmap_.size()) {
-          occult_bitmap_.Set(target);
-          if (journals_[target].has_value()) {
-            journals_[target]->occulted = true;
-          }
+      // Single-journal form only. The by-clue form needs no replay here
+      // because each hidden journal's record was rewritten with its
+      // occult flag set.
+      MutationPayload occult;
+      if (MutationPayload::Decode(journal.payload, &occult) &&
+          occult.form == MutationPayload::Form::kOccult &&
+          occult.jsn < occult_bitmap_.size()) {
+        occult_bitmap_.Set(occult.jsn);
+        if (journals_[occult.jsn].has_value()) {
+          journals_[occult.jsn]->occulted = true;
         }
       }
       break;
@@ -1309,7 +1273,7 @@ Status Ledger::ReplayRecord(uint64_t index, const Bytes& raw) {
   return Status::OK();
 }
 
-Status Ledger::RestoreIndexedRecord(uint64_t index, const Bytes& raw,
+Status Ledger::RestoreIndexedRecord(uint64_t index, Slice raw,
                                     const Digest& tx_hash, KeyIdMemo* key_ids,
                                     bool trusted) {
   // An untrusted record's stream bytes diverge from the snapshot —
@@ -1464,7 +1428,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   Bytes snapshot;
   LEDGERDB_RETURN_IF_ERROR(
       storage_.checkpoints->ReadSnapshot(manifest, slot, &snapshot));
-  std::map<uint32_t, Bytes> sections;
+  std::map<uint32_t, Slice> sections;
   // Section CRCs exist for offline tooling that inspects a snapshot
   // without the manifest; here every byte was just pinned by the signed
   // SHA-256, so re-checking ~the whole file against CRC32 buys nothing.
@@ -1483,19 +1447,17 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   // what it covers, bound beyond the SHA.
   uint64_t meta_purged_boundary = 0;
   {
-    const Bytes& meta = sections[kCkptSectionMeta];
-    size_t pos = 0;
-    Bytes uri_bytes;
-    uint64_t w = 0, h = 0, cap = 0;
-    uint32_t fh = 0;
-    if (!GetLengthPrefixed(meta, &pos, &uri_bytes) ||
-        !GetU64(meta, &pos, &w) || !GetU64(meta, &pos, &h) ||
-        !GetU32(meta, &pos, &fh) || !GetU64(meta, &pos, &cap) ||
-        !GetU64(meta, &pos, &meta_purged_boundary) || pos != meta.size()) {
+    ByteReader meta(sections[kCkptSectionMeta]);
+    const Slice uri = meta.LengthPrefixed();
+    const uint64_t w = meta.U64();
+    const uint64_t h = meta.U64();
+    const uint32_t fh = meta.U32();
+    const uint64_t cap = meta.U64();
+    meta_purged_boundary = meta.U64();
+    if (!meta.AtEnd()) {
       return Status::Corruption("checkpoint: undecodable META section");
     }
-    if (std::string(uri_bytes.begin(), uri_bytes.end()) !=
-            manifest.ledger_uri ||
+    if (!(uri == Slice(std::string_view(manifest.ledger_uri))) ||
         w != manifest.watermark || h != manifest.block_height ||
         fh != manifest.fractal_height || cap != manifest.block_capacity) {
       return Status::Corruption("checkpoint: META/manifest mismatch");
@@ -1506,34 +1468,15 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   // validates shape invariants, re-derives MPT content addresses and
   // cross-checks leaf coherence, so only an internally consistent image
   // can load at all.
-  {
-    const Bytes& raw = sections[kCkptSectionFam];
-    size_t pos = 0;
-    if (!FamAccumulator::DeserializeFrom(raw, &pos, &fam_) ||
-        pos != raw.size()) {
-      return Status::Corruption("checkpoint: fam section invalid");
-    }
-    if (fam_.size() != manifest.watermark) {
-      return Status::Corruption(
-          "checkpoint: fam journal count != watermark");
-    }
+  if (!FamAccumulator::DeserializeFrom(sections[kCkptSectionFam], &fam_)) {
+    return Status::Corruption("checkpoint: fam section invalid");
   }
-  {
-    const Bytes& raw = sections[kCkptSectionCmTree];
-    size_t pos = 0;
-    LEDGERDB_RETURN_IF_ERROR(cmtree_.RestoreFrom(raw, &pos));
-    if (pos != raw.size()) {
-      return Status::Corruption("checkpoint: cmtree trailing bytes");
-    }
+  if (fam_.size() != manifest.watermark) {
+    return Status::Corruption("checkpoint: fam journal count != watermark");
   }
-  {
-    const Bytes& raw = sections[kCkptSectionWorldState];
-    size_t pos = 0;
-    LEDGERDB_RETURN_IF_ERROR(world_state_.RestoreFrom(raw, &pos));
-    if (pos != raw.size()) {
-      return Status::Corruption("checkpoint: world-state trailing bytes");
-    }
-  }
+  LEDGERDB_RETURN_IF_ERROR(cmtree_.RestoreFrom(sections[kCkptSectionCmTree]));
+  LEDGERDB_RETURN_IF_ERROR(
+      world_state_.RestoreFrom(sections[kCkptSectionWorldState]));
   // (5) The restored roots must equal the signed commitment — the check
   // that makes adopting serialized hash structures as safe as recomputing
   // them: a structure that doesn't re-derive to the committed roots is
@@ -1558,34 +1501,24 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   // behind): only those rare records are read from the stream and
   // re-validated at full replay strength, and the stream's version wins —
   // exactly what full replay would adopt.
-  const Bytes& jraw = sections[kCkptSectionJournals];
-  const Bytes& traw = sections[kCkptSectionTxHashes];
-  size_t jpos = 0, tpos = 0;
-  uint64_t jcount = 0, tcount = 0;
-  if (!GetU64(jraw, &jpos, &jcount) || jcount != manifest.watermark ||
-      !GetU64(traw, &tpos, &tcount) || tcount != manifest.watermark) {
+  ByteReader jtable(sections[kCkptSectionJournals]);
+  ByteReader ttable(sections[kCkptSectionTxHashes]);
+  if (jtable.U64() != manifest.watermark ||
+      ttable.U64() != manifest.watermark) {
     return Status::Corruption("checkpoint: journal table count mismatch");
   }
   uint64_t reconciled = 0;
   journals_.reserve(n);
   jsn_to_block_.reserve(n);
   delta_log_.reserve(n);
-  Bytes snapshot_record, stream_record;
+  Bytes stream_record;
   KeyIdMemo key_ids;
   for (uint64_t i = 0; i < manifest.watermark; ++i) {
-    uint32_t snapshot_crc = 0;
-    if (!GetLengthPrefixed(jraw, &jpos, &snapshot_record) ||
-        !GetU32(jraw, &jpos, &snapshot_crc)) {
-      return Status::Corruption("checkpoint: torn journal table");
-    }
-    Digest tx_hash;
-    if (tpos + 32 > traw.size()) {
-      return Status::Corruption("checkpoint: torn tx-hash table");
-    }
-    std::copy(traw.begin() + static_cast<long>(tpos),
-              traw.begin() + static_cast<long>(tpos) + 32,
-              tx_hash.bytes.begin());
-    tpos += 32;
+    const Slice snapshot_record = jtable.LengthPrefixed();
+    const uint32_t snapshot_crc = jtable.U32();
+    if (!jtable.ok()) return Status::Corruption("checkpoint: torn journal table");
+    const Digest tx_hash = ttable.Digest();
+    if (!ttable.ok()) return Status::Corruption("checkpoint: torn tx-hash table");
     uint32_t stream_crc = 0;
     LEDGERDB_RETURN_IF_ERROR(storage_.journals->RecordCrc(i, &stream_crc));
     if (stream_crc == snapshot_crc) {
@@ -1598,7 +1531,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
           i, stream_record, tx_hash, &key_ids, /*trusted=*/false));
     }
   }
-  if (jpos != jraw.size() || tpos != traw.size()) {
+  if (!jtable.AtEnd() || !ttable.AtEnd()) {
     return Status::Corruption("checkpoint: trailing table bytes");
   }
   // Replaying [0, W) can only see purge journals the checkpoint saw, so
@@ -1752,8 +1685,7 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
     Bytes hashes;
     PutU64(&hashes, watermark);
     for (uint64_t i = 0; i < watermark; ++i) {
-      const Digest& d = delta_log_[i].tx_hash;
-      hashes.insert(hashes.end(), d.bytes.begin(), d.bytes.end());
+      PutDigest(&hashes, delta_log_[i].tx_hash);
     }
     CheckpointAppendSection(&snapshot, kCkptSectionTxHashes, hashes);
   }

@@ -78,7 +78,7 @@ struct TimeEvidence {
   TLedgerReceipt tledger_receipt;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, TimeEvidence* out);
+  static bool Deserialize(Slice raw, TimeEvidence* out);
 };
 
 /// Per-ledger record of an anchored time journal (also discoverable by
@@ -136,7 +136,7 @@ struct ClueRangeResult {
   FamBatchProof fam_batch;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, ClueRangeResult* out);
+  static bool Deserialize(Slice raw, ClueRangeResult* out);
 };
 
 /// The LedgerDB ledger: an auditable, tamper-evident journal store with
@@ -606,7 +606,7 @@ class Ledger {
   /// is the stream's version, which is re-validated at full replay
   /// strength here. `key_ids` memoizes client-key -> hex id across the
   /// restore loop.
-  Status RestoreIndexedRecord(uint64_t index, const Bytes& raw,
+  Status RestoreIndexedRecord(uint64_t index, Slice raw,
                               const Digest& tx_hash, KeyIdMemo* key_ids,
                               bool trusted);
 

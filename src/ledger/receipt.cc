@@ -6,7 +6,7 @@ Digest Receipt::MessageHash() const {
   Bytes buf = StringToBytes("receipt");
   PutU64(&buf, jsn);
   for (const Digest* d : {&request_hash, &tx_hash, &block_hash}) {
-    buf.insert(buf.end(), d->bytes.begin(), d->bytes.end());
+    PutDigest(&buf, *d);
   }
   PutU64(&buf, static_cast<uint64_t>(timestamp));
   return Sha256::Hash(buf);
@@ -20,7 +20,7 @@ Bytes Receipt::Serialize() const {
   Bytes out;
   PutU64(&out, jsn);
   for (const Digest* d : {&request_hash, &tx_hash, &block_hash}) {
-    out.insert(out.end(), d->bytes.begin(), d->bytes.end());
+    PutDigest(&out, *d);
   }
   PutU64(&out, static_cast<uint64_t>(timestamp));
   Bytes sig = lsp_sig.Serialize();
@@ -28,21 +28,14 @@ Bytes Receipt::Serialize() const {
   return out;
 }
 
-bool Receipt::Deserialize(const Bytes& raw, Receipt* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->jsn)) return false;
-  for (Digest* d : {&out->request_hash, &out->tx_hash, &out->block_hash}) {
-    if (pos + 32 > raw.size()) return false;
-    std::copy(raw.begin() + static_cast<long>(pos),
-              raw.begin() + static_cast<long>(pos) + 32, d->bytes.begin());
-    pos += 32;
-  }
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->timestamp = static_cast<Timestamp>(ts);
-  if (pos + 64 != raw.size()) return false;
-  Bytes sig(raw.begin() + static_cast<long>(pos), raw.end());
-  return Signature::Deserialize(sig, &out->lsp_sig);
+bool Receipt::Deserialize(Slice raw, Receipt* out) {
+  ByteReader r(raw);
+  out->jsn = r.U64();
+  out->request_hash = r.Digest();
+  out->tx_hash = r.Digest();
+  out->block_hash = r.Digest();
+  out->timestamp = static_cast<Timestamp>(r.U64());
+  return Signature::Deserialize(r.Fixed(64), &out->lsp_sig) && r.AtEnd();
 }
 
 Digest SignedCommitment::MessageHash() const {
@@ -52,7 +45,7 @@ Digest SignedCommitment::MessageHash() const {
   buf.insert(buf.end(), uri.begin(), uri.end());
   PutU64(&buf, journal_count);
   for (const Digest* d : {&fam_root, &clue_root, &state_root}) {
-    buf.insert(buf.end(), d->bytes.begin(), d->bytes.end());
+    PutDigest(&buf, *d);
   }
   PutU64(&buf, static_cast<uint64_t>(timestamp));
   return Sha256::Hash(buf);
@@ -67,7 +60,7 @@ Bytes SignedCommitment::Serialize() const {
   PutLengthPrefixed(&out, StringToBytes(ledger_uri));
   PutU64(&out, journal_count);
   for (const Digest* d : {&fam_root, &clue_root, &state_root}) {
-    out.insert(out.end(), d->bytes.begin(), d->bytes.end());
+    PutDigest(&out, *d);
   }
   PutU64(&out, static_cast<uint64_t>(timestamp));
   Bytes sig = lsp_sig.Serialize();
@@ -75,24 +68,15 @@ Bytes SignedCommitment::Serialize() const {
   return out;
 }
 
-bool SignedCommitment::Deserialize(const Bytes& raw, SignedCommitment* out) {
-  size_t pos = 0;
-  Bytes uri;
-  if (!GetLengthPrefixed(raw, &pos, &uri)) return false;
-  out->ledger_uri.assign(uri.begin(), uri.end());
-  if (!GetU64(raw, &pos, &out->journal_count)) return false;
-  for (Digest* d : {&out->fam_root, &out->clue_root, &out->state_root}) {
-    if (pos + 32 > raw.size()) return false;
-    std::copy(raw.begin() + static_cast<long>(pos),
-              raw.begin() + static_cast<long>(pos) + 32, d->bytes.begin());
-    pos += 32;
-  }
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->timestamp = static_cast<Timestamp>(ts);
-  if (pos + 64 != raw.size()) return false;
-  Bytes sig(raw.begin() + static_cast<long>(pos), raw.end());
-  return Signature::Deserialize(sig, &out->lsp_sig);
+bool SignedCommitment::Deserialize(Slice raw, SignedCommitment* out) {
+  ByteReader r(raw);
+  out->ledger_uri = r.LengthPrefixed().ToString();
+  out->journal_count = r.U64();
+  out->fam_root = r.Digest();
+  out->clue_root = r.Digest();
+  out->state_root = r.Digest();
+  out->timestamp = static_cast<Timestamp>(r.U64());
+  return Signature::Deserialize(r.Fixed(64), &out->lsp_sig) && r.AtEnd();
 }
 
 }  // namespace ledgerdb

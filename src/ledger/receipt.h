@@ -29,7 +29,7 @@ struct Receipt {
   bool Verify(const PublicKey& lsp_key) const;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, Receipt* out);
+  static bool Deserialize(Slice raw, Receipt* out);
 };
 
 /// LSP-signed ledger commitment at a journal count: the three roots a
@@ -55,7 +55,7 @@ struct SignedCommitment {
   bool Verify(const PublicKey& lsp_key) const;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, SignedCommitment* out);
+  static bool Deserialize(Slice raw, SignedCommitment* out);
 };
 
 }  // namespace ledgerdb

@@ -16,8 +16,7 @@ Digest WorldState::UpdateDigest(const std::string& key, uint64_t version,
 Bytes WorldState::EncodeCurrent(uint64_t version, const Bytes& value) {
   Bytes out;
   PutU64(&out, version);
-  Digest vd = Sha256::Hash(value);
-  out.insert(out.end(), vd.bytes.begin(), vd.bytes.end());
+  PutDigest(&out, Sha256::Hash(value));
   return out;
 }
 
@@ -71,7 +70,7 @@ Status WorldState::SerializeTo(Bytes* out) const {
     PutU64(out, entry.version);
     PutLengthPrefixed(out, entry.value);
   }
-  out->insert(out->end(), mpt_root_.bytes.begin(), mpt_root_.bytes.end());
+  PutDigest(out, mpt_root_);
   std::unordered_set<Digest, DigestHasher> live;
   LEDGERDB_RETURN_IF_ERROR(mpt_.CollectReachable(mpt_root_, &live));
   std::vector<Digest> node_keys(live.begin(), live.end());
@@ -85,27 +84,23 @@ Status WorldState::SerializeTo(Bytes* out) const {
   return Status::OK();
 }
 
-Status WorldState::RestoreFrom(const Bytes& raw, size_t* pos) {
-  if (!ShrubsAccumulator::DeserializeFrom(raw, pos, &accum_)) {
+Status WorldState::RestoreFrom(Slice raw) {
+  ByteReader r(raw);
+  if (!ShrubsAccumulator::DeserializeFrom(&r, &accum_)) {
     return Status::Corruption("world-state snapshot: accumulator");
   }
-  uint64_t key_count = 0;
-  if (!GetU64(raw, pos, &key_count)) {
+  const uint64_t key_count = r.U64();
+  if (!r.ok() || key_count > r.remaining()) {
     return Status::Corruption("world-state snapshot: key count");
   }
   state_.clear();
-  Bytes block;
   uint64_t total_versions = 0;
   for (uint64_t i = 0; i < key_count; ++i) {
-    if (!GetLengthPrefixed(raw, pos, &block)) {
-      return Status::Corruption("world-state snapshot: key");
-    }
-    std::string key(block.begin(), block.end());
+    std::string key = r.LengthPrefixed().ToString();
     Entry entry;
-    if (!GetU64(raw, pos, &entry.version) ||
-        !GetLengthPrefixed(raw, pos, &entry.value)) {
-      return Status::Corruption("world-state snapshot: entry");
-    }
+    entry.version = r.U64();
+    entry.value = r.LengthPrefixed().ToBytes();
+    if (!r.ok()) return Status::Corruption("world-state snapshot: entry");
     if (entry.version == 0 || !state_.emplace(key, std::move(entry)).second) {
       return Status::Corruption("world-state snapshot: duplicate or zero key");
     }
@@ -115,23 +110,18 @@ Status WorldState::RestoreFrom(const Bytes& raw, size_t* pos) {
   if (total_versions != accum_.size()) {
     return Status::Corruption("world-state snapshot: version/accum mismatch");
   }
-  if (*pos + 32 > raw.size()) {
-    return Status::Corruption("world-state snapshot: root");
-  }
-  Digest root;
-  std::copy(raw.begin() + static_cast<long>(*pos),
-            raw.begin() + static_cast<long>(*pos) + 32, root.bytes.begin());
-  *pos += 32;
-  uint64_t node_count = 0;
-  if (!GetU64(raw, pos, &node_count)) {
+  const Digest root = r.Digest();
+  const uint64_t node_count = r.U64();
+  if (!r.ok() || node_count > r.remaining()) {
     return Status::Corruption("world-state snapshot: node count");
   }
   for (uint64_t i = 0; i < node_count; ++i) {
-    if (!GetLengthPrefixed(raw, pos, &block)) {
-      return Status::Corruption("world-state snapshot: node");
-    }
-    LEDGERDB_RETURN_IF_ERROR(
-        mpt_store_.Put(Sha256::Hash(block), Slice(block)));
+    Slice node = r.LengthPrefixed();
+    if (!r.ok()) return Status::Corruption("world-state snapshot: node");
+    LEDGERDB_RETURN_IF_ERROR(mpt_store_.Put(Sha256::Hash(node), node));
+  }
+  if (!r.AtEnd()) {
+    return Status::Corruption("world-state snapshot: trailing bytes");
   }
   mpt_root_ = root;
   // Coherence spot-check over a deterministic stride of ~64 keys (small

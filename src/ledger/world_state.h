@@ -76,7 +76,7 @@ class WorldState {
   /// (version, value) entry, so only a coherent image can load. The caller
   /// must still cross-check Root()/CurrentRoot() against an authenticated
   /// commitment.
-  Status RestoreFrom(const Bytes& raw, size_t* pos);
+  Status RestoreFrom(Slice raw);
 
  private:
   struct Entry {

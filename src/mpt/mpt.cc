@@ -11,15 +11,11 @@ Bytes MptProof::Serialize() const {
   return out;
 }
 
-bool MptProof::Deserialize(const Bytes& raw, MptProof* out) {
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!GetU32(raw, &pos, &count) || count > 4096) return false;
-  out->nodes.assign(count, Bytes());
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetLengthPrefixed(raw, &pos, &out->nodes[i])) return false;
-  }
-  return pos == raw.size();
+bool MptProof::Deserialize(Slice raw, MptProof* out) {
+  ByteReader r(raw);
+  out->nodes.assign(r.Count(4096), Bytes());
+  for (Bytes& node : out->nodes) node = r.LengthPrefixed().ToBytes();
+  return r.AtEnd();
 }
 
 std::vector<uint8_t> KeyToNibbles(const Digest& key) {
@@ -58,61 +54,44 @@ struct Node {
       case kExtensionTag:
         PutU32(&out, static_cast<uint32_t>(path.size()));
         out.insert(out.end(), path.begin(), path.end());
-        out.insert(out.end(), child.bytes.begin(), child.bytes.end());
+        PutDigest(&out, child);
         break;
       case kBranchTag:
         for (int i = 0; i < 16; ++i) {
           out.push_back(has_child[i] ? 1 : 0);
-          if (has_child[i]) {
-            out.insert(out.end(), children[i].bytes.begin(),
-                       children[i].bytes.end());
-          }
+          if (has_child[i]) PutDigest(&out, children[i]);
         }
         break;
     }
     return out;
   }
 
-  static bool Deserialize(const Bytes& raw, Node* node) {
-    if (raw.empty()) return false;
-    node->type = raw[0];
-    size_t pos = 1;
+  static bool Deserialize(Slice raw, Node* node) {
+    ByteReader r(raw);
+    node->type = r.U8();
     switch (node->type) {
       case kLeafTag:
       case kExtensionTag: {
-        uint32_t len = 0;
-        if (!GetU32(raw, &pos, &len)) return false;
-        if (pos + len > raw.size() || len > 64) return false;
-        node->path.assign(raw.begin() + static_cast<long>(pos),
-                          raw.begin() + static_cast<long>(pos + len));
-        pos += len;
+        Slice path = r.LengthPrefixed();
+        if (path.size() > 64) return false;
+        node->path.assign(path.data(), path.data() + path.size());
         if (node->type == kLeafTag) {
-          return GetLengthPrefixed(raw, &pos, &node->value) &&
-                 pos == raw.size();
+          node->value = r.LengthPrefixed().ToBytes();
+        } else {
+          node->child = r.Digest();
         }
-        if (pos + 32 != raw.size()) return false;
-        std::copy(raw.begin() + static_cast<long>(pos), raw.end(),
-                  node->child.bytes.begin());
-        return true;
+        break;
       }
-      case kBranchTag: {
+      case kBranchTag:
         for (int i = 0; i < 16; ++i) {
-          if (pos >= raw.size()) return false;
-          if (raw[pos] > 1) return false;  // canonical flag bytes only
-          node->has_child[i] = raw[pos++] == 1;
-          if (node->has_child[i]) {
-            if (pos + 32 > raw.size()) return false;
-            std::copy(raw.begin() + static_cast<long>(pos),
-                      raw.begin() + static_cast<long>(pos + 32),
-                      node->children[i].bytes.begin());
-            pos += 32;
-          }
+          node->has_child[i] = r.Bool();  // canonical flag bytes only
+          if (node->has_child[i]) node->children[i] = r.Digest();
         }
-        return pos == raw.size();
-      }
+        break;
       default:
         return false;
     }
+    return r.AtEnd();
   }
 };
 
@@ -280,7 +259,7 @@ Status Mpt::Put(const Digest& root, const Digest& key, Slice value,
 
 Status Mpt::Get(const Digest& root, const Digest& key, Bytes* value) const {
   std::vector<uint8_t> nibbles = KeyToNibbles(key);
-  size_t pos = 0;
+  size_t consumed = 0;
   Digest ref = root;
   while (true) {
     if (ref.IsZero()) return Status::NotFound("key not in trie");
@@ -292,29 +271,29 @@ Status Mpt::Get(const Digest& root, const Digest& key, Bytes* value) const {
     }
     switch (node.type) {
       case kLeafTag: {
-        if (node.path.size() != nibbles.size() - pos ||
+        if (node.path.size() != nibbles.size() - consumed ||
             !std::equal(node.path.begin(), node.path.end(),
-                        nibbles.begin() + static_cast<long>(pos))) {
+                        nibbles.begin() + static_cast<long>(consumed))) {
           return Status::NotFound("key not in trie");
         }
         *value = node.value;
         return Status::OK();
       }
       case kExtensionTag: {
-        if (node.path.size() > nibbles.size() - pos ||
+        if (node.path.size() > nibbles.size() - consumed ||
             !std::equal(node.path.begin(), node.path.end(),
-                        nibbles.begin() + static_cast<long>(pos))) {
+                        nibbles.begin() + static_cast<long>(consumed))) {
           return Status::NotFound("key not in trie");
         }
-        pos += node.path.size();
+        consumed += node.path.size();
         ref = node.child;
         break;
       }
       default: {  // branch
-        if (pos >= nibbles.size()) {
+        if (consumed >= nibbles.size()) {
           return Status::Corruption("key exhausted at branch node");
         }
-        uint8_t nibble = nibbles[pos++];
+        uint8_t nibble = nibbles[consumed++];
         if (!node.has_child[nibble]) return Status::NotFound("key not in trie");
         ref = node.children[nibble];
         break;
@@ -327,7 +306,7 @@ Status Mpt::GetProof(const Digest& root, const Digest& key,
                      MptProof* proof) const {
   proof->nodes.clear();
   std::vector<uint8_t> nibbles = KeyToNibbles(key);
-  size_t pos = 0;
+  size_t consumed = 0;
   Digest ref = root;
   while (true) {
     if (ref.IsZero()) return Status::NotFound("key not in trie");
@@ -340,26 +319,26 @@ Status Mpt::GetProof(const Digest& root, const Digest& key,
     }
     switch (node.type) {
       case kLeafTag:
-        if (node.path.size() != nibbles.size() - pos ||
+        if (node.path.size() != nibbles.size() - consumed ||
             !std::equal(node.path.begin(), node.path.end(),
-                        nibbles.begin() + static_cast<long>(pos))) {
+                        nibbles.begin() + static_cast<long>(consumed))) {
           return Status::NotFound("key not in trie");
         }
         return Status::OK();
       case kExtensionTag:
-        if (node.path.size() > nibbles.size() - pos ||
+        if (node.path.size() > nibbles.size() - consumed ||
             !std::equal(node.path.begin(), node.path.end(),
-                        nibbles.begin() + static_cast<long>(pos))) {
+                        nibbles.begin() + static_cast<long>(consumed))) {
           return Status::NotFound("key not in trie");
         }
-        pos += node.path.size();
+        consumed += node.path.size();
         ref = node.child;
         break;
       default:
-        if (pos >= nibbles.size()) {
+        if (consumed >= nibbles.size()) {
           return Status::Corruption("key exhausted at branch node");
         }
-        uint8_t nibble = nibbles[pos++];
+        uint8_t nibble = nibbles[consumed++];
         if (!node.has_child[nibble]) return Status::NotFound("key not in trie");
         ref = node.children[nibble];
         break;
@@ -397,7 +376,7 @@ bool Mpt::VerifyProof(const Digest& trusted_root, const Digest& key,
                       Slice expected_value, const MptProof& proof) {
   if (proof.nodes.empty()) return false;
   std::vector<uint8_t> nibbles = KeyToNibbles(key);
-  size_t pos = 0;
+  size_t consumed = 0;
   Digest expected_ref = trusted_root;
   for (size_t i = 0; i < proof.nodes.size(); ++i) {
     const Bytes& raw = proof.nodes[i];
@@ -408,27 +387,27 @@ bool Mpt::VerifyProof(const Digest& trusted_root, const Digest& key,
     switch (node.type) {
       case kLeafTag: {
         if (!is_last) return false;
-        if (node.path.size() != nibbles.size() - pos) return false;
+        if (node.path.size() != nibbles.size() - consumed) return false;
         if (!std::equal(node.path.begin(), node.path.end(),
-                        nibbles.begin() + static_cast<long>(pos))) {
+                        nibbles.begin() + static_cast<long>(consumed))) {
           return false;
         }
         return Slice(node.value) == expected_value;
       }
       case kExtensionTag: {
         if (is_last) return false;
-        if (node.path.size() > nibbles.size() - pos) return false;
+        if (node.path.size() > nibbles.size() - consumed) return false;
         if (!std::equal(node.path.begin(), node.path.end(),
-                        nibbles.begin() + static_cast<long>(pos))) {
+                        nibbles.begin() + static_cast<long>(consumed))) {
           return false;
         }
-        pos += node.path.size();
+        consumed += node.path.size();
         expected_ref = node.child;
         break;
       }
       case kBranchTag: {
-        if (is_last || pos >= nibbles.size()) return false;
-        uint8_t nibble = nibbles[pos++];
+        if (is_last || consumed >= nibbles.size()) return false;
+        uint8_t nibble = nibbles[consumed++];
         if (!node.has_child[nibble]) return false;
         expected_ref = node.children[nibble];
         break;

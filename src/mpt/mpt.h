@@ -23,7 +23,7 @@ struct MptProof {
   size_t CostInHashes() const { return nodes.size(); }
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, MptProof* out);
+  static bool Deserialize(Slice raw, MptProof* out);
 };
 
 /// Copy-on-write Merkle Patricia Trie (§IV-B): 16-way branch nodes,

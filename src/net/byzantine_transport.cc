@@ -1,5 +1,6 @@
 #include "net/byzantine_transport.h"
 
+#include "net/wire.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -8,54 +9,22 @@ namespace ledgerdb {
 namespace {
 
 /// Wire wrappers so list-shaped responses go through the same generic
-/// fault plumbing as the struct responses.
+/// fault plumbing as the struct responses, in the socket wire's codec.
 struct JsnListWire {
   std::vector<uint64_t> jsns;
 
-  Bytes Serialize() const {
-    Bytes raw;
-    PutU32(&raw, static_cast<uint32_t>(jsns.size()));
-    for (uint64_t jsn : jsns) PutU64(&raw, jsn);
-    return raw;
-  }
-
-  static bool Deserialize(const Bytes& raw, JsnListWire* out) {
-    size_t pos = 0;
-    uint32_t count = 0;
-    if (!GetU32(raw, &pos, &count)) return false;
-    out->jsns.assign(count, 0);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!GetU64(raw, &pos, &out->jsns[i])) return false;
-    }
-    return pos == raw.size();
+  Bytes Serialize() const { return wire::EncodeJsnList(jsns); }
+  static bool Deserialize(Slice raw, JsnListWire* out) {
+    return wire::DecodeJsnList(raw, &out->jsns);
   }
 };
 
 struct DeltaListWire {
   std::vector<JournalDelta> deltas;
 
-  Bytes Serialize() const {
-    Bytes raw;
-    PutU32(&raw, static_cast<uint32_t>(deltas.size()));
-    for (const JournalDelta& d : deltas) PutLengthPrefixed(&raw, d.Serialize());
-    return raw;
-  }
-
-  static bool Deserialize(const Bytes& raw, DeltaListWire* out) {
-    size_t pos = 0;
-    uint32_t count = 0;
-    if (!GetU32(raw, &pos, &count)) return false;
-    if (count > 1u << 20) return false;
-    out->deltas.clear();
-    out->deltas.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Bytes block;
-      if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-      JournalDelta d;
-      if (!JournalDelta::Deserialize(block, &d)) return false;
-      out->deltas.push_back(std::move(d));
-    }
-    return pos == raw.size();
+  Bytes Serialize() const { return wire::EncodeDeltas(deltas); }
+  static bool Deserialize(Slice raw, DeltaListWire* out) {
+    return wire::DecodeDeltas(raw, &out->deltas);
   }
 };
 
@@ -117,10 +86,9 @@ Status ByzantineTransport::AppendTx(const ClientTransaction& tx,
   FaultKind fault = TakeFault(RpcOp::kAppendTx);
   Bytes& stash = stash_[Idx(RpcOp::kAppendTx)];
   if (!stash.empty() && fault == FaultKind::kNone) {
-    size_t pos = 0;
     Bytes raw = std::move(stash);
     stash.clear();
-    if (!GetU64(raw, &pos, jsn)) {
+    if (!wire::DecodeJsnRequest(raw, jsn)) {
       return Status::Corruption("reordered response undecodable");
     }
     return Status::OK();
@@ -144,11 +112,7 @@ Status ByzantineTransport::AppendTx(const ClientTransaction& tx,
     case FaultKind::kReorder: {
       uint64_t committed = 0;
       Status st = inner_->AppendTx(tx, &committed);
-      if (st.ok()) {
-        Bytes raw;
-        PutU64(&raw, committed);
-        stash = std::move(raw);
-      }
+      if (st.ok()) stash = wire::EncodeJsnRequest(committed);
       return Status::DeadlineExceeded("injected: response reordered");
     }
     case FaultKind::kForgeProof:

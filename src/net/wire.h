@@ -80,7 +80,7 @@ struct RequestFrame {
   /// Strict decode; false on truncation, unknown op, a set trace flag with
   /// a truncated trace header, or trailing bytes beyond the op-specific
   /// body (bodies are validated by Dispatch).
-  static bool Decode(const Bytes& payload, RequestFrame* out);
+  static bool Decode(Slice payload, RequestFrame* out);
 };
 
 struct ResponseFrame {
@@ -91,7 +91,7 @@ struct ResponseFrame {
   Bytes body;
 
   Bytes Encode() const;
-  static bool Decode(const Bytes& payload, ResponseFrame* out);
+  static bool Decode(Slice payload, ResponseFrame* out);
 
   /// Builds the error/OK envelope for `status` (body left empty).
   static ResponseFrame From(RpcOp op, uint64_t request_id,
@@ -115,29 +115,29 @@ bool ValidStatusCode(uint8_t code);
 // are the canonical Serialize() bytes and need no helpers here.
 
 Bytes EncodeJsnRequest(uint64_t jsn);
-bool DecodeJsnRequest(const Bytes& body, uint64_t* jsn);
+bool DecodeJsnRequest(Slice body, uint64_t* jsn);
 
 /// GetClueProof(begin, end) and ProveClueRange(from, to) — same shape,
 /// [lp clue][u64][u64]; Timestamps travel as u64 two's complement.
 Bytes EncodeClueWindowRequest(const std::string& clue, uint64_t begin,
                               uint64_t end);
-bool DecodeClueWindowRequest(const Bytes& body, std::string* clue,
-                             uint64_t* begin, uint64_t* end);
+bool DecodeClueWindowRequest(Slice body, std::string* clue, uint64_t* begin,
+                             uint64_t* end);
 
 Bytes EncodeClueRequest(const std::string& clue);
-bool DecodeClueRequest(const Bytes& body, std::string* clue);
+bool DecodeClueRequest(Slice body, std::string* clue);
 
 Bytes EncodeRangeRequest(uint64_t from, uint64_t to);
-bool DecodeRangeRequest(const Bytes& body, uint64_t* from, uint64_t* to);
+bool DecodeRangeRequest(Slice body, uint64_t* from, uint64_t* to);
 
 /// GetProofBatch request and ListTx/AppendTx-adjacent responses:
 /// [u32 count][u64 jsn]*.
 Bytes EncodeJsnList(const std::vector<uint64_t>& jsns);
-bool DecodeJsnList(const Bytes& body, std::vector<uint64_t>* jsns);
+bool DecodeJsnList(Slice body, std::vector<uint64_t>* jsns);
 
 /// GetDelta response: [u32 count][lp delta]*.
 Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas);
-bool DecodeDeltas(const Bytes& body, std::vector<JournalDelta>* deltas);
+bool DecodeDeltas(Slice body, std::vector<JournalDelta>* deltas);
 
 // ---------------------------------------------------------------------------
 // Server-side dispatch

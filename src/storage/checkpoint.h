@@ -69,7 +69,7 @@ struct CheckpointManifest {
   Bytes Serialize() const;
 
   /// Parses Serialize() output; false on bad magic, CRC, or layout.
-  static bool Deserialize(const Bytes& raw, CheckpointManifest* out);
+  static bool Deserialize(Slice raw, CheckpointManifest* out);
 };
 
 /// Appends the snapshot file header (magic + format version).
@@ -82,9 +82,9 @@ void CheckpointAppendSection(Bytes* out, uint32_t tag, const Bytes& payload);
 /// tag repeats and no trailing bytes remain — and, unless `verify_crc`
 /// is false, every section CRC. Callers that have already pinned the
 /// whole file against the manifest's signed SHA-256 may skip the CRCs;
-/// offline tooling without the manifest should keep them on.
-Status CheckpointParseSections(const Bytes& raw,
-                               std::map<uint32_t, Bytes>* sections,
+/// offline tooling without the manifest should keep them on. Sections are
+/// views into `raw`, which must outlive them.
+Status CheckpointParseSections(Slice raw, std::map<uint32_t, Slice>* sections,
                                bool verify_crc = true);
 
 /// One slot's manifest as found on disk: `manifest` is meaningful only

@@ -4,7 +4,7 @@ namespace ledgerdb {
 
 Digest TLedgerReceipt::MessageHash(const Digest& digest) const {
   Bytes buf = StringToBytes("tledger-receipt");
-  buf.insert(buf.end(), digest.bytes.begin(), digest.bytes.end());
+  PutDigest(&buf, digest);
   PutU64(&buf, index);
   PutU64(&buf, static_cast<uint64_t>(client_ts));
   PutU64(&buf, static_cast<uint64_t>(tledger_ts));
@@ -21,19 +21,14 @@ Bytes TimeProof::Serialize() const {
   return out;
 }
 
-bool TimeProof::Deserialize(const Bytes& raw, TimeProof* out) {
-  size_t pos = 0;
-  if (!GetU64(raw, &pos, &out->index)) return false;
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->tledger_ts = static_cast<Timestamp>(ts);
-  if (!GetU64(raw, &pos, &out->finalized_size)) return false;
-  Bytes block;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!MembershipProof::Deserialize(block, &out->membership)) return false;
-  if (!GetLengthPrefixed(raw, &pos, &block)) return false;
-  if (!TimeAttestation::Deserialize(block, &out->finalization)) return false;
-  return pos == raw.size();
+bool TimeProof::Deserialize(Slice raw, TimeProof* out) {
+  ByteReader r(raw);
+  out->index = r.U64();
+  out->tledger_ts = static_cast<Timestamp>(r.U64());
+  out->finalized_size = r.U64();
+  r.Nested(&out->membership);
+  r.Nested(&out->finalization);
+  return r.AtEnd();
 }
 
 TLedger::TLedger(TsaService* tsa, Clock* clock, KeyPair lsp_key,

@@ -34,7 +34,7 @@ struct TimeProof {
   TimeAttestation finalization;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, TimeProof* out);
+  static bool Deserialize(Slice raw, TimeProof* out);
 };
 
 /// Time Ledger (§III-B2): a public notary ledger operated by the LSP that

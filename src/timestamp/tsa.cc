@@ -4,7 +4,7 @@ namespace ledgerdb {
 
 Digest TimeAttestation::MessageHash() const {
   Bytes buf = StringToBytes("tsa-attest");
-  buf.insert(buf.end(), digest.bytes.begin(), digest.bytes.end());
+  PutDigest(&buf, digest);
   PutU64(&buf, static_cast<uint64_t>(timestamp));
   return Sha256::Hash(buf);
 }
@@ -15,22 +15,18 @@ bool TimeAttestation::Verify(const PublicKey& tsa_key) const {
 
 Bytes TimeAttestation::Serialize() const {
   Bytes out;
-  out.insert(out.end(), digest.bytes.begin(), digest.bytes.end());
+  PutDigest(&out, digest);
   PutU64(&out, static_cast<uint64_t>(timestamp));
   Bytes sig = signature.Serialize();
   out.insert(out.end(), sig.begin(), sig.end());
   return out;
 }
 
-bool TimeAttestation::Deserialize(const Bytes& raw, TimeAttestation* out) {
-  if (raw.size() != 32 + 8 + 64) return false;
-  std::copy(raw.begin(), raw.begin() + 32, out->digest.bytes.begin());
-  size_t pos = 32;
-  uint64_t ts = 0;
-  if (!GetU64(raw, &pos, &ts)) return false;
-  out->timestamp = static_cast<Timestamp>(ts);
-  Bytes sig(raw.begin() + 40, raw.end());
-  return Signature::Deserialize(sig, &out->signature);
+bool TimeAttestation::Deserialize(Slice raw, TimeAttestation* out) {
+  ByteReader r(raw);
+  out->digest = r.Digest();
+  out->timestamp = static_cast<Timestamp>(r.U64());
+  return Signature::Deserialize(r.Fixed(64), &out->signature) && r.AtEnd();
 }
 
 TimeAttestation TsaService::Endorse(const Digest& digest) {

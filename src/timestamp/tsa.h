@@ -25,7 +25,7 @@ struct TimeAttestation {
   bool Verify(const PublicKey& tsa_key) const;
 
   Bytes Serialize() const;
-  static bool Deserialize(const Bytes& raw, TimeAttestation* out);
+  static bool Deserialize(Slice raw, TimeAttestation* out);
 };
 
 /// Time Stamp Authority (Prerequisite 3): an independent trusted third

@@ -63,34 +63,68 @@ TEST(BytesTest, VarintEncodersRoundTrip) {
   PutU32(&buf, 0xdeadbeef);
   PutU64(&buf, 0x123456789abcdef0ULL);
   PutLengthPrefixed(&buf, StringToBytes("hello"));
+  Digest d;
+  d.bytes[0] = 0xab;
+  d.bytes[31] = 0xcd;
+  PutDigest(&buf, d);
+  buf.push_back(1);
+  buf.push_back(9);
 
-  size_t pos = 0;
-  uint32_t v32;
-  uint64_t v64;
-  Bytes block;
-  ASSERT_TRUE(GetU32(buf, &pos, &v32));
-  EXPECT_EQ(v32, 0xdeadbeefu);
-  ASSERT_TRUE(GetU64(buf, &pos, &v64));
-  EXPECT_EQ(v64, 0x123456789abcdef0ULL);
-  ASSERT_TRUE(GetLengthPrefixed(buf, &pos, &block));
-  EXPECT_EQ(block, StringToBytes("hello"));
-  EXPECT_EQ(pos, buf.size());
+  ByteReader r(buf);
+  EXPECT_EQ(r.U32(), 0xdeadbeefu);
+  EXPECT_EQ(r.U64(), 0x123456789abcdef0ULL);
+  EXPECT_EQ(r.LengthPrefixed(), Slice(std::string_view("hello")));
+  EXPECT_EQ(r.Digest(), d);
+  EXPECT_TRUE(r.Bool());
+  EXPECT_EQ(r.U8(), 9);
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(BytesTest, ReadersDetectTruncation) {
   Bytes buf;
   PutU64(&buf, 7);
   buf.pop_back();
-  size_t pos = 0;
-  uint64_t v;
-  EXPECT_FALSE(GetU64(buf, &pos, &v));
+  ByteReader r(buf);
+  EXPECT_EQ(r.U64(), 0u);
+  EXPECT_FALSE(r.ok());
 
   Bytes buf2;
   PutLengthPrefixed(&buf2, StringToBytes("abcdef"));
   buf2.resize(buf2.size() - 2);
-  pos = 0;
-  Bytes block;
-  EXPECT_FALSE(GetLengthPrefixed(buf2, &pos, &block));
+  ByteReader r2(buf2);
+  EXPECT_TRUE(r2.LengthPrefixed().empty());
+  EXPECT_FALSE(r2.ok());
+
+  // Failure is sticky: a later read that would fit still yields nothing.
+  Bytes buf3(40, 0);
+  ByteReader r3(buf3);
+  r3.Fixed(41);
+  EXPECT_EQ(r3.U32(), 0u);
+  EXPECT_TRUE(r3.Digest().IsZero());
+  EXPECT_FALSE(r3.AtEnd());
+}
+
+TEST(BytesTest, ReaderRejectsNonCanonicalAndOversizedValues) {
+  Bytes two = {2};
+  ByteReader r(two);
+  EXPECT_FALSE(r.Bool());
+  EXPECT_FALSE(r.ok());
+
+  // A count above its cap, or above the bytes left, fails before any
+  // caller can allocate for it.
+  Bytes buf;
+  PutU32(&buf, 5);
+  buf.resize(buf.size() + 4);
+  ByteReader capped(buf);
+  EXPECT_EQ(capped.Count(4), 0u);
+  EXPECT_FALSE(capped.ok());
+  ByteReader short_input(buf);
+  EXPECT_EQ(short_input.Count(1u << 20), 0u);
+  EXPECT_FALSE(short_input.ok());
+  buf[0] = 4;
+  ByteReader fits(buf);
+  EXPECT_EQ(fits.Count(4), 4u);
+  EXPECT_TRUE(fits.ok());
 }
 
 TEST(SliceTest, EqualityAndViews) {
