@@ -217,8 +217,7 @@ void SocketFaultProxy::RelayLoop(Relay* relay) {
           if (midframe_target == 0) {
             s2c_header.insert(s2c_header.end(), buf, buf + len);
             if (s2c_header.size() < 4) continue;
-            uint32_t frame_len = 0;
-            std::memcpy(&frame_len, s2c_header.data(), 4);
+            const uint32_t frame_len = ByteReader(s2c_header).U32();
             midframe_target = 4 + (frame_len > 1 ? frame_len / 2 : 1);
             size_t send_now = s2c_header.size() < midframe_target
                                   ? s2c_header.size()

@@ -10,6 +10,7 @@
 #include "client/ledger_client.h"
 #include "net/byzantine_transport.h"
 #include "net/transport.h"
+#include "net/wire.h"
 
 namespace ledgerdb {
 namespace {
@@ -136,6 +137,40 @@ TEST_F(ByzantineTransportTest, SubstitutedReceiptDetected) {
   byz_->InjectFault(RpcOp::kGetReceipt, 1, FaultKind::kSubstituteReceipt);
   Status s = client.AppendVerified(StringToBytes("b"), {}, &jsn);
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+}
+
+TEST_F(ByzantineTransportTest, ForgedListCountRejectedBeforeAllocation) {
+  // kForgeProof flips one seeded bit of the reply's wire bytes. These seeds
+  // put it in the top byte of the u32 element count, so the forged reply
+  // claims hundreds of millions of elements: the list decoders must check
+  // the count against the bytes present before allocating for it.
+  LedgerClient client = MakeClient(local_.get(), alice_);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client
+                    .AppendVerified(StringToBytes("doc-" + std::to_string(i)),
+                                    {"asset"}, nullptr)
+                    .ok());
+  }
+  auto flips_count_top_byte = [](uint64_t seed, size_t reply_size) {
+    Random replay(seed);  // ByzantineTransport's first draw picks the byte
+    return replay.Uniform(reply_size) == 3;
+  };
+
+  std::vector<uint64_t> jsns;
+  ASSERT_TRUE(local_->ListTx("asset", &jsns).ok());
+  ASSERT_TRUE(flips_count_top_byte(25, wire::EncodeJsnList(jsns).size()));
+  ByzantineTransport forge_list(local_.get(), /*seed=*/25);
+  forge_list.InjectFault(RpcOp::kListTx, 0, FaultKind::kForgeProof);
+  Status s = forge_list.ListTx("asset", &jsns);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  std::vector<JournalDelta> deltas;
+  ASSERT_TRUE(local_->GetDelta(1, 2, &deltas).ok());
+  ASSERT_TRUE(flips_count_top_byte(114, wire::EncodeDeltas(deltas).size()));
+  ByzantineTransport forge_delta(local_.get(), /*seed=*/114);
+  forge_delta.InjectFault(RpcOp::kGetDelta, 0, FaultKind::kForgeProof);
+  s = forge_delta.GetDelta(1, 2, &deltas);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 TEST_F(ByzantineTransportTest, ForgedProofDetected) {
