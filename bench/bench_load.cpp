@@ -21,12 +21,20 @@
 // from the actual send, for comparing against server envelopes).
 //
 //   <profile>/offered=<rate>  — one offered-load point
+//   closed/<profile>/clients=N
+//                             — append and read_verify only, N in
+//                               {1, 2, 4, 8}: closed loop, each of N
+//                               clients sends its next op as soon as the
+//                               previous one returns; latency is measured
+//                               from the send, throughput is aggregate.
 //   overload/offered=<rate>   — 1 slow worker (2 ms injected service
 //                               delay), queue depth 2, offered far above
 //                               capacity: asserts shed > 0 and that the
 //                               admitted service-time p99 stays within the
 //                               (queue_depth + 1) * service-delay envelope
-//                               (with rtt + scheduling margin).
+//                               (with rtt + scheduling margin). Its
+//                               shed_p50_us / shed_p99_us show that sheds
+//                               fail fast.
 //   soak/mixed                — `--soak [--seconds N]`: the mixed profile
 //                               routed through a seeded SocketFaultProxy
 //                               that injects resets, stalls, short chunks,
@@ -37,11 +45,12 @@
 //                               deny service, never alter verified data.
 //
 // `--json BENCH_load.json` emits schema-2 rows with additive per-row keys
-// (offered_per_sec, shed_rate, p999_us, service_p99_us, errors).
+// (offered_per_sec, shed_rate, p999_us, service_p99_us, errors, and
+// shed_p50_us / shed_p99_us on rows that shed). The metrics registry is
+// reset before every point, so under `--metrics` each row carries the
+// snapshot of its own point under a "metrics" key.
 // Cross-process tracing is left on (trace_sample_every=64) so the run
 // also exercises the trace plane it is meant to observe.
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -55,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_plant.h"
 #include "bench/bench_util.h"
 #include "client/ledger_client.h"
 #include "common/random.h"
@@ -72,65 +82,47 @@ constexpr uint64_t kMicrosPerSec = 1'000'000;
 constexpr int kNumUsers = 8;
 constexpr uint64_t kNumClues = 64;
 
-std::string SockPath(const char* tag) {
-  return "/tmp/ldb_load_" + std::string(tag) + "_" +
-         std::to_string(::getpid()) + ".sock";
-}
-
-struct Plant {
-  SimulatedClock clock{1000 * kMicrosPerSec};
-  CertificateAuthority ca{KeyPair::FromSeedString("load-ca")};
-  MemberRegistry registry{&ca};
-  KeyPair lsp{KeyPair::FromSeedString("load-lsp")};
-  KeyPair dba{KeyPair::FromSeedString("load-dba")};
-  KeyPair regulator{KeyPair::FromSeedString("load-regulator")};
-  std::vector<KeyPair> users;
-  LedgerOptions options;
+/// One ledger under load behind its own socket server, and the counters
+/// its client threads share.
+struct Target {
+  Plant* plant;
   std::unique_ptr<Ledger> ledger;
+  std::unique_ptr<LedgerServer> server;
   std::atomic<uint64_t> nonce{0};
   std::atomic<uint64_t> last_jsn{0};
 
-  Plant() {
-    registry.Register(ca.Certify("lsp", lsp.public_key(), Role::kLsp));
-    registry.Register(ca.Certify("dba", dba.public_key(), Role::kDba));
-    registry.Register(
-        ca.Certify("regulator", regulator.public_key(), Role::kRegulator));
-    for (int i = 0; i < kNumUsers; ++i) {
-      users.push_back(KeyPair::FromSeedString("load-u" + std::to_string(i)));
-      registry.Register(ca.Certify("u" + std::to_string(i),
-                                   users.back().public_key(), Role::kUser));
+  /// Serves a fresh ledger on `tag`'s socket and preloads it through the
+  /// front door, so reads and audits have data from the first arrival.
+  Target(Plant* p, const std::string& tag, uint64_t preload,
+         LedgerServer::Options sopts = {})
+      : plant(p),
+        ledger(p->MakeLedger()),
+        server(p->Serve(ledger.get(), tag, std::move(sopts))) {
+    SocketTransport seed(server->address(), plant->uri);
+    for (uint64_t n = 0; n < preload; ++n) {
+      if (!Append(&seed, static_cast<int>(n % kNumUsers),
+                  "acct-" + std::to_string(n % kNumClues))
+               .ok()) {
+        std::abort();
+      }
     }
-    options.fractal_height = 10;
-    ledger = std::make_unique<Ledger>("lg://bench-load", options, &clock, lsp,
-                                      &registry);
   }
 
-  ClientTransaction SignedTx(int user, const std::string& clue) {
+  Status Append(LedgerTransport* transport, int user,
+                const std::string& clue) {
     uint64_t n = nonce.fetch_add(1, std::memory_order_relaxed);
-    ClientTransaction tx;
-    tx.ledger_uri = ledger->uri();
-    tx.clues = {clue};
-    tx.payload = StringToBytes("payload-" + std::to_string(n));
-    tx.nonce = n;
-    tx.Sign(users[static_cast<size_t>(user)]);
-    return tx;
-  }
-
-  std::vector<Endorsement> OccultEndorsements(uint64_t jsn) {
-    Digest req = Ledger::OccultRequestHash(ledger->uri(), jsn);
-    return {{dba.public_key(), dba.Sign(req)},
-            {regulator.public_key(), regulator.Sign(req)}};
-  }
-
-  /// DBA + every user: the whole signing pool endorses, which satisfies
-  /// "every owner in range" regardless of who appended what.
-  std::vector<Endorsement> PurgeEndorsements(uint64_t before_jsn) {
-    Digest req = Ledger::PurgeRequestHash(ledger->uri(), before_jsn);
-    std::vector<Endorsement> out = {{dba.public_key(), dba.Sign(req)}};
-    for (const KeyPair& u : users) {
-      out.push_back({u.public_key(), u.Sign(req)});
+    uint64_t jsn = 0;
+    Status st = transport->AppendTx(
+        plant->SignedTx(user, n, clue,
+                        StringToBytes("payload-" + std::to_string(n))),
+        &jsn);
+    if (st.ok()) {
+      uint64_t prev = last_jsn.load(std::memory_order_relaxed);
+      while (jsn > prev && !last_jsn.compare_exchange_weak(
+                               prev, jsn, std::memory_order_relaxed)) {
+      }
     }
-    return out;
+    return st;
   }
 };
 
@@ -148,12 +140,13 @@ struct Profile {
   const char* name;
   // Cumulative selection weights over OpKind, scaled to 100.
   int cum[static_cast<int>(OpKind::kNumKinds)];
+  bool closed_rows;  ///< also swept closed-loop over client counts
 };
 
 constexpr Profile kProfiles[] = {
-    {"append", {100, 100, 100, 100, 100, 100}},
-    {"read_verify", {0, 60, 100, 100, 100, 100}},
-    {"mixed", {40, 65, 85, 95, 99, 100}},
+    {"append", {100, 100, 100, 100, 100, 100}, true},
+    {"read_verify", {0, 60, 100, 100, 100, 100}, true},
+    {"mixed", {40, 65, 85, 95, 99, 100}, false},
 };
 
 OpKind PickOp(const Profile& profile, Random* rng) {
@@ -168,6 +161,7 @@ struct PointResult {
   LatencySampler open_loop;   ///< from scheduled arrival (all outcomes)
   LatencySampler admitted;    ///< open-loop latency, ok responses only
   LatencySampler service;     ///< from actual send, ok responses only
+  LatencySampler shed_lat;    ///< from actual send, shed responses only
   uint64_t ok = 0;
   uint64_t shed = 0;
   uint64_t deadline = 0;
@@ -178,19 +172,33 @@ struct PointResult {
 
 struct PointConfig {
   const Profile* profile;
-  double offered_per_sec;
+  double offered_per_sec;  ///< 0: closed loop
   double seconds;
   int threads = 4;
   uint64_t request_deadline_us = 5'000'000;
   uint64_t seed = 1;
 };
 
-/// One offered-load point: precompute a Poisson arrival schedule, deal it
-/// round-robin to a fixed client-thread pool, and replay it open-loop.
-PointResult RunPoint(Plant* plant, LedgerServer* server,
-                     const std::string& address, const PointConfig& cfg) {
-  const uint64_t total_ops = std::max<uint64_t>(
-      static_cast<uint64_t>(cfg.offered_per_sec * cfg.seconds), 8);
+/// One load point, with the registry reset first so the row's snapshot
+/// covers this point alone. Open loop: precompute a Poisson arrival
+/// schedule, deal it round-robin to a fixed client-thread pool, and replay
+/// it. Closed loop (offered rate 0): each client sends its next op as soon
+/// as the previous one returns, for the same duration.
+PointResult RunPoint(Target* target, const std::string& address,
+                     const PointConfig& cfg) {
+  obs::MetricsRegistry::Default().ResetAll();
+  const bool closed = cfg.offered_per_sec <= 0;
+  // Only a profile with verify or audit ops pins roots up front: the
+  // audited refresh replays every journal so far, which an append point
+  // would otherwise pay for inside its window.
+  const bool verifies =
+      cfg.profile->cum[static_cast<int>(OpKind::kRangeAudit)] >
+      cfg.profile->cum[static_cast<int>(OpKind::kRead)];
+  const uint64_t total_ops =
+      closed ? 0
+             : std::max<uint64_t>(
+                   static_cast<uint64_t>(cfg.offered_per_sec * cfg.seconds),
+                   8);
   Random sched_rng(cfg.seed);
   std::vector<uint64_t> arrivals(total_ops);
   double t = 0.0;
@@ -204,6 +212,8 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
   ZipfSampler zipf(kNumClues);
   std::vector<std::thread> threads;
   const uint64_t start_us = obs::NowUs() + 10'000;  // grace for thread spawn
+  const uint64_t stop_us =
+      start_us + static_cast<uint64_t>(cfg.seconds * kMicrosPerSec);
 
   for (int c = 0; c < cfg.threads; ++c) {
     threads.emplace_back([&, c] {
@@ -211,14 +221,12 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
       SocketTransport::Options topts;
       topts.request_deadline_us = cfg.request_deadline_us;
       topts.trace_sample_every = 64;
-      SocketTransport transport(address, plant->ledger->uri(), topts);
-      LedgerClient::Options copts;
-      copts.lsp_key = plant->lsp.public_key();
-      copts.fractal_height = plant->options.fractal_height;
-      LedgerClient client(&transport, plant->users[static_cast<size_t>(c) %
-                                                   plant->users.size()],
-                          copts);
-      bool roots_ok = client.RefreshTrustedRoots().ok();
+      const Plant& plant = *target->plant;
+      SocketTransport transport(address, plant.uri, topts);
+      LedgerClient client(&transport, plant.users[static_cast<size_t>(c) %
+                                                  plant.users.size()],
+                          plant.ClientOptions());
+      bool roots_ok = verifies && client.RefreshTrustedRoots().ok();
       PointResult local;
 
       // Runs a client-side verification op, distinguishing stale pinned
@@ -251,9 +259,17 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
         return st;
       };
 
-      for (uint64_t i = static_cast<uint64_t>(c); i < total_ops;
+      for (uint64_t i = static_cast<uint64_t>(c);;
            i += static_cast<uint64_t>(cfg.threads)) {
-        const uint64_t scheduled = start_us + arrivals[i];
+        // Closed loop is scheduled at the send, so latency runs from it.
+        uint64_t scheduled = 0;
+        if (closed) {
+          scheduled = std::max(obs::NowUs(), start_us);
+          if (scheduled >= stop_us) break;
+        } else {
+          if (i >= total_ops) break;
+          scheduled = start_us + arrivals[i];
+        }
         uint64_t now = obs::NowUs();
         if (now < scheduled) {
           std::this_thread::sleep_for(
@@ -269,21 +285,11 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
         const uint64_t sent_us = obs::NowUs();
         Status st;
         switch (kind) {
-          case OpKind::kAppend: {
-            uint64_t jsn = 0;
-            st = transport.AppendTx(plant->SignedTx(c % kNumUsers, clue),
-                                    &jsn);
-            if (st.ok()) {
-              uint64_t prev = plant->last_jsn.load(std::memory_order_relaxed);
-              while (jsn > prev &&
-                     !plant->last_jsn.compare_exchange_weak(
-                         prev, jsn, std::memory_order_relaxed)) {
-              }
-            }
+          case OpKind::kAppend:
+            st = target->Append(&transport, c % kNumUsers, clue);
             break;
-          }
           case OpKind::kRead: {
-            uint64_t hi = plant->last_jsn.load(std::memory_order_relaxed);
+            uint64_t hi = target->last_jsn.load(std::memory_order_relaxed);
             Journal journal;
             st = transport.GetJournal(1 + rng.Uniform(std::max<uint64_t>(
                                               hi, 1)),
@@ -292,7 +298,7 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
             break;
           }
           case OpKind::kVerify: {
-            uint64_t hi = plant->last_jsn.load(std::memory_order_relaxed);
+            uint64_t hi = target->last_jsn.load(std::memory_order_relaxed);
             uint64_t jsn = 1 + rng.Uniform(std::max<uint64_t>(hi, 1));
             Journal journal;
             st = audited(
@@ -310,29 +316,29 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
             break;
           }
           case OpKind::kOccult: {
-            uint64_t hi = plant->last_jsn.load(std::memory_order_relaxed);
+            uint64_t hi = target->last_jsn.load(std::memory_order_relaxed);
             if (hi < 2) {
               st = Status::OK();
               break;
             }
             uint64_t jsn = 1 + rng.Uniform(hi - 1);
-            server->WithLedger([&](Ledger* ledger) {
+            target->server->WithLedger([&](Ledger* ledger) {
               uint64_t occult_jsn = 0;
-              st = ledger->Occult(jsn, plant->OccultEndorsements(jsn),
+              st = ledger->Occult(jsn, plant.OccultEndorsements(jsn),
                                   &occult_jsn);
             });
             break;
           }
           case OpKind::kPurge: {
-            uint64_t hi = plant->last_jsn.load(std::memory_order_relaxed);
-            server->WithLedger([&](Ledger* ledger) {
+            uint64_t hi = target->last_jsn.load(std::memory_order_relaxed);
+            target->server->WithLedger([&](Ledger* ledger) {
               uint64_t before = ledger->PurgedBoundary() + 4;
               if (before >= hi) {
                 st = Status::OK();
                 return;
               }
               uint64_t purge_jsn = 0;
-              st = ledger->Purge(before, plant->PurgeEndorsements(before), {},
+              st = ledger->Purge(before, plant.PurgeEndorsements(before), {},
                                  &purge_jsn);
             });
             break;
@@ -350,6 +356,7 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
           local.service.Add(static_cast<double>(end_us - sent_us));
         } else if (st.IsUnavailable()) {
           ++local.shed;
+          local.shed_lat.Add(static_cast<double>(end_us - sent_us));
         } else if (st.IsDeadlineExceeded()) {
           ++local.deadline;
         } else if (st.IsTransientIO() || st.IsIOError()) {
@@ -376,6 +383,7 @@ PointResult RunPoint(Plant* plant, LedgerServer* server,
       result.open_loop.Merge(local.open_loop);
       result.admitted.Merge(local.admitted);
       result.service.Merge(local.service);
+      result.shed_lat.Merge(local.shed_lat);
     });
   }
   for (auto& th : threads) th.join();
@@ -397,17 +405,32 @@ void Report(JsonReporter* json, const std::string& name, double offered,
       name.c_str(), offered, admitted_ops, shed_rate * 100.0,
       r.admitted.PercentileUs(50), r.admitted.PercentileUs(99),
       r.admitted.PercentileUs(99.9));
-  json->AddWithExtras(
-      name, admitted_ops, r.admitted.PercentileUs(50),
-      r.admitted.PercentileUs(99),
-      {{"p999_us", r.admitted.PercentileUs(99.9)},
-       {"offered_per_sec", offered},
-       {"shed_rate", shed_rate},
-       {"service_p99_us", r.service.PercentileUs(99)},
-       {"deadline_exceeded", static_cast<double>(r.deadline)},
-       {"transient_errors", static_cast<double>(r.transient)},
-       {"stale_audits", static_cast<double>(r.stale)},
-       {"open_loop_p99_us", r.open_loop.PercentileUs(99)}});
+  std::vector<std::pair<std::string, double>> extras = {
+      {"p999_us", r.admitted.PercentileUs(99.9)},
+      {"offered_per_sec", offered},
+      {"shed_rate", shed_rate},
+      {"service_p99_us", r.service.PercentileUs(99)},
+      {"deadline_exceeded", static_cast<double>(r.deadline)},
+      {"transient_errors", static_cast<double>(r.transient)},
+      {"stale_audits", static_cast<double>(r.stale)},
+      {"open_loop_p99_us", r.open_loop.PercentileUs(99)}};
+  if (r.shed > 0) {  // sheds must fail fast: no queue wait, no service
+    extras.push_back({"shed_p50_us", r.shed_lat.PercentileUs(50)});
+    extras.push_back({"shed_p99_us", r.shed_lat.PercentileUs(99)});
+  }
+  json->AddWithExtras(name, admitted_ops, r.admitted.PercentileUs(50),
+                      r.admitted.PercentileUs(99), extras);
+  json->SnapshotIntoLastRow();
+}
+
+/// Runs one point and reports it as row `name`.
+PointResult RunAndReport(JsonReporter* json, const std::string& name,
+                         Target* target, const std::string& address,
+                         const PointConfig& cfg) {
+  PointResult r;
+  double secs = TimeSeconds([&] { r = RunPoint(target, address, cfg); });
+  Report(json, name, cfg.offered_per_sec, secs, r);
+  return r;
 }
 
 }  // namespace
@@ -427,66 +450,46 @@ int main(int argc, char** argv) {
   const std::vector<double> rates = {250, 500, 1000};
   json.SetMeta("point_secs", point_secs);
   json.SetMetaInt("trace_sample_every", 64);
+  Plant plant("lg://bench-load", kNumUsers);
 
   if (!soak) {
-    Header("open-loop SLO sweep (Poisson arrivals, Zipf(0.99) clues)");
+    Header("open-loop SLO sweep (Poisson arrivals, Zipf(0.99) clues), "
+           "then closed loop over client counts");
     uint64_t seed = 1;
     for (const Profile& profile : kProfiles) {
-      Plant plant;
-      LedgerServer::Options sopts;
-      sopts.unix_path = SockPath(profile.name);
-      LedgerServer server(plant.ledger.get(), sopts);
-      if (!server.Start().ok()) std::abort();
-      {  // preload so reads/audits have data from the first arrival
-        SocketTransport seed_tx(server.address(), plant.ledger->uri());
-        for (uint64_t n = 0; n < 128; ++n) {
-          uint64_t jsn = 0;
-          std::string clue = "acct-" + std::to_string(n % kNumClues);
-          if (!seed_tx.AppendTx(plant.SignedTx(n % kNumUsers, clue), &jsn)
-                   .ok()) {
-            std::abort();
-          }
-          plant.last_jsn.store(jsn, std::memory_order_relaxed);
-        }
-      }
+      Target target(&plant, profile.name, /*preload=*/128);
+      PointConfig cfg;
+      cfg.profile = &profile;
+      cfg.seconds = point_secs;
       for (double rate : rates) {
-        PointConfig cfg;
-        cfg.profile = &profile;
         cfg.offered_per_sec = rate;
-        cfg.seconds = point_secs;
         cfg.seed = seed++;
-        double secs = 0;
-        PointResult r;
-        secs = TimeSeconds([&] { r = RunPoint(&plant, &server,
-                                              server.address(), cfg); });
-        Report(&json, std::string(profile.name) + "/offered=" +
-                          std::to_string(static_cast<int>(rate)),
-               rate, secs, r);
+        RunAndReport(&json,
+                     std::string(profile.name) + "/offered=" +
+                         std::to_string(static_cast<int>(rate)),
+                     &target, target.server->address(), cfg);
       }
-      server.Stop();
+      if (!profile.closed_rows) continue;
+      // Closed points keep the last seed, so every open-loop point replays
+      // the same arrival schedule whether or not closed rows run.
+      for (int clients : {1, 2, 4, 8}) {
+        cfg.offered_per_sec = 0;
+        cfg.threads = clients;
+        RunAndReport(&json,
+                     std::string("closed/") + profile.name +
+                         "/clients=" + std::to_string(clients),
+                     &target, target.server->address(), cfg);
+      }
     }
 
     {  // deterministic overload point: capacity ~ 1/(2 ms) = 500/s max
       Header("overload (1 worker, queue_depth=2, 2 ms service delay)");
-      Plant plant;
       LedgerServer::Options sopts;
-      sopts.unix_path = SockPath("overload");
       sopts.num_workers = 1;
       sopts.queue_depth = 2;
       sopts.debug_service_delay_us = 2'000;
       sopts.request_timeout_us = 30'000'000;  // expiry must not mask sheds
-      LedgerServer server(plant.ledger.get(), sopts);
-      if (!server.Start().ok()) std::abort();
-      {
-        SocketTransport seed_tx(server.address(), plant.ledger->uri());
-        for (uint64_t n = 0; n < 16; ++n) {
-          uint64_t jsn = 0;
-          if (!seed_tx.AppendTx(plant.SignedTx(0, "acct-0"), &jsn).ok()) {
-            std::abort();
-          }
-          plant.last_jsn.store(jsn, std::memory_order_relaxed);
-        }
-      }
+      Target target(&plant, "overload", /*preload=*/16, sopts);
       const double offered = 2000;  // ~4x capacity
       PointConfig cfg;
       cfg.profile = &kProfiles[1];  // read_verify: constant service time
@@ -494,14 +497,11 @@ int main(int argc, char** argv) {
       cfg.seconds = point_secs;
       cfg.threads = 8;
       cfg.seed = 99;
-      double secs = 0;
-      PointResult r;
-      secs = TimeSeconds(
-          [&] { r = RunPoint(&plant, &server, server.address(), cfg); });
-      Report(&json,
-             "overload/offered=" + std::to_string(static_cast<int>(offered)),
-             offered, secs, r);
-      server.Stop();
+      PointResult r = RunAndReport(
+          &json,
+          "overload/offered=" + std::to_string(static_cast<int>(offered)),
+          &target, target.server->address(), cfg);
+      target.server->Stop();
 
       // The two load-plane contracts this harness exists to check: at 4x
       // capacity the admission controller must shed, and what it admits
@@ -535,13 +535,9 @@ int main(int argc, char** argv) {
   // --soak: the mixed profile through a fault-injecting proxy. Faults may
   // cost availability (transient/deadline/shed) but never integrity.
   Header("soak (mixed profile through SocketFaultProxy)");
-  Plant plant;
-  LedgerServer::Options sopts;
-  sopts.unix_path = SockPath("soak-backend");
-  LedgerServer server(plant.ledger.get(), sopts);
-  if (!server.Start().ok()) std::abort();
-  SocketFaultProxy proxy(SockPath("soak-proxy"), server.address(),
-                         /*seed=*/7);
+  Target target(&plant, "soak-backend", /*preload=*/64);
+  const std::string proxy_path = SocketPath("soak-proxy");
+  SocketFaultProxy proxy(proxy_path, target.server->address(), /*seed=*/7);
   if (!proxy.Start().ok()) std::abort();
   // Every 3rd connection (reconnects included) hits a rotating fault;
   // indices 0-1 stay clean so the initial root pin usually lands. Each
@@ -554,28 +550,14 @@ int main(int argc, char** argv) {
   for (uint64_t idx = 2, k = 0; idx < 400; ++idx, ++k) {
     proxy.ScheduleFault(idx, kinds[k % 5]);
   }
-  {
-    SocketTransport seed_tx(server.address(), plant.ledger->uri());
-    for (uint64_t n = 0; n < 64; ++n) {
-      uint64_t jsn = 0;
-      std::string clue = "acct-" + std::to_string(n % kNumClues);
-      if (!seed_tx.AppendTx(plant.SignedTx(n % kNumUsers, clue), &jsn).ok()) {
-        std::abort();
-      }
-      plant.last_jsn.store(jsn, std::memory_order_relaxed);
-    }
-  }
   PointConfig cfg;
   cfg.profile = &kProfiles[2];  // mixed
   cfg.offered_per_sec = 200;
   cfg.seconds = soak_seconds;
   cfg.request_deadline_us = 500'000;  // stalls must resolve quickly
   cfg.seed = 7;
-  double secs = 0;
-  PointResult r;
-  secs = TimeSeconds(
-      [&] { r = RunPoint(&plant, &server, proxy.address(), cfg); });
-  Report(&json, "soak/mixed", cfg.offered_per_sec, secs, r);
+  PointResult r =
+      RunAndReport(&json, "soak/mixed", &target, proxy.address(), cfg);
   std::printf(
       "soak outcomes: ok %" PRIu64 "  shed %" PRIu64 "  deadline %" PRIu64
       "  transient %" PRIu64 "  rejected %" PRIu64 "  (proxy conns %" PRIu64
@@ -585,7 +567,8 @@ int main(int argc, char** argv) {
   json.SetMeta("soak_transient_errors", static_cast<double>(r.transient));
   json.SetMeta("soak_deadline_errors", static_cast<double>(r.deadline));
   proxy.Stop();
-  server.Stop();
+  std::remove(proxy_path.c_str());  // the proxy leaves its socket file
+  target.server->Stop();
   if (r.ok == 0) {
     std::fprintf(stderr, "FATAL: soak completed zero requests\n");
     return 1;

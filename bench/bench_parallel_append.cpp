@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_plant.h"
 #include "bench/bench_util.h"
 #include "ledger/sharded.h"
 #include "storage/stream_store.h"
@@ -24,45 +25,18 @@
 using namespace ledgerdb;
 using namespace ledgerdb::bench;
 
-namespace {
-
-struct Fixture {
-  SimulatedClock clock{0};
-  CertificateAuthority ca{KeyPair::FromSeedString("bpa-ca")};
-  MemberRegistry registry{&ca};
-  KeyPair lsp{KeyPair::FromSeedString("bpa-lsp")};
-  KeyPair user{KeyPair::FromSeedString("bpa-user")};
-  LedgerOptions options;
-
-  Fixture() {
-    registry.Register(ca.Certify("lsp", lsp.public_key(), Role::kLsp));
-    registry.Register(ca.Certify("user", user.public_key(), Role::kUser));
-    options.fractal_height = 15;
-  }
-
-  std::vector<ClientTransaction> Workload(uint64_t n) {
-    std::vector<ClientTransaction> txs;
-    txs.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      ClientTransaction tx;
-      tx.ledger_uri = "lg://bpa";
-      tx.clues = {"clue-" + std::to_string(i % 64)};
-      tx.payload = Bytes(256, static_cast<uint8_t>(i));
-      tx.nonce = i;
-      tx.Sign(user);
-      txs.push_back(std::move(tx));
-    }
-    return txs;
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   JsonReporter json(argc, argv);
-  Fixture fx;
-  const uint64_t n = 4096 << ScaleShift();
-  std::vector<ClientTransaction> txs = fx.Workload(n);
+  Plant plant("lg://bpa");
+  plant.options.fractal_height = 15;
+  const int shift = ScaleShift();
+  const uint64_t n = shift >= 0 ? 4096ULL << shift : 4096ULL >> -shift;
+  std::vector<ClientTransaction> txs;
+  txs.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    txs.push_back(plant.SignedTx(0, i, "clue-" + std::to_string(i % 64),
+                                 Bytes(256, static_cast<uint8_t>(i))));
+  }
 
   Header("Parallel append pipeline: aggregate TPS (256B journals)");
   std::printf("%-34s %12s %12s %12s %10s\n", "config", "TPS", "p50(us)",
@@ -71,8 +45,8 @@ int main(int argc, char** argv) {
   // Baseline: serial appends into one shard on the caller's thread.
   double serial_tps = 0.0;
   {
-    ShardedLedgerGroup group("lg://bpa", 1, fx.options, &fx.clock, fx.lsp,
-                             &fx.registry);
+    ShardedLedgerGroup group(plant.uri, 1, plant.options, &plant.clock,
+                             plant.lsp, &plant.registry);
     LatencySampler lat;
     double secs = TimeSeconds([&] {
       for (const ClientTransaction& tx : txs) {
@@ -96,8 +70,8 @@ int main(int argc, char** argv) {
     size_t threads;
   };
   for (const Config& cfg : {Config{1, 8}, Config{4, 2}, Config{4, 8}}) {
-    ShardedLedgerGroup group("lg://bpa", cfg.shards, fx.options, &fx.clock,
-                             fx.lsp, &fx.registry);
+    ShardedLedgerGroup group(plant.uri, cfg.shards, plant.options,
+                             &plant.clock, plant.lsp, &plant.registry);
     group.StartParallelAppend(cfg.threads);
     LatencySampler chunk_lat;
     const size_t chunk = 256;
@@ -179,8 +153,8 @@ int main(int argc, char** argv) {
     std::vector<std::unique_ptr<FileStreamStore>> stores;
     std::vector<LedgerStorage> storage;
     open_stores("serial", 1, &stores, &storage);
-    ShardedLedgerGroup group("lg://bpa", 1, fx.options, &fx.clock, fx.lsp,
-                             &fx.registry, std::move(storage));
+    ShardedLedgerGroup group(plant.uri, 1, plant.options, &plant.clock,
+                             plant.lsp, &plant.registry, std::move(storage));
     uint64_t fsyncs_before = fsyncs_now();
     double secs = TimeSeconds([&] {
       for (uint64_t i = 0; i < n_durable; ++i) {
@@ -201,8 +175,8 @@ int main(int argc, char** argv) {
     std::vector<std::unique_ptr<FileStreamStore>> stores;
     std::vector<LedgerStorage> storage;
     open_stores("group", 4, &stores, &storage);
-    ShardedLedgerGroup group("lg://bpa", 4, fx.options, &fx.clock, fx.lsp,
-                             &fx.registry, std::move(storage));
+    ShardedLedgerGroup group(plant.uri, 4, plant.options, &plant.clock,
+                             plant.lsp, &plant.registry, std::move(storage));
     group.SetPipelineOptions({kGroupCommitMaxSize, kGroupCommitMaxDelayUs});
     group.StartParallelAppend(8);
     uint64_t fsyncs_before = fsyncs_now();
@@ -240,11 +214,11 @@ int main(int argc, char** argv) {
   Header("Phase decomposition");
   double t_preval_us = 0.0, t_commit_us = 0.0;
   {
-    Ledger ledger("lg://bpa", fx.options, &fx.clock, fx.lsp, &fx.registry);
+    std::unique_ptr<Ledger> ledger = plant.MakeLedger();
     std::vector<Ledger::PrevalidatedTx> prevalidated(txs.size());
     double preval_secs = TimeSeconds([&] {
       for (size_t i = 0; i < txs.size(); ++i) {
-        if (!ledger.Prevalidate(txs[i], &prevalidated[i]).ok()) std::abort();
+        if (!ledger->Prevalidate(txs[i], &prevalidated[i]).ok()) std::abort();
       }
     });
     // One commit group per transaction: the serial commit cost.
@@ -254,7 +228,7 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < txs.size(); ++i) {
         std::vector<Ledger::PrevalidatedTx> group(1);
         group[0] = std::move(prevalidated[i]);
-        if (!ledger.CommitPrevalidatedGroup(std::move(group), &jsns, &statuses)
+        if (!ledger->CommitPrevalidatedGroup(std::move(group), &jsns, &statuses)
                  .ok() ||
             !statuses[0].ok()) {
           std::abort();

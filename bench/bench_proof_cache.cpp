@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_plant.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "ledger/ledger.h"
@@ -36,51 +37,24 @@ namespace {
 
 constexpr int kClues = 8;
 
-struct Plant {
-  SimulatedClock clock{1000 * kMicrosPerSecond};
-  CertificateAuthority ca{KeyPair::FromSeedString("pc-ca")};
-  MemberRegistry registry{&ca};
-  KeyPair lsp{KeyPair::FromSeedString("pc-lsp")};
-  KeyPair user{KeyPair::FromSeedString("pc-user")};
-  LedgerOptions options;
-  std::unique_ptr<Ledger> cached;
-  std::unique_ptr<Ledger> plain;
-
-  Plant() {
-    registry.Register(ca.Certify("lsp", lsp.public_key(), Role::kLsp));
-    registry.Register(ca.Certify("user", user.public_key(), Role::kUser));
-    // Small epochs: the workload spans many sealed epochs, so proofs carry
-    // real link chains and the epoch section of the cache does real work.
-    options.fractal_height = 6;
-    LedgerOptions off = options;
-    off.enable_proof_cache = false;
-    cached = std::make_unique<Ledger>("lg://bench-pc", options, &clock, lsp,
-                                      &registry);
-    plain = std::make_unique<Ledger>("lg://bench-pc", off, &clock, lsp,
-                                     &registry);
-  }
-
-  void Load(uint64_t journals) {
-    for (uint64_t i = 0; i < journals; ++i) {
-      ClientTransaction tx;
-      tx.ledger_uri = "lg://bench-pc";
-      tx.clues = {"acct-" + std::to_string(i % kClues)};
-      tx.payload = StringToBytes("payload-" + std::to_string(i));
-      tx.nonce = i;
-      tx.Sign(user);
-      uint64_t jsn = 0;
-      if (!cached->Append(tx, &jsn).ok() || !plain->Append(tx, &jsn).ok()) {
-        std::fprintf(stderr, "load append failed\n");
-        std::abort();
-      }
-      // Spread server timestamps so range queries can address windows.
-      clock.Advance(1000);
+/// The same signed journals, appended to both ledgers. Server timestamps
+/// are spread 1 ms apart so range queries can address windows.
+void Load(Plant* plant, Ledger* cached, Ledger* plain, uint64_t journals) {
+  for (uint64_t i = 0; i < journals; ++i) {
+    ClientTransaction tx = plant->SignedTx(
+        0, i, "acct-" + std::to_string(i % kClues),
+        StringToBytes("payload-" + std::to_string(i)));
+    uint64_t jsn = 0;
+    if (!cached->Append(tx, &jsn).ok() || !plain->Append(tx, &jsn).ok()) {
+      std::fprintf(stderr, "load append failed\n");
+      std::abort();
     }
+    plant->clock.Advance(1000);
   }
+}
 
-  // server_ts of the i-th loaded journal (clock advances after the append).
-  Timestamp TsOf(uint64_t i) const { return 1000 * kMicrosPerSecond + i * 1000; }
-};
+// server_ts of the i-th loaded journal (clock advances after the append).
+Timestamp TsOf(uint64_t i) { return Plant::kStartTs + i * 1000; }
 
 double HitRate(const ProofCache::Stats& stats) {
   uint64_t total = stats.hits + stats.misses;
@@ -96,12 +70,18 @@ int main(int argc, char** argv) {
   const uint64_t kJournals = 2048ULL << (shift + 2 > 0 ? shift + 2 : 0);
   const uint64_t kQueryRounds = 64ULL << (shift > 0 ? shift : 0);
 
-  Plant plant;
-  plant.Load(kJournals);
+  Plant plant("lg://bench-pc");
+  // Small epochs: the workload spans many sealed epochs, so proofs carry
+  // real link chains and the epoch section of the cache does real work.
+  plant.options.fractal_height = 6;
+  std::unique_ptr<Ledger> cached = plant.MakeLedger();
+  plant.options.enable_proof_cache = false;
+  std::unique_ptr<Ledger> plain = plant.MakeLedger();
+  Load(&plant, cached.get(), plain.get(), kJournals);
   std::printf("loaded %llu journals, %llu sealed epochs\n",
               static_cast<unsigned long long>(kJournals),
-              static_cast<unsigned long long>(
-                  plant.cached->NumJournals() / (1ULL << 6)));
+              static_cast<unsigned long long>(cached->NumJournals() /
+                                              (1ULL << 6)));
 
   // Recurring working set: a dashboard re-auditing overlapping time windows
   // of the same clues and the same journal sets. 75% of queries repeat a
@@ -120,7 +100,7 @@ int main(int argc, char** argv) {
   for (uint64_t q = 0; q < kQueryRounds; ++q) {
     uint64_t start = rng.Uniform(kJournals - kWindow);
     clue_queries.push_back({"acct-" + std::to_string(rng.Uniform(kClues)),
-                            plant.TsOf(start), plant.TsOf(start + kWindow)});
+                            TsOf(start), TsOf(start + kWindow)});
     std::vector<uint64_t> jsns;
     uint64_t base = rng.Uniform(kJournals - 1024);
     for (int i = 0; i < 32; ++i) jsns.push_back(base + 32 * i);
@@ -134,16 +114,16 @@ int main(int argc, char** argv) {
   for (uint64_t q = 0; q < kQueryRounds; q += 7) {
     const RangeQuery& rq = clue_queries[q];
     Bytes a, a2, b;
-    if (!plant.cached->ProveClueRangeWire(rq.clue, rq.from, rq.to, &a).ok() ||
-        !plant.cached->ProveClueRangeWire(rq.clue, rq.from, rq.to, &a2).ok() ||
-        !plant.plain->ProveClueRangeWire(rq.clue, rq.from, rq.to, &b).ok() ||
+    if (!cached->ProveClueRangeWire(rq.clue, rq.from, rq.to, &a).ok() ||
+        !cached->ProveClueRangeWire(rq.clue, rq.from, rq.to, &a2).ok() ||
+        !plain->ProveClueRangeWire(rq.clue, rq.from, rq.to, &b).ok() ||
         a != b || a2 != b) {
       std::fprintf(stderr, "cached range proof diverges from cache-off\n");
       return 1;
     }
     FamBatchProof fa, fb;
-    if (!plant.cached->GetProofBatch(batch_queries[q], &fa).ok() ||
-        !plant.plain->GetProofBatch(batch_queries[q], &fb).ok() ||
+    if (!cached->GetProofBatch(batch_queries[q], &fa).ok() ||
+        !plain->GetProofBatch(batch_queries[q], &fb).ok() ||
         fa.Serialize() != fb.Serialize()) {
       std::fprintf(stderr, "cached batch proof diverges from cache-off\n");
       return 1;
@@ -162,8 +142,7 @@ int main(int argc, char** argv) {
   const double kOps = static_cast<double>(2 * kQueryRounds * kPasses);
   double range_ops[2] = {0, 0};
   int slot = 0;
-  for (const Row& row : {Row{"off", plant.plain.get()},
-                         Row{"on", plant.cached.get()}}) {
+  for (const Row& row : {Row{"off", plain.get()}, Row{"on", cached.get()}}) {
     LatencySampler range_lat, batch_lat, point_lat;
     double range_secs = TimeSeconds([&] {
       for (uint64_t pass = 0; pass < kPasses; ++pass) {
@@ -230,7 +209,7 @@ int main(int argc, char** argv) {
     json.Add(std::string("get_proof/") + row.name, point_per_sec, point_lat);
   }
 
-  ProofCache::Stats stats = plant.cached->ProofCacheStats();
+  ProofCache::Stats stats = cached->ProofCacheStats();
   double hit_rate = HitRate(stats);
   double speedup = range_ops[0] > 0 ? range_ops[1] / range_ops[0] : 0.0;
   std::printf(

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "bench/bench_plant.h"
 #include "bench/bench_util.h"
 #include "ledger/ledger.h"
 #include "storage/checkpoint.h"
@@ -24,6 +25,7 @@ namespace {
 using bench::Header;
 using bench::JsonReporter;
 using bench::LatencySampler;
+using bench::Plant;
 using bench::ScaleShift;
 using bench::TimeSeconds;
 using bench::VolumeLabel;
@@ -66,17 +68,21 @@ int Run(int argc, char** argv) {
   json.SetMeta("payload_bytes", static_cast<double>(kPayloadBytes));
   json.SetMeta("clue_lineages", 4096.0);
 
-  SimulatedClock clock(1000 * kMicrosPerSecond);
-  CertificateAuthority ca(KeyPair::FromSeedString("br-ca"));
-  MemberRegistry registry(&ca);
-  KeyPair lsp = KeyPair::FromSeedString("br-lsp");
-  KeyPair alice = KeyPair::FromSeedString("br-alice");
-  registry.Register(ca.Certify("lsp", lsp.public_key(), Role::kLsp));
-  registry.Register(ca.Certify("alice", alice.public_key(), Role::kUser));
-
-  LedgerOptions options;
-  options.fractal_height = 8;
-  options.block_capacity = 256;
+  Plant plant("lg://bench-recover");
+  plant.options.fractal_height = 8;
+  plant.options.block_capacity = 256;
+  // Clue-rich regime: many distinct lineages, the realistic worst case for
+  // replay (every journal grows some clue accumulator).
+  const Bytes payload(kPayloadBytes, 'x');
+  auto signed_tx = [&](uint64_t nonce) {
+    return plant.SignedTx(0, nonce, "acct-" + std::to_string(nonce % 4096),
+                          payload);
+  };
+  auto recover = [&](LedgerStorage storage, std::unique_ptr<Ledger>* out,
+                     RecoveryInfo* info = nullptr) {
+    return Ledger::Recover(plant.uri, plant.options, &plant.clock, plant.lsp,
+                           &plant.registry, storage, out, info);
+  };
 
   Header("Recovery pipeline — " + std::to_string(journals) + " journals (" +
          VolumeLabel(journals, kPayloadBytes) + " payload)");
@@ -91,38 +97,23 @@ int Run(int argc, char** argv) {
   {
     auto journal_stream = MustOpen(kJournalPath);
     auto block_stream = MustOpen(kBlockPath);
-    Ledger ledger("lg://bench-recover", options, &clock, lsp, &registry,
-                  LedgerStorage{journal_stream.get(), block_stream.get()});
-    if (!ledger.init_status().ok()) {
-      std::fprintf(stderr, "init: %s\n", ledger.init_status().ToString().c_str());
-      return 1;
-    }
-    std::string payload(kPayloadBytes, 'x');
-    uint64_t nonce = 0;
+    std::unique_ptr<Ledger> ledger = plant.MakeLedger(
+        LedgerStorage{journal_stream.get(), block_stream.get()});
     populate_secs = TimeSeconds([&] {
       for (uint64_t i = 0; i < journals; ++i) {
-        ClientTransaction tx;
-        tx.ledger_uri = "lg://bench-recover";
-        // Clue-rich regime: many distinct lineages, the realistic worst
-        // case for replay (every journal grows some clue accumulator).
-        tx.clues = {"acct-" + std::to_string(i % 4096)};
-        tx.payload = StringToBytes(payload);
-        tx.nonce = nonce++;
-        tx.client_ts = clock.Now();
-        tx.Sign(alice);
         uint64_t jsn = 0;
-        Status s = ledger.Append(tx, &jsn);
+        Status s = ledger->Append(signed_tx(i), &jsn);
         if (!s.ok()) {
           std::fprintf(stderr, "append %llu: %s\n",
                        static_cast<unsigned long long>(i),
                        s.ToString().c_str());
           std::exit(1);
         }
-        clock.Advance(1000);
+        plant.clock.Advance(1000);
       }
     });
-    ledger.SealBlock();
-    blocks_sealed = ledger.blocks().size();
+    ledger->SealBlock();
+    blocks_sealed = ledger->blocks().size();
   }
   double populate_ops = static_cast<double>(journals) / populate_secs;
   std::printf("%-28s %12.0f journals/s  (%.2fs, %llu blocks)\n",
@@ -165,10 +156,8 @@ int Run(int argc, char** argv) {
       std::unique_ptr<Ledger> recovered;
       Status s;
       lat.Time([&] {
-        s = Ledger::Recover(
-            "lg://bench-recover", options, &clock, lsp, &registry,
-            LedgerStorage{journal_stream.get(), block_stream.get()},
-            &recovered);
+        s = recover(LedgerStorage{journal_stream.get(), block_stream.get()},
+                    &recovered);
       });
       if (!s.ok()) {
         std::fprintf(stderr, "recover: %s\n", s.ToString().c_str());
@@ -195,8 +184,7 @@ int Run(int argc, char** argv) {
     auto block_stream = MustOpen(kBlockPath);
     CheckpointStore ckpt(Env::Default(), kCkptBase);
     std::unique_ptr<Ledger> ledger;
-    Status s = Ledger::Recover(
-        "lg://bench-recover", options, &clock, lsp, &registry,
+    Status s = recover(
         LedgerStorage{journal_stream.get(), block_stream.get(), &ckpt},
         &ledger);
     if (!s.ok()) {
@@ -219,21 +207,13 @@ int Run(int argc, char** argv) {
                 jps, lat.PercentileUs(50.0) / 1e3);
     json.Add("checkpoint_write", jps, lat);
 
-    std::string payload(kPayloadBytes, 'x');
     for (uint64_t i = 0; i < tail; ++i) {
-      ClientTransaction tx;
-      tx.ledger_uri = "lg://bench-recover";
-      tx.clues = {"acct-" + std::to_string(i % 4096)};
-      tx.payload = StringToBytes(payload);
-      tx.nonce = journals + i;
-      tx.client_ts = clock.Now();
-      tx.Sign(alice);
-      Status as = ledger->Append(tx, nullptr);
+      Status as = ledger->Append(signed_tx(journals + i), nullptr);
       if (!as.ok()) {
         std::fprintf(stderr, "tail append: %s\n", as.ToString().c_str());
         return 1;
       }
-      clock.Advance(1000);
+      plant.clock.Advance(1000);
     }
   }
   json.SetMeta("tail_journals", static_cast<double>(tail));
@@ -254,8 +234,7 @@ int Run(int argc, char** argv) {
       RecoveryInfo info;
       Status s;
       lat.Time([&] {
-        s = Ledger::Recover(
-            "lg://bench-recover", options, &clock, lsp, &registry,
+        s = recover(
             LedgerStorage{journal_stream.get(), block_stream.get(), &ckpt},
             &recovered, &info);
       });

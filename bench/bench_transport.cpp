@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "audit/remote_audit.h"
+#include "bench/bench_plant.h"
 #include "bench/bench_util.h"
 #include "client/ledger_client.h"
 #include "net/byzantine_transport.h"
@@ -36,61 +37,27 @@
 using namespace ledgerdb;
 using namespace ledgerdb::bench;
 
-namespace {
-
-struct Plant {
-  SimulatedClock clock{1000 * kMicrosPerSecond};
-  CertificateAuthority ca{KeyPair::FromSeedString("bt-ca")};
-  MemberRegistry registry{&ca};
-  KeyPair lsp{KeyPair::FromSeedString("bt-lsp")};
-  KeyPair alice{KeyPair::FromSeedString("bt-alice")};
-  LedgerOptions options;
-  std::unique_ptr<Ledger> ledger;
-  std::unique_ptr<LocalTransport> transport;
-
-  Plant() {
-    registry.Register(ca.Certify("lsp", lsp.public_key(), Role::kLsp));
-    registry.Register(ca.Certify("alice", alice.public_key(), Role::kUser));
-    options.fractal_height = 10;
-    ledger = std::make_unique<Ledger>("lg://bench-transport", options, &clock,
-                                      lsp, &registry);
-    transport = std::make_unique<LocalTransport>(ledger.get());
-  }
-
-  LedgerClient MakeClient(LedgerTransport* t) {
-    LedgerClient::Options copts;
-    copts.lsp_key = lsp.public_key();
-    copts.fractal_height = options.fractal_height;
-    return LedgerClient(t, alice, copts);
-  }
-
-  ClientTransaction SignedTx(uint64_t nonce) {
-    ClientTransaction tx;
-    tx.ledger_uri = ledger->uri();
-    tx.clues = {"acct-" + std::to_string(nonce % 8)};
-    tx.payload = StringToBytes("payload-" + std::to_string(nonce));
-    tx.nonce = nonce;
-    tx.Sign(alice);
-    return tx;
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   JsonReporter json(argc, argv);
   int shift = ScaleShift();
   const uint64_t iters = shift < 0 ? 64 : (256 << shift);
+  Plant plant("lg://bench-transport");
+  const KeyPair& alice = plant.users[0];
+  auto signed_tx = [&](uint64_t n) {
+    return plant.SignedTx(0, n, "acct-" + std::to_string(n % 8),
+                          StringToBytes("payload-" + std::to_string(n)));
+  };
 
   {  // append/raw-transport
-    Plant plant;
+    auto ledger = plant.MakeLedger();
+    LocalTransport transport(ledger.get());
     uint64_t nonce = 0;
     LatencySampler lat;
     double ops = Throughput(iters, [&] {
-      ClientTransaction tx = plant.SignedTx(nonce++);
+      ClientTransaction tx = signed_tx(nonce++);
       lat.Time([&] {
         uint64_t jsn = 0;
-        if (!plant.transport->AppendTx(tx, &jsn).ok()) std::abort();
+        if (!transport.AppendTx(tx, &jsn).ok()) std::abort();
       });
     });
     std::printf("append/raw-transport    %9.0f ops/s  p50 %7.1f us\n", ops,
@@ -99,8 +66,9 @@ int main(int argc, char** argv) {
   }
 
   {  // append/verified
-    Plant plant;
-    LedgerClient client = plant.MakeClient(plant.transport.get());
+    auto ledger = plant.MakeLedger();
+    LocalTransport transport(ledger.get());
+    LedgerClient client(&transport, alice, plant.ClientOptions());
     uint64_t n = 0;
     LatencySampler lat;
     double ops = Throughput(iters, [&] {
@@ -121,12 +89,13 @@ int main(int argc, char** argv) {
   }
 
   {  // append/verified-faulty: every 4th submission eats a transient fault
-    Plant plant;
-    ByzantineTransport byz(plant.transport.get(), /*seed=*/1);
+    auto ledger = plant.MakeLedger();
+    LocalTransport transport(ledger.get());
+    ByzantineTransport byz(&transport, /*seed=*/1);
     for (uint64_t i = 0; i < iters + iters / 3; i += 4) {
       byz.InjectFault(RpcOp::kAppendTx, i, FaultKind::kTransientError);
     }
-    LedgerClient client = plant.MakeClient(&byz);
+    LedgerClient client(&byz, alice, plant.ClientOptions());
     uint64_t n = 0;
     LatencySampler lat;
     double ops = Throughput(iters, [&] {
@@ -147,9 +116,10 @@ int main(int argc, char** argv) {
   }
 
   {  // refresh paths + fetch/verify + remote audit share one plant
-    Plant plant;
-    LedgerClient audited = plant.MakeClient(plant.transport.get());
-    LedgerClient blind = plant.MakeClient(plant.transport.get());
+    auto ledger = plant.MakeLedger();
+    LocalTransport transport(ledger.get());
+    LedgerClient audited(&transport, alice, plant.ClientOptions());
+    LedgerClient blind(&transport, alice, plant.ClientOptions());
     const uint64_t kBatch = 64;
     const uint64_t batches = std::max<uint64_t>(2, iters / kBatch);
     uint64_t nonce = 0;
@@ -157,8 +127,8 @@ int main(int argc, char** argv) {
     for (uint64_t b = 0; b < batches; ++b) {
       for (uint64_t i = 0; i < kBatch; ++i) {
         uint64_t jsn = 0;
-        ClientTransaction tx = plant.SignedTx(nonce++);
-        if (!plant.transport->AppendTx(tx, &jsn).ok()) std::abort();
+        ClientTransaction tx = signed_tx(nonce++);
+        if (!transport.AppendTx(tx, &jsn).ok()) std::abort();
       }
       blind_lat.Time([&] {
         if (!blind.RefreshTrustedRootsUnaudited().ok()) std::abort();
@@ -177,7 +147,7 @@ int main(int argc, char** argv) {
     json.Add("refresh/unaudited", blind_ops, blind_lat);
     json.Add("refresh/audited-journals", audited_jps, audit_lat);
 
-    uint64_t total = plant.ledger->NumJournals();
+    uint64_t total = ledger->NumJournals();
     LatencySampler fetch_lat;
     uint64_t j = 1;
     double fetch_ops = Throughput(std::min<uint64_t>(iters, total - 1), [&] {
@@ -198,7 +168,7 @@ int main(int argc, char** argv) {
     ropts.fractal_height = plant.options.fractal_height;
     RemoteAuditReport report;
     double secs = TimeSeconds([&] {
-      if (!RemoteAudit(plant.transport.get(), ropts, &report).ok() ||
+      if (!RemoteAudit(&transport, ropts, &report).ok() ||
           !report.passed) {
         std::abort();
       }

@@ -118,7 +118,9 @@ class LatencySampler {
 /// monotonic across successive runs on one host) so re-recorded artifacts
 /// never silently collide, and "elapsed_secs" (wall clock from construction
 /// to flush). Pass `--metrics` as well to embed a full observability
-/// registry snapshot under a top-level "metrics" key. Host facts live in
+/// registry snapshot under a top-level "metrics" key, or, for a bench that
+/// resets the registry per row and calls SnapshotIntoLastRow, one snapshot
+/// per row under the row's own "metrics" key. Host facts live in
 /// `meta` (host_cores is filled automatically; add more with SetMeta) so
 /// environment context never masquerades as a benchmark row. Without
 /// `--json` this is a no-op, keeping the human-readable tables as the only
@@ -176,7 +178,7 @@ class JsonReporter {
 
   void Add(const std::string& name, double ops_per_sec, double p50_us = 0.0,
            double p99_us = 0.0) {
-    entries_.push_back({name, ops_per_sec, p50_us, p99_us, {}});
+    entries_.push_back({name, ops_per_sec, p50_us, p99_us, {}, {}});
   }
 
   void Add(const std::string& name, double ops_per_sec,
@@ -193,7 +195,16 @@ class JsonReporter {
       const std::string& name, double ops_per_sec, double p50_us,
       double p99_us,
       const std::vector<std::pair<std::string, double>>& extras) {
-    entries_.push_back({name, ops_per_sec, p50_us, p99_us, extras});
+    entries_.push_back({name, ops_per_sec, p50_us, p99_us, extras, {}});
+  }
+
+  /// Under `--metrics`, attaches the registry's current snapshot to the
+  /// last row. Once a row carries one, Flush writes no whole-run snapshot.
+  void SnapshotIntoLastRow() {
+    if (!metrics_ || entries_.empty()) return;
+    entries_.back().metrics =
+        obs::MetricsRegistry::Default().Snapshot().ToJson(/*indent=*/4);
+    per_row_metrics_ = true;
   }
 
   void Flush() {
@@ -229,10 +240,13 @@ class JsonReporter {
         std::fprintf(f, ", %s: %s", obs::JsonString(key).c_str(),
                      Number("%.3f", value).c_str());
       }
+      if (!e.metrics.empty()) {
+        std::fprintf(f, ", \"metrics\": %s", e.metrics.c_str());
+      }
       std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
     }
     std::fprintf(f, "  ]");
-    if (metrics_) {
+    if (metrics_ && !per_row_metrics_) {
       std::string snapshot =
           obs::MetricsRegistry::Default().Snapshot().ToJson(/*indent=*/2);
       std::fprintf(f, ",\n  \"metrics\": %s", snapshot.c_str());
@@ -259,6 +273,7 @@ class JsonReporter {
     double p50_us;
     double p99_us;
     std::vector<std::pair<std::string, double>> extras;
+    std::string metrics;  ///< snapshot JSON, or empty
   };
   struct Meta {
     std::string key;
@@ -269,6 +284,7 @@ class JsonReporter {
 
   std::string path_;
   bool metrics_ = false;
+  bool per_row_metrics_ = false;
   std::chrono::steady_clock::time_point start_;
   std::vector<Meta> meta_;
   std::vector<Entry> entries_;

@@ -152,6 +152,9 @@ void LedgerServer::Stop() {
   stop_loop_.store(true, std::memory_order_release);
   WakeLoop();
   if (loop_thread_.joinable()) loop_thread_.join();
+
+  // close() leaves the socket file behind; remove the one Start() bound.
+  if (!options_.unix_path.empty()) unlink(options_.unix_path.c_str());
 }
 
 void LedgerServer::EventLoop() {

@@ -97,7 +97,8 @@ class LedgerServer {
 
   Status Start();
 
-  /// Graceful drain then hard stop. Idempotent; also run by ~LedgerServer.
+  /// Graceful drain then hard stop, and removes the unix socket file if
+  /// Start() bound one. Idempotent; also run by ~LedgerServer.
   void Stop();
 
   /// Canonical client address ("unix:<path>" or "tcp:127.0.0.1:<port>").

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -458,6 +459,28 @@ TEST_F(NetServiceTest, OverloadShedsFastWithUnavailable) {
   EXPECT_LT(max_shed_latency_us.load(), 90'000u);
   // Shed is deliberate load-shedding, not a transient blip: NOT retriable.
   EXPECT_FALSE(Status::Unavailable("shed").IsRetriable());
+}
+
+TEST_F(NetServiceTest, StopRemovesTheSocketFileStartBound) {
+  LedgerServer::Options opts;
+  opts.unix_path = SockPath("unlink");
+  {
+    LedgerServer server(ledger_.get(), opts);
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_EQ(access(opts.unix_path.c_str(), F_OK), 0);
+    server.Stop();
+    EXPECT_NE(access(opts.unix_path.c_str(), F_OK), 0);
+  }
+  // A server that never started bound nothing, so it removes nothing.
+  std::FILE* f = std::fopen(opts.unix_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  {
+    LedgerServer idle(ledger_.get(), opts);
+    idle.Stop();
+  }
+  EXPECT_EQ(access(opts.unix_path.c_str(), F_OK), 0);
+  std::remove(opts.unix_path.c_str());
 }
 
 TEST_F(NetServiceTest, QueuedRequestPastDeadlineAnsweredDeadlineExceeded) {
