@@ -90,12 +90,15 @@ int main(int argc, char** argv) {
   ledger.AnchorTime(nullptr);
   Receipt receipt;
   ledger.GetReceipt(ledger.NumJournals() - 1, &receipt);
+  LocalTransport transport(&ledger);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = options.fractal_height;
   DaseinAuditor::Context context;
-  context.ledger = &ledger;
   context.members = &registry;
   context.tsa_key = tsa.public_key();
   AuditReport report;
-  DaseinAuditor auditor(context);
+  DaseinAuditor auditor(&transport, copts, context);
   bool audit_ok = auditor.Audit(receipt, {}, &report).ok() && report.passed;
   probes.push_back({"Dasein-complete audit (what-when-who)", audit_ok});
 

@@ -567,7 +567,6 @@ int main(int argc, char** argv) {
   json.SetMeta("soak_transient_errors", static_cast<double>(r.transient));
   json.SetMeta("soak_deadline_errors", static_cast<double>(r.deadline));
   proxy.Stop();
-  std::remove(proxy_path.c_str());  // the proxy leaves its socket file
   target.server->Stop();
   if (r.ok == 0) {
     std::fprintf(stderr, "FATAL: soak completed zero requests\n");

@@ -124,20 +124,35 @@ int main(int argc, char** argv) {
     }
     return uint64_t{0};
   };
+  auto store_path = [](const std::string& tag, size_t shard,
+                       const char* kind) {
+    return "/tmp/ledgerdb_bpa_" + tag + "_" + std::to_string(shard) + "_" +
+           kind + ".log";
+  };
+  // Every file a durable row's streams write; removed before the row
+  // (left by an aborted run) and after it.
+  auto remove_stores = [&](const std::string& tag, size_t shards) {
+    for (size_t s = 0; s < shards; ++s) {
+      for (const char* kind : {"journals", "blocks"}) {
+        for (const char* suffix : {"", ".wm", ".quarantine"}) {
+          (void)Env::Default()->DeleteFile(store_path(tag, s, kind) + suffix);
+        }
+      }
+    }
+  };
   auto open_stores =
-      [](const std::string& tag, size_t shards,
-         std::vector<std::unique_ptr<FileStreamStore>>* stores,
-         std::vector<LedgerStorage>* storage) {
-        Env* env = Env::Default();
+      [&](const std::string& tag, size_t shards,
+          std::vector<std::unique_ptr<FileStreamStore>>* stores,
+          std::vector<LedgerStorage>* storage) {
+        remove_stores(tag, shards);
         for (size_t s = 0; s < shards; ++s) {
           for (const char* kind : {"journals", "blocks"}) {
-            std::string path = "/tmp/ledgerdb_bpa_" + tag + "_" +
-                               std::to_string(s) + "_" + kind + ".log";
-            for (const char* suffix : {"", ".wm", ".quarantine"}) {
-              (void)env->DeleteFile(path + suffix);
-            }
             std::unique_ptr<FileStreamStore> store;
-            if (!FileStreamStore::Open(env, path, &store).ok()) std::abort();
+            if (!FileStreamStore::Open(Env::Default(),
+                                       store_path(tag, s, kind), &store)
+                     .ok()) {
+              std::abort();
+            }
             stores->push_back(std::move(store));
           }
           storage->push_back({(*stores)[2 * s].get(),
@@ -171,6 +186,7 @@ int main(int argc, char** argv) {
     json.Add("durable/serial-1-shard", durable_serial_tps);
     json.SetMeta("serial_fsyncs_per_append", fsyncs_per_append);
   }
+  remove_stores("serial", 1);
   {
     std::vector<std::unique_ptr<FileStreamStore>> stores;
     std::vector<LedgerStorage> storage;
@@ -206,6 +222,7 @@ int main(int argc, char** argv) {
     json.Add("durable/pipelined-4-shard-8-thread", tps);
     json.SetMeta("fsyncs_per_append", fsyncs_per_append);
   }
+  remove_stores("group", 4);
 
   // Phase decomposition: both append phases timed on one thread. The
   // pipelined rows above are bounded by the host's core count (`hw`

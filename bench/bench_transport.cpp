@@ -16,9 +16,13 @@
 //                               replay + 3-root compare (per-journal rate).
 //   fetch/verify-journal      — journal + fam proof fetch and verification
 //                               against the pinned root.
-//   remote-audit              — full distrusted-LSP audit via the transport:
-//                               one audited refresh, then FetchAndVerifyJournal
-//                               for every jsn (per-journal rate).
+//   audit/local               — full Dasein-complete audit (DaseinAuditor)
+//                               over LocalTransport: one audited refresh,
+//                               one fetch per journal, batched π_c, the
+//                               header chain and the receipt (journals/s,
+//                               plus us_per_journal).
+//   audit/socket              — the same audit over a SocketTransport to a
+//                               LedgerServer hosting the same ledger.
 //
 // `--json BENCH_transport.json` emits machine-readable results.
 
@@ -27,11 +31,12 @@
 #include <string>
 #include <vector>
 
-#include "audit/remote_audit.h"
+#include "audit/dasein_auditor.h"
 #include "bench/bench_plant.h"
 #include "bench/bench_util.h"
 #include "client/ledger_client.h"
 #include "net/byzantine_transport.h"
+#include "net/socket_transport.h"
 #include "net/transport.h"
 
 using namespace ledgerdb;
@@ -115,7 +120,7 @@ int main(int argc, char** argv) {
     json.Add("append/verified-faulty", ops, lat);
   }
 
-  {  // refresh paths + fetch/verify + remote audit share one plant
+  {  // refresh paths + fetch/verify + the audits share one plant
     auto ledger = plant.MakeLedger();
     LocalTransport transport(ledger.get());
     LedgerClient audited(&transport, alice, plant.ClientOptions());
@@ -163,21 +168,33 @@ int main(int argc, char** argv) {
                 fetch_ops, fetch_lat.PercentileUs(50));
     json.Add("fetch/verify-journal", fetch_ops, fetch_lat);
 
-    RemoteAuditOptions ropts;
-    ropts.lsp_key = plant.lsp.public_key();
-    ropts.fractal_height = plant.options.fractal_height;
-    RemoteAuditReport report;
-    double secs = TimeSeconds([&] {
-      if (!RemoteAudit(&transport, ropts, &report).ok() ||
-          !report.passed) {
-        std::abort();
-      }
-    });
-    double audit_jps = static_cast<double>(report.journals_verified) / secs;
-    std::printf("remote-audit            %9.0f journals/s (%llu journals)\n",
-                audit_jps,
-                static_cast<unsigned long long>(report.journals_verified));
-    json.Add("remote-audit-journals", audit_jps);
+    // The same audit over the in-process codec loopback and over a real
+    // socket: the difference is the price of auditing through a transport.
+    Receipt receipt;
+    if (!ledger->GetReceipt(ledger->NumJournals() - 1, &receipt).ok()) {
+      std::abort();
+    }
+    auto server = plant.Serve(ledger.get(), "transport");
+    SocketTransport socket(server->address(), plant.uri);
+    DaseinAuditor::Context context;
+    context.members = &plant.registry;
+    for (LedgerTransport* via : {static_cast<LedgerTransport*>(&transport),
+                                 static_cast<LedgerTransport*>(&socket)}) {
+      const std::string name =
+          via == &transport ? "audit/local" : "audit/socket";
+      AuditReport report;
+      double secs = TimeSeconds([&] {
+        if (!DaseinAuditor(via, plant.ClientOptions(), context)
+                 .Audit(receipt, {}, &report)
+                 .ok()) {
+          std::abort();
+        }
+      });
+      double jps = static_cast<double>(report.journals_replayed) / secs;
+      std::printf("%-23s %9.0f journals/s  %7.1f us/journal\n", name.c_str(),
+                  jps, 1e6 / jps);
+      json.AddWithExtras(name, jps, 0.0, 0.0, {{"us_per_journal", 1e6 / jps}});
+    }
   }
 
   return 0;

@@ -95,11 +95,16 @@ int main() {
   // --- External judicial audit (Dasein-complete, §V) ---------------------
   Receipt latest;
   ledger.GetReceipt(ledger.NumJournals() - 1, &latest);
+  // The auditor reads the ledger only through a transport, exactly as it
+  // would read a remote LSP.
+  LocalTransport transport(&ledger);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = options.fractal_height;
   DaseinAuditor::Context context;
-  context.ledger = &ledger;
   context.members = &registry;
   context.tsa_key = tsa.public_key();
-  DaseinAuditor auditor(context);
+  DaseinAuditor auditor(&transport, copts, context);
   AuditReport report;
   Status s = auditor.Audit(latest, {}, &report);
   std::printf("Dasein-complete audit: %s\n",

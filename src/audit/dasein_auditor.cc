@@ -1,7 +1,10 @@
 #include "audit/dasein_auditor.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 
+#include "net/wire.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,6 +13,8 @@ namespace ledgerdb {
 
 namespace {
 
+constexpr size_t kChunk = 256;
+
 Status Fail(AuditReport* report, const std::string& reason) {
   report->passed = false;
   report->failure_reason = reason;
@@ -17,90 +22,54 @@ Status Fail(AuditReport* report, const std::string& reason) {
   return Status::VerificationFailed(reason);
 }
 
-}  // namespace
+/// The request digest a purge/occult journal's endorsements must sign.
+Digest MutationRequestHash(const std::string& uri, const MutationPayload& m) {
+  using Form = MutationPayload::Form;
+  return m.form == Form::kPurge    ? Ledger::PurgeRequestHash(uri, m.jsn)
+         : m.form == Form::kOccult ? Ledger::OccultRequestHash(uri, m.jsn)
+                                   : Ledger::OccultClueRequestHash(uri, m.clue);
+}
 
-Status DaseinAuditor::MutationRequestHash(const Journal& journal,
-                                          Digest* request) const {
-  MutationPayload m;
+/// Π1 = P(O_p) / Π2 = P(O_o) over the batched endorsement results, which
+/// are aligned with journal.endorsements.
+Status VerifyMutationJournal(const DaseinAuditor::Context& context,
+                             const Journal& journal, const uint8_t* endorse_ok,
+                             AuditReport* report) {
+  // A purge needs a DBA among its signers (member coverage was enforced
+  // at purge time); an occult needs DBA and regulator signatures.
   const bool purge = journal.type == JournalType::kPurge;
-  if (!MutationPayload::Decode(journal.payload, &m) ||
-      purge != (m.form == MutationPayload::Form::kPurge)) {
-    return Status::VerificationFailed(std::string(purge ? "purge" : "occult") +
-                                      " journal payload undecodable");
-  }
-  const std::string& uri = context_.ledger->uri();
-  switch (m.form) {
-    case MutationPayload::Form::kPurge:
-      *request = Ledger::PurgeRequestHash(uri, m.jsn);
-      break;
-    case MutationPayload::Form::kOccult:
-      *request = Ledger::OccultRequestHash(uri, m.jsn);
-      break;
-    case MutationPayload::Form::kOccultClue:
-      *request = Ledger::OccultClueRequestHash(uri, m.clue);
-      break;
-  }
-  return Status::OK();
-}
-
-Status DaseinAuditor::VerifyPurgeJournal(const Journal& journal,
-                                         const uint8_t* endorse_ok,
-                                         AuditReport* report) const {
-  // Π1 = P(O_p): multi-signatures from DBA and all related members. The
-  // membership coverage was enforced at purge time; the audit re-validates
-  // every signature (batched by the caller) and the DBA presence over the
-  // recorded request.
-  bool dba_signed = false;
+  bool dba = false, regulator = false;
   for (size_t e = 0; e < journal.endorsements.size(); ++e) {
     if (!endorse_ok[e]) {
-      return Fail(report, "purge endorsement signature invalid");
+      return Fail(report, std::string(purge ? "purge" : "occult") +
+                              " endorsement signature invalid");
     }
     ++report->signatures_verified;
-    if (context_.members != nullptr &&
-        context_.members->HasRole(journal.endorsements[e].key, Role::kDba)) {
-      dba_signed = true;
-    }
-  }
-  if (context_.members != nullptr && !dba_signed) {
-    return Fail(report, "purge journal lacks DBA signature");
-  }
-  ++report->purge_journals;
-  return Status::OK();
-}
-
-Status DaseinAuditor::VerifyOccultJournal(const Journal& journal,
-                                          const uint8_t* endorse_ok,
-                                          AuditReport* report) const {
-  // Π2 = P(O_o): regulator and DBA signatures.
-  bool dba_signed = false, regulator_signed = false;
-  for (size_t e = 0; e < journal.endorsements.size(); ++e) {
-    if (!endorse_ok[e]) {
-      return Fail(report, "occult endorsement signature invalid");
-    }
-    ++report->signatures_verified;
-    if (context_.members != nullptr) {
+    if (context.members != nullptr) {
       const PublicKey& key = journal.endorsements[e].key;
-      if (context_.members->HasRole(key, Role::kDba)) dba_signed = true;
-      if (context_.members->HasRole(key, Role::kRegulator)) {
-        regulator_signed = true;
-      }
+      if (context.members->HasRole(key, Role::kDba)) dba = true;
+      if (context.members->HasRole(key, Role::kRegulator)) regulator = true;
     }
   }
-  if (context_.members != nullptr && (!dba_signed || !regulator_signed)) {
-    return Fail(report, "occult journal lacks DBA/regulator signatures");
+  if (context.members != nullptr && !(dba && (purge || regulator))) {
+    return Fail(report,
+                purge ? "purge journal lacks DBA signature"
+                      : "occult journal lacks DBA/regulator signatures");
   }
-  ++report->occult_journals;
+  ++(purge ? report->purge_journals : report->occult_journals);
   return Status::OK();
 }
 
-Status DaseinAuditor::VerifyTimeJournal(const Journal& journal,
-                                        AuditReport* report) const {
+Status VerifyTimeJournal(const DaseinAuditor::Context& context,
+                         const Journal& journal, const LedgerMirror& mirror,
+                         AuditReport* report) {
+  LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWhen);
   TimeEvidence evidence;
   if (!TimeEvidence::Deserialize(journal.payload, &evidence)) {
     return Fail(report, "time journal payload undecodable");
   }
   if (evidence.mode == TimeNotaryMode::kDirectTsa) {
-    if (!evidence.attestation.Verify(context_.tsa_key)) {
+    if (!evidence.attestation.Verify(context.tsa_key)) {
       return Fail(report, "TSA attestation signature invalid");
     }
     ++report->signatures_verified;
@@ -108,30 +77,30 @@ Status DaseinAuditor::VerifyTimeJournal(const Journal& journal,
       return Fail(report, "TSA attestation digest mismatch");
     }
   } else {
-    if (context_.tledger == nullptr) {
+    if (context.tledger == nullptr) {
       return Fail(report, "T-Ledger evidence but no T-Ledger context");
     }
     // Prerequisite 4: the public T-Ledger is downloadable and verifiable.
-    if (!context_.tledger->VerifyReceipt(evidence.ledger_digest,
+    if (!context.tledger->VerifyReceipt(evidence.ledger_digest,
                                          evidence.tledger_receipt)) {
       return Fail(report, "T-Ledger receipt signature invalid");
     }
     ++report->signatures_verified;
     TimeProof time_proof;
-    Status s = context_.tledger->GetTimeProof(evidence.tledger_index,
+    Status s = context.tledger->GetTimeProof(evidence.tledger_index,
                                               &time_proof);
     if (!s.ok()) return Fail(report, "T-Ledger time proof unavailable");
     if (!TLedger::VerifyTimeProof(evidence.ledger_digest, time_proof,
-                                  context_.tsa_key)) {
+                                  context.tsa_key)) {
       return Fail(report, "T-Ledger time proof invalid");
     }
     ++report->signatures_verified;
   }
-  // Bind the attested digest to the actual ledger prefix: recompute the
+  // Bind the attested digest to the audited ledger prefix: the mirror's
   // historical fam root at the covered journal count.
   Digest expected_root;
-  Status s = context_.ledger->FamRootAtCount(evidence.covered_jsn_count,
-                                             &expected_root);
+  Status s = mirror.RootAtJournalCount(evidence.covered_jsn_count,
+                                       &expected_root);
   if (!s.ok() || !(expected_root == evidence.ledger_digest)) {
     return Fail(report, "time journal digest does not match ledger prefix");
   }
@@ -139,188 +108,252 @@ Status DaseinAuditor::VerifyTimeJournal(const Journal& journal,
   return Status::OK();
 }
 
-Status DaseinAuditor::VerifyBlockRange(uint64_t first_block,
-                                       uint64_t last_block,
-                                       AuditReport* report) const {
-  const Ledger& ledger = *context_.ledger;
-  const auto& blocks = ledger.blocks();
-  for (uint64_t h = first_block; h <= last_block; ++h) {
-    const BlockHeader& header = blocks[h];
-    // Skip blocks fully or partially erased by purge: Protocol 1 moves the
-    // verification datum to the pseudo genesis.
-    if (header.first_jsn < ledger.PurgedBoundary()) continue;
-    // Replay: recompute the block's tx root from its journals.
-    ShrubsAccumulator tx_tree;
-    for (uint64_t jsn = header.first_jsn;
-         jsn < header.first_jsn + header.journal_count; ++jsn) {
-      Journal journal;
-      Status s = ledger.GetJournal(jsn, &journal);
-      if (!s.ok()) return Fail(report, "journal missing during replay");
-      // Occulted journals contribute their retained hash (Protocol 2) —
-      // TxHash covers payload_digest, not the erased payload.
-      tx_tree.Append(journal.TxHash());
-      ++report->journals_replayed;
-    }
-    if (!(tx_tree.Root() == header.tx_root)) {
-      return Fail(report, "block tx root mismatch at height " +
-                              std::to_string(h));
-    }
-    // The block-recorded fam snapshot must match the recomputed historical
-    // fam commitment.
-    Digest fam_at_block;
-    Status s = ledger.FamRootAtCount(
-        header.first_jsn + header.journal_count, &fam_at_block);
-    if (!s.ok() || !(fam_at_block == header.fam_root)) {
-      return Fail(report, "block fam root mismatch at height " +
-                              std::to_string(h));
-    }
-    ++report->blocks_verified;
-  }
-  return Status::OK();
-}
+}  // namespace
 
-Status DaseinAuditor::VerifyWhatRange(uint64_t begin, uint64_t end,
-                                      AuditReport* report) const {
-  LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWhat);
-  const auto& blocks = context_.ledger->blocks();
-  if (blocks.empty()) return Status::OK();
-  uint64_t first_block = blocks.size(), last_block = 0;
-  for (uint64_t h = 0; h < blocks.size(); ++h) {
-    uint64_t b_begin = blocks[h].first_jsn;
-    uint64_t b_end = b_begin + blocks[h].journal_count;
-    if (b_end > begin && b_begin < end) {
-      first_block = std::min(first_block, h);
-      last_block = std::max(last_block, h);
-    }
-  }
-  if (first_block >= blocks.size()) return Status::OK();
-  LEDGERDB_RETURN_IF_ERROR(VerifyBlockRange(first_block, last_block, report));
-  // V'(B_i, B_{i+1}): boundary verification across adjacent blocks.
-  for (uint64_t h = first_block + 1; h <= last_block; ++h) {
-    if (!(blocks[h].prev_block_hash == blocks[h - 1].Hash())) {
-      return Fail(report, "block boundary hash mismatch at height " +
-                              std::to_string(h));
-    }
-    ++report->boundaries_verified;
-  }
-  return Status::OK();
-}
+/// What the sweep learns that is checked once every journal was seen.
+struct DaseinAuditor::Sweep {
+  uint64_t purged_before = 0;  ///< highest boundary a verified purge names
+  uint64_t missing_end = 0;    ///< one past the last jsn served NotFound
+  std::set<uint64_t> occulted;  ///< jsns verified single occults name
+  /// clue -> jsn of the last verified occult-clue journal naming it
+  std::map<std::string, uint64_t> occulted_clues;
+  std::vector<Journal> claims;  ///< journals served as occulted
+};
 
-Status DaseinAuditor::VerifyWhen(const AuditOptions& options,
-                                 AuditReport* report) const {
-  LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWhen);
-  const Ledger& ledger = *context_.ledger;
-  for (const TimeJournalInfo& info : ledger.time_journals()) {
-    Journal journal;
-    Status s = ledger.GetJournal(info.jsn, &journal);
-    if (s.IsNotFound()) continue;  // purged time journal
-    if (!s.ok()) return Fail(report, "time journal unreadable");
-    if (journal.server_ts < options.from || journal.server_ts > options.to) {
-      continue;
+Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
+                                  const Scope& scope,
+                                  const LedgerMirror& mirror, Sweep* sweep,
+                                  AuditReport* report) const {
+  // One job per checked π_c plus one per mutation endorsement; the whole
+  // chunk goes through a single VerifyBatch call. Purge and occult
+  // journals are always checked: the sweep's NotFound and occult claims
+  // rest on them. `requests` is sized up front so the endorsement jobs'
+  // message pointers stay stable.
+  const size_t count = journals.size();
+  std::vector<MutationPayload> mutations(count);
+  std::vector<Digest> requests(count);
+  std::vector<size_t> sig_job(count, SIZE_MAX), endorse_base(count, 0);
+  std::vector<VerifyJob> jobs;
+  auto add_job = [&](const PublicKey& key, const Digest& message,
+                     const Signature& sig) {
+    jobs.push_back({&key, &message, &sig,
+                    context_.members != nullptr
+                        ? context_.members->FindVerifyContext(key)
+                        : nullptr});
+  };
+  for (size_t i = 0; i < count; ++i) {
+    const Journal& journal = journals[i];
+    const bool purge = journal.type == JournalType::kPurge;
+    const bool mutation = purge || journal.type == JournalType::kOccult;
+    if (mutation) {
+      if (!MutationPayload::Decode(journal.payload, &mutations[i]) ||
+          purge != (mutations[i].form == MutationPayload::Form::kPurge)) {
+        return Fail(report, std::string(purge ? "purge" : "occult") +
+                                " journal payload undecodable");
+      }
+      requests[i] = MutationRequestHash(transport_->uri(), mutations[i]);
     }
-    LEDGERDB_RETURN_IF_ERROR(VerifyTimeJournal(journal, report));
+    if (mutation || (scope.who && scope.Covers(journal))) {
+      sig_job[i] = jobs.size();
+      add_job(journal.client_key, journal.request_hash, journal.client_sig);
+    }
+    endorse_base[i] = jobs.size();
+    for (size_t e = 0; mutation && e < journal.endorsements.size(); ++e) {
+      add_job(journal.endorsements[e].key, requests[i],
+              journal.endorsements[e].signature);
+    }
   }
-  return Status::OK();
-}
-
-Status DaseinAuditor::VerifyWho(uint64_t begin, uint64_t end,
-                                AuditReport* report) const {
   LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWho);
-  const Ledger& ledger = *context_.ledger;
-  constexpr size_t kChunk = 256;
-  uint64_t cursor = std::max(begin, ledger.PurgedBoundary());
-  while (cursor < end) {
-    // Gather a chunk of readable journals (purged positions are skipped).
-    std::vector<uint64_t> jsns;
-    std::vector<Journal> journals;
-    journals.reserve(kChunk);
-    for (; cursor < end && journals.size() < kChunk; ++cursor) {
-      Journal journal;
-      Status s = ledger.GetJournal(cursor, &journal);
-      if (s.IsNotFound()) continue;
-      if (!s.ok()) return Fail(report, "journal unreadable");
-      jsns.push_back(cursor);
-      journals.push_back(std::move(journal));
-    }
-    if (journals.empty()) break;
+  const std::vector<uint8_t> ok = VerifyBatch(jobs);
 
-    // One job per π_c client signature plus one per mutation endorsement;
-    // the entire chunk goes through a single VerifyBatch call. `requests`
-    // is sized up front so the endorsement jobs' message pointers stay
-    // stable.
-    const size_t count = journals.size();
-    std::vector<Digest> requests(count);
-    std::vector<Status> decode(count, Status::OK());
-    std::vector<size_t> endorse_base(count, 0);
-    std::vector<VerifyJob> jobs;
-    jobs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      const Journal& journal = journals[i];
-      VerifyJob job;
-      job.key = &journal.client_key;
-      job.message = &journal.request_hash;
-      job.sig = &journal.client_sig;
-      job.ctx = context_.members != nullptr
-                    ? context_.members->FindVerifyContext(journal.client_key)
-                    : nullptr;
-      jobs.push_back(job);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      const Journal& journal = journals[i];
-      if (journal.type != JournalType::kPurge &&
-          journal.type != JournalType::kOccult) {
-        continue;
-      }
-      decode[i] = MutationRequestHash(journal, &requests[i]);
-      if (!decode[i].ok()) continue;
-      endorse_base[i] = jobs.size();
-      for (const Endorsement& e : journal.endorsements) {
-        VerifyJob job;
-        job.key = &e.key;
-        job.message = &requests[i];
-        job.sig = &e.signature;
-        job.ctx = context_.members != nullptr
-                      ? context_.members->FindVerifyContext(e.key)
-                      : nullptr;
-        jobs.push_back(job);
-      }
-    }
-    std::vector<uint8_t> ok = VerifyBatch(jobs);
-
-    // Consume results in jsn order so failure attribution matches the
-    // scalar sweep exactly.
-    for (size_t i = 0; i < count; ++i) {
-      const Journal& journal = journals[i];
+  // Consume results in jsn order so failures name the first bad journal.
+  for (size_t i = 0; i < count; ++i) {
+    const Journal& journal = journals[i];
+    if (sig_job[i] != SIZE_MAX) {
       // π_c: the client's non-repudiation signature over the request hash.
-      if (!ok[i]) {
+      if (!ok[sig_job[i]]) {
         return Fail(report, "client signature invalid at jsn " +
-                                std::to_string(jsns[i]));
+                                std::to_string(journal.jsn));
       }
       ++report->signatures_verified;
       if (context_.members != nullptr &&
           !context_.members->IsRegistered(journal.client_key)) {
         return Fail(report, "journal author is not a registered member");
       }
-      switch (journal.type) {
-        case JournalType::kPurge:
-        case JournalType::kOccult:
-          if (!decode[i].ok()) {
-            return Fail(report, decode[i].message());
-          }
-          if (journal.type == JournalType::kPurge) {
-            LEDGERDB_RETURN_IF_ERROR(VerifyPurgeJournal(
-                journal, ok.data() + endorse_base[i], report));
-          } else {
-            LEDGERDB_RETURN_IF_ERROR(VerifyOccultJournal(
-                journal, ok.data() + endorse_base[i], report));
-          }
-          break;
-        default:
-          break;
-      }
     }
+    const MutationPayload& m = mutations[i];
+    switch (journal.type) {
+      case JournalType::kPurge:
+      case JournalType::kOccult:
+        LEDGERDB_RETURN_IF_ERROR(VerifyMutationJournal(
+            context_, journal, ok.data() + endorse_base[i], report));
+        if (m.form == MutationPayload::Form::kPurge) {
+          sweep->purged_before = std::max(sweep->purged_before, m.jsn);
+        } else if (m.form == MutationPayload::Form::kOccult) {
+          sweep->occulted.insert(m.jsn);
+        } else {
+          sweep->occulted_clues[m.clue] = journal.jsn;
+        }
+        break;
+      case JournalType::kTime:
+        if (scope.when && scope.Covers(journal)) {
+          LEDGERDB_RETURN_IF_ERROR(
+              VerifyTimeJournal(context_, journal, mirror, report));
+        }
+        break;
+      default:
+        break;
+    }
+    if (journal.occulted) sweep->claims.push_back(journal);
+    if (scope.what && scope.Covers(journal)) ++report->journals_replayed;
   }
   return Status::OK();
+}
+
+Status DaseinAuditor::VerifyHeaders(const std::vector<BlockHeader>& headers,
+                                    const LedgerClient& pinned,
+                                    const Receipt* receipt,
+                                    AuditReport* report) {
+  LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWhat);
+  const std::vector<JournalDelta>& committed = pinned.accepted_deltas();
+  const LedgerMirror& mirror = pinned.mirror();
+  uint64_t next = 0;
+  Digest prev;
+  for (uint64_t h = 0; h < headers.size(); ++h) {
+    const BlockHeader& header = headers[h];
+    const std::string at = " at height " + std::to_string(h);
+    if (header.height != h || header.first_jsn != next ||
+        header.journal_count == 0 ||
+        header.journal_count > committed.size() - next) {
+      return Fail(report, "block headers do not tile the journals" + at);
+    }
+    // V'(B_{i-1}, B_i): boundary verification across adjacent blocks.
+    if (h > 0) {
+      if (!(header.prev_block_hash == prev)) {
+        return Fail(report, "block boundary hash mismatch" + at);
+      }
+      ++report->boundaries_verified;
+    }
+    // V(B_i): the tx root over the committed tx-hashes, and the fam
+    // snapshot against the mirror's historical root at the block's end.
+    ShrubsAccumulator tx_tree;
+    for (; next < header.first_jsn + header.journal_count; ++next) {
+      tx_tree.Append(committed[next].tx_hash);
+    }
+    Digest fam_at_block;
+    if (!(tx_tree.Root() == header.tx_root)) {
+      return Fail(report, "block tx root mismatch" + at);
+    }
+    if (!mirror.RootAtJournalCount(next, &fam_at_block).ok() ||
+        !(fam_at_block == header.fam_root)) {
+      return Fail(report, "block fam root mismatch" + at);
+    }
+    prev = header.Hash();
+    if (receipt != nullptr && receipt->jsn >= header.first_jsn &&
+        receipt->jsn < next && !(receipt->block_hash == prev)) {
+      return Fail(report, "LSP receipt names another block than its own");
+    }
+    ++report->blocks_verified;
+  }
+  if (next != committed.size()) {
+    return Fail(report, "block headers leave journals " + std::to_string(next) +
+                            ".." + std::to_string(committed.size()) +
+                            " unsealed");
+  }
+  if (!headers.empty() &&
+      !(headers.back().clue_root == mirror.clue_root() &&
+        headers.back().state_root == mirror.state_root())) {
+    return Fail(report, "last block header contradicts the pinned roots");
+  }
+  if (receipt != nullptr && (receipt->jsn >= committed.size() ||
+                             !(committed[receipt->jsn].tx_hash ==
+                               receipt->tx_hash))) {
+    return Fail(report, "LSP receipt does not match ledger content");
+  }
+  return Status::OK();
+}
+
+Status DaseinAuditor::Run(const Scope& scope, const Receipt* receipt,
+                          AuditReport* report) const {
+  // The auditor only reads, so it needs no signing identity. Its audited
+  // refresh from an empty mirror pins the roots and every tx-hash.
+  LedgerClient pinned(transport_, KeyPair(), options_);
+  Status s = pinned.RefreshTrustedRoots();
+  if (s.IsVerificationFailed()) return Fail(report, s.message());
+  LEDGERDB_RETURN_IF_ERROR(s);
+  const std::vector<JournalDelta>& committed = pinned.accepted_deltas();
+
+  // Steps 1-4: one fetch per journal, bound by its committed tx-hash.
+  Sweep sweep;
+  std::vector<Journal> chunk;
+  for (uint64_t jsn = 0; jsn < committed.size(); ++jsn) {
+    Journal journal;
+    s = RetryTransient(options_.retry,
+                       [&] { return transport_->GetJournal(jsn, &journal); });
+    if (s.IsNotFound()) {
+      sweep.missing_end = jsn + 1;
+    } else {
+      LEDGERDB_RETURN_IF_ERROR(s);
+      if (journal.jsn != jsn ||
+          !(journal.TxHash() == committed[jsn].tx_hash)) {
+        return Fail(report, "journal at jsn " + std::to_string(jsn) +
+                                " is not the committed one");
+      }
+      s = LedgerClient::CheckPayload(journal);
+      if (!s.ok()) return Fail(report, s.message());
+      chunk.push_back(std::move(journal));
+    }
+    if (chunk.size() == kChunk || jsn + 1 == committed.size()) {
+      LEDGERDB_RETURN_IF_ERROR(
+          VerifyChunk(chunk, scope, pinned.mirror(), &sweep, report));
+      chunk.clear();
+    }
+  }
+  // A journal may be missing only where a verified purge erased it, and
+  // served as occulted only where a verified occult journal hid it.
+  if (sweep.missing_end > sweep.purged_before) {
+    return Fail(report, "journal " + std::to_string(sweep.missing_end - 1) +
+                            " missing above the verified purge boundary");
+  }
+  for (const Journal& claim : sweep.claims) {
+    bool covered = sweep.occulted.count(claim.jsn) > 0;
+    for (const std::string& clue : claim.clues) {
+      auto it = sweep.occulted_clues.find(clue);
+      covered |= it != sweep.occulted_clues.end() && it->second > claim.jsn;
+    }
+    if (!covered) {
+      return Fail(report, "journal " + std::to_string(claim.jsn) +
+                              " served as occulted with no occult journal");
+    }
+  }
+
+  if (!scope.what && receipt == nullptr) return Status::OK();
+  std::vector<BlockHeader> headers, reply;
+  do {
+    s = RetryTransient(options_.retry, [&] {
+      return transport_->GetHeaders(
+          headers.size(), headers.size() + wire::kMaxHeadersPerReply, &reply);
+    });
+    LEDGERDB_RETURN_IF_ERROR(s);
+    headers.insert(headers.end(), reply.begin(), reply.end());
+  } while (reply.size() == wire::kMaxHeadersPerReply &&
+           headers.size() <= committed.size());
+  return VerifyHeaders(headers, pinned, receipt, report);
+}
+
+Status DaseinAuditor::VerifyWhatRange(uint64_t begin, uint64_t end,
+                                      AuditReport* report) const {
+  return Run({begin, end, {}, true, false, false}, nullptr, report);
+}
+
+Status DaseinAuditor::VerifyWhen(const AuditOptions& options,
+                                 AuditReport* report) const {
+  return Run({0, UINT64_MAX, options, false, true, false}, nullptr, report);
+}
+
+Status DaseinAuditor::VerifyWho(uint64_t begin, uint64_t end,
+                                AuditReport* report) const {
+  return Run({begin, end, {}, false, false, true}, nullptr, report);
 }
 
 Status DaseinAuditor::Audit(const Receipt& latest_receipt,
@@ -328,52 +361,14 @@ Status DaseinAuditor::Audit(const Receipt& latest_receipt,
                             AuditReport* report) const {
   LEDGERDB_OBS_COUNT(obs::names::kAuditAuditsTotal);
   *report = AuditReport();
-  const Ledger& ledger = *context_.ledger;
-
-  // Resolve the temporal predicate to a jsn range ("audit all
-  // transactions committed before ..."). Journals outside [from, to] are
-  // excluded from the who sweep and the replay.
-  uint64_t first = 0, last = ledger.NumJournals();
-  if (options.from > std::numeric_limits<Timestamp>::min() ||
-      options.to < std::numeric_limits<Timestamp>::max()) {
-    first = last;
-    uint64_t max_seen = 0;
-    for (uint64_t jsn = ledger.PurgedBoundary(); jsn < ledger.NumJournals();
-         ++jsn) {
-      Journal journal;
-      if (!ledger.GetJournal(jsn, &journal).ok()) continue;
-      if (journal.server_ts >= options.from &&
-          journal.server_ts <= options.to) {
-        first = std::min(first, jsn);
-        max_seen = std::max(max_seen, jsn + 1);
-      }
-    }
-    last = max_seen;
-  }
-
-  // Step 1: prove all purge and occult journals' validity (Π1, Π2) — done
-  // inside the who sweep; and steps 3-4 replay + boundary checks (V, V').
-  LEDGERDB_RETURN_IF_ERROR(VerifyWho(first, last, report));
-
-  // Step 2: locate and prove time journals within the temporal range.
-  LEDGERDB_RETURN_IF_ERROR(VerifyWhen(options, report));
-
-  // Steps 3-4: verify each block range by sequential replay, then the
-  // boundaries between adjacent blocks.
-  LEDGERDB_RETURN_IF_ERROR(VerifyWhatRange(first, last, report));
-
-  // Step 5: the LSP's latest receipt (Π3 = P(O_l)).
-  if (!latest_receipt.Verify(ledger.lsp_key())) {
+  // Step 5 starts with the LSP's signature on the receipt (Π3 = P(O_l));
+  // Run binds the receipt to the audited journal and header.
+  if (!latest_receipt.Verify(options_.lsp_key)) {
     return Fail(report, "LSP receipt signature invalid");
   }
   ++report->signatures_verified;
-  Journal receipt_journal;
-  Status s = ledger.GetJournal(latest_receipt.jsn, &receipt_journal);
-  if (!s.ok() ||
-      !(receipt_journal.TxHash() == latest_receipt.tx_hash)) {
-    return Fail(report, "LSP receipt does not match ledger content");
-  }
-
+  LEDGERDB_RETURN_IF_ERROR(
+      Run({0, UINT64_MAX, options, true, true, true}, &latest_receipt, report));
   // Step 6: conjunction of all proofs.
   report->passed = true;
   return Status::OK();

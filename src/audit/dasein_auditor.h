@@ -4,10 +4,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "client/ledger_client.h"
 #include "common/clock.h"
 #include "common/status.h"
-#include "ledger/ledger.h"
 
 namespace ledgerdb {
 
@@ -33,15 +34,16 @@ struct AuditReport {
   uint64_t occult_journals = 0;
 };
 
-/// Dasein-complete auditor (§V): runs the six-step external audit over a
-/// ledger — purge/occult proofs, time-journal location and validation,
-/// block-range replay, boundary checks, and the LSP's latest receipt —
-/// ANDing every sub-proof into the final verdict. Any sub-failure
-/// early-terminates with a failed report.
+/// Dasein-complete auditor (§V) against a distrusted LSP. It reads the
+/// ledger only through a LedgerTransport: one audited refresh pins the
+/// roots, one sweep fetches each journal once, binds it by its committed
+/// tx-hash and checks who, when and the purge/occult claims, and the
+/// header chain and the latest receipt are checked against that replay.
+/// A failure ends the audit with a failed report; transport errors pass
+/// through.
 class DaseinAuditor {
  public:
   struct Context {
-    const Ledger* ledger = nullptr;
     const MemberRegistry* members = nullptr;
     /// Accepted time authorities (Prerequisite 3).
     PublicKey tsa_key;
@@ -51,41 +53,62 @@ class DaseinAuditor {
     const TLedger* tledger = nullptr;
   };
 
-  explicit DaseinAuditor(Context context) : context_(context) {}
+  /// `options`: the LSP key, fam fractal height and RPC retry policy.
+  DaseinAuditor(LedgerTransport* transport, LedgerClient::Options options,
+                Context context)
+      : transport_(transport),
+        options_(std::move(options)),
+        context_(context) {}
 
   /// Full Dasein-complete audit. `latest_receipt` is the client-held π_s
-  /// evidence (step 5); the audit fails if it does not match the ledger.
+  /// evidence (step 5). The headers must cover every journal, so audit a
+  /// ledger whose last journal is sealed (taking its receipt seals it).
   Status Audit(const Receipt& latest_receipt, const AuditOptions& options,
                AuditReport* report) const;
 
-  /// Per-factor entry points (used standalone and by the breakdown
-  /// benchmark).
-  /// what: replays journals [begin, end), recomputing tx hashes, block tx
-  /// roots and header links, and checking the block-recorded fam roots.
+  /// Per-factor entry points: each runs its own sweep for one factor.
+  /// what: binds journals [begin, end) and verifies the header chain.
   Status VerifyWhatRange(uint64_t begin, uint64_t end, AuditReport* report) const;
   /// when: validates every time journal in the temporal range.
   Status VerifyWhen(const AuditOptions& options, AuditReport* report) const;
-  /// who: verifies client signatures of journals [begin, end) plus
-  /// mutation endorsements. Sweeps in chunks whose π_c and endorsement
-  /// checks all go through one batched crypto VerifyBatch call per chunk
-  /// (shared s⁻¹ inversion + shared R-point normalization), so audits pay
-  /// the same per-signature cost as batched appends.
+  /// who: π_c of journals [begin, end) and endorsements, batched per chunk.
   Status VerifyWho(uint64_t begin, uint64_t end, AuditReport* report) const;
 
- private:
-  /// Decodes a purge/occult journal's payload into the request digest its
-  /// endorsements must sign.
-  Status MutationRequestHash(const Journal& journal, Digest* request) const;
-  /// Consume precomputed per-endorsement VerifyBatch results (aligned
-  /// with journal.endorsements) and enforce the role prerequisites.
-  Status VerifyPurgeJournal(const Journal& journal, const uint8_t* endorse_ok,
-                            AuditReport* report) const;
-  Status VerifyOccultJournal(const Journal& journal, const uint8_t* endorse_ok,
-                             AuditReport* report) const;
-  Status VerifyTimeJournal(const Journal& journal, AuditReport* report) const;
-  Status VerifyBlockRange(uint64_t first_block, uint64_t last_block,
-                          AuditReport* report) const;
+  /// The acceptance rule for the header chain, with no I/O: `headers`
+  /// tile the journals `pinned` audited from height 0; each links to its
+  /// predecessor, its tx root and fam root are recomputed from the pinned
+  /// replay, and the last carries the pinned clue and state roots. A
+  /// `receipt` must match its committed tx-hash and name its header.
+  static Status VerifyHeaders(const std::vector<BlockHeader>& headers,
+                              const LedgerClient& pinned,
+                              const Receipt* receipt, AuditReport* report);
 
+ private:
+  /// Which journals and factors one sweep checks.
+  struct Scope {
+    uint64_t begin = 0;
+    uint64_t end = std::numeric_limits<uint64_t>::max();
+    AuditOptions window;
+    bool what = false, when = false, who = false;
+
+    bool Covers(const Journal& journal) const {
+      return journal.jsn >= begin && journal.jsn < end &&
+             journal.server_ts >= window.from && journal.server_ts <= window.to;
+    }
+  };
+  struct Sweep;
+
+  /// Pins the roots and sweeps every journal once; then the header chain
+  /// for `scope.what` or a receipt.
+  Status Run(const Scope& scope, const Receipt* receipt,
+             AuditReport* report) const;
+  /// who / when / mutation checks of one chunk of fetched journals.
+  Status VerifyChunk(const std::vector<Journal>& journals, const Scope& scope,
+                     const LedgerMirror& mirror, Sweep* sweep,
+                     AuditReport* report) const;
+
+  LedgerTransport* transport_;
+  LedgerClient::Options options_;
   Context context_;
 };
 

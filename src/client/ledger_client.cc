@@ -163,15 +163,19 @@ Status LedgerClient::RefreshTrustedRootsUnaudited() {
   return Status::OK();
 }
 
-Status LedgerClient::CheckJournalContent(const Journal& journal) {
-  // Local recomputation: payload must match its retained digest. Only an
-  // occulted journal whose payload has actually been erased is exempt —
-  // the digest is the record, Protocol 2. An "occulted" journal still
-  // carrying bytes must carry the right ones.
+Status LedgerClient::CheckPayload(const Journal& journal) {
+  // Only an occulted journal whose payload has actually been erased is
+  // exempt — the digest is the record, Protocol 2. An "occulted" journal
+  // still carrying bytes must carry the right ones.
   if (!(journal.occulted && journal.payload.empty()) &&
       !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
     return Status::VerificationFailed("payload digest mismatch");
   }
+  return Status::OK();
+}
+
+Status LedgerClient::CheckJournalContent(const Journal& journal) {
+  LEDGERDB_RETURN_IF_ERROR(CheckPayload(journal));
   // who: the author's signature must verify.
   if (!VerifySignature(journal.client_key, journal.request_hash,
                        journal.client_sig)) {

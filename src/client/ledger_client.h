@@ -52,6 +52,8 @@ class LedgerClient {
   LedgerClient(LedgerTransport* transport, KeyPair identity, Options options);
 
   const PublicKey& public_key() const { return identity_.public_key(); }
+  LedgerTransport* transport() const { return transport_; }
+  const Options& options() const { return options_; }
 
   /// Signs and submits a transaction, retrying transient transport
   /// failures (idempotent on the server), then performs the client-side
@@ -153,6 +155,13 @@ class LedgerClient {
 
   const CommitmentLog& commitment_log() const { return log_; }
   const LedgerMirror& mirror() const { return *mirror_; }
+  /// Entry i is journal i's audited delta (its committed tx-hash).
+  const std::vector<JournalDelta>& accepted_deltas() const {
+    return accepted_deltas_;
+  }
+
+  /// The payload half of CheckJournalContent, with no I/O.
+  static Status CheckPayload(const Journal& journal);
 
  private:
   /// Discards the mirror and replays every accepted delta (rollback after

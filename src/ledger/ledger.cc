@@ -720,6 +720,15 @@ Status Ledger::GetJournal(uint64_t jsn, Journal* out) const {
   return Status::OK();
 }
 
+Status Ledger::GetHeaders(uint64_t first, uint64_t end,
+                          std::vector<BlockHeader>* out) const {
+  std::lock_guard<std::mutex> lock(seal_mu_);
+  end = std::min<uint64_t>(end, blocks_.size());
+  if (first > end) return Status::OutOfRange("header range beyond the chain");
+  out->assign(blocks_.data() + first, blocks_.data() + end);
+  return Status::OK();
+}
+
 Status Ledger::ListTx(const std::string& clue,
                       std::vector<uint64_t>* jsns) const {
   const std::vector<uint64_t>* postings = clue_index_.Find(clue);
@@ -1038,9 +1047,19 @@ Status Ledger::Occult(uint64_t jsn, const std::vector<Endorsement>& endorsements
         "occult requires DBA and regulator signatures");
   }
 
-  // Set the occult bit first (the journal is immediately unretrievable),
-  // then erase synchronously or defer to the reorganization utility.
-  // Occulting changes what reads return without moving any root, so
+  // The occult journal commits first: a crash before the flag flip below
+  // leaves it for recovery to replay, where the reverse order could leave
+  // a journal hidden that no occult journal authorizes.
+  MutationPayload occult;
+  occult.form = MutationPayload::Form::kOccult;
+  occult.jsn = jsn;
+  const size_t before = journals_.size();
+  Status appended = AppendInternal(JournalType::kOccult, {}, occult.Encode(),
+                                   endorsements, occult_jsn);
+  if (journals_.size() == before) return appended;
+
+  // Set the occult bit, then erase synchronously or defer to the
+  // reorganization utility. Occulting changes what reads return, so
   // root-stamped response memos must go too — a stale wire memo would
   // leak the occulted payload.
   if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
@@ -1053,12 +1072,7 @@ Status Ledger::Occult(uint64_t jsn, const std::vector<Endorsement>& endorsements
     LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
     pending_occult_.push_back(jsn);
   }
-
-  MutationPayload occult;
-  occult.form = MutationPayload::Form::kOccult;
-  occult.jsn = jsn;
-  return AppendInternal(JournalType::kOccult, {}, occult.Encode(),
-                        endorsements, occult_jsn);
+  return appended;
 }
 
 Digest Ledger::OccultClueRequestHash(const std::string& uri,

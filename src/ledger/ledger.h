@@ -341,15 +341,15 @@ class Ledger {
   /// All jsns recorded under `clue`, in append order (cSL index lookup).
   Status ListTx(const std::string& clue, std::vector<uint64_t>* jsns) const;
 
-  /// Clue labels in [from, to), lexicographically ordered (cSL range
-  /// scan); pass "" and "\x7f" sentinels for a full listing.
-  std::vector<std::string> ListClues(const std::string& from,
-                                     const std::string& to) const;
-
   const std::vector<BlockHeader>& blocks() const { return blocks_; }
   const std::vector<TimeJournalInfo>& time_journals() const {
     return time_journals_;
   }
+
+  /// Copies the sealed headers at heights [first, end), clipped to the
+  /// chain; OutOfRange if `first` is past it or the range is inverted.
+  Status GetHeaders(uint64_t first, uint64_t end,
+                    std::vector<BlockHeader>* out) const;
 
   // -------------------------------------------------------------------
   // what verification

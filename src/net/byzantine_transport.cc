@@ -8,25 +8,26 @@ namespace ledgerdb {
 
 namespace {
 
-/// Wire wrappers so list-shaped responses go through the same generic
-/// fault plumbing as the struct responses, in the socket wire's codec.
-struct JsnListWire {
-  std::vector<uint64_t> jsns;
+/// Wraps a response the socket wire codes with plain functions (a jsn or
+/// a list), so it goes through the same generic fault plumbing as the
+/// struct responses, in the socket wire's codec.
+template <typename T, auto Encode, auto Decode>
+struct Wire {
+  T value{};
 
-  Bytes Serialize() const { return wire::EncodeJsnList(jsns); }
-  static bool Deserialize(Slice raw, JsnListWire* out) {
-    return wire::DecodeJsnList(raw, &out->jsns);
+  Bytes Serialize() const { return Encode(value); }
+  static bool Deserialize(Slice raw, Wire* out) {
+    return Decode(raw, &out->value);
   }
 };
 
-struct DeltaListWire {
-  std::vector<JournalDelta> deltas;
-
-  Bytes Serialize() const { return wire::EncodeDeltas(deltas); }
-  static bool Deserialize(Slice raw, DeltaListWire* out) {
-    return wire::DecodeDeltas(raw, &out->deltas);
-  }
-};
+using JsnWire = Wire<uint64_t, wire::EncodeJsnRequest, wire::DecodeJsnRequest>;
+using JsnListWire =
+    Wire<std::vector<uint64_t>, wire::EncodeJsnList, wire::DecodeJsnList>;
+using DeltaListWire =
+    Wire<std::vector<JournalDelta>, wire::EncodeDeltas, wire::DecodeDeltas>;
+using HeaderListWire =
+    Wire<std::vector<BlockHeader>, wire::EncodeHeaders, wire::DecodeHeaders>;
 
 }  // namespace
 
@@ -54,6 +55,8 @@ const char* FaultKindName(FaultKind kind) {
       return "SubstituteReceipt";
     case FaultKind::kCorruptPayload:
       return "CorruptPayload";
+    case FaultKind::kForgeSignature:
+      return "ForgeSignature";
   }
   return "Unknown";
 }
@@ -84,47 +87,19 @@ void ByzantineTransport::MutateBytes(Bytes* raw) {
 Status ByzantineTransport::AppendTx(const ClientTransaction& tx,
                                     uint64_t* jsn) {
   FaultKind fault = TakeFault(RpcOp::kAppendTx);
-  Bytes& stash = stash_[Idx(RpcOp::kAppendTx)];
-  if (!stash.empty() && fault == FaultKind::kNone) {
-    Bytes raw = std::move(stash);
-    stash.clear();
-    if (!wire::DecodeJsnRequest(raw, jsn)) {
-      return Status::Corruption("reordered response undecodable");
-    }
+  if (fault == FaultKind::kForgeProof ||
+      fault == FaultKind::kSubstituteReceipt) {
+    // Lie about the assigned jsn; the receipt check must catch it.
+    LEDGERDB_RETURN_IF_ERROR(inner_->AppendTx(tx, jsn));
+    *jsn += 1;
     return Status::OK();
   }
-  switch (fault) {
-    case FaultKind::kDrop:
-      return Status::DeadlineExceeded("injected: request dropped");
-    case FaultKind::kTransientError:
-      return Status::TransientIO("injected: transient network error");
-    case FaultKind::kDelay: {
-      uint64_t discarded = 0;
-      (void)inner_->AppendTx(tx, &discarded);  // the append DID commit
-      if (delay_clock_ != nullptr) delay_clock_->Advance(delay_advance_);
-      return Status::DeadlineExceeded("injected: response past deadline");
-    }
-    case FaultKind::kDuplicate: {
-      uint64_t first = 0;
-      (void)inner_->AppendTx(tx, &first);
-      return inner_->AppendTx(tx, jsn);
-    }
-    case FaultKind::kReorder: {
-      uint64_t committed = 0;
-      Status st = inner_->AppendTx(tx, &committed);
-      if (st.ok()) stash = wire::EncodeJsnRequest(committed);
-      return Status::DeadlineExceeded("injected: response reordered");
-    }
-    case FaultKind::kForgeProof:
-    case FaultKind::kSubstituteReceipt: {
-      // Lie about the assigned jsn; the receipt check must catch it.
-      LEDGERDB_RETURN_IF_ERROR(inner_->AppendTx(tx, jsn));
-      *jsn += 1;
-      return Status::OK();
-    }
-    default:
-      return inner_->AppendTx(tx, jsn);
-  }
+  JsnWire wire;
+  Status st = HandleWire<JsnWire>(
+      RpcOp::kAppendTx, fault, &wire,
+      [&](JsnWire* o) { return inner_->AppendTx(tx, &o->value); });
+  if (st.ok()) *jsn = wire.value;
+  return st;
 }
 
 Status ByzantineTransport::GetReceipt(uint64_t jsn, Receipt* out) {
@@ -154,6 +129,20 @@ Status ByzantineTransport::GetJournal(uint64_t jsn, Journal* out) {
       // Occulted journal: attack the retained digest instead.
       out->payload_digest.bytes[rng_.Uniform(out->payload_digest.bytes.size())] ^=
           0x01;
+    }
+    return Status::OK();
+  }
+  if (fault == FaultKind::kTruncateProof ||
+      fault == FaultKind::kForgeSignature) {
+    LEDGERDB_RETURN_IF_ERROR(inner_->GetJournal(jsn, out));
+    if (fault == FaultKind::kTruncateProof) {
+      // Hide the payload behind an occult flag no occult journal backs.
+      out->occulted = true;
+      out->payload.clear();
+    } else if (!out->endorsements.empty()) {
+      Signature& sig =
+          out->endorsements[rng_.Uniform(out->endorsements.size())].signature;
+      sig.s.limb[rng_.Uniform(4)] ^= 1ull << rng_.Uniform(64);
     }
     return Status::OK();
   }
@@ -212,9 +201,9 @@ Status ByzantineTransport::ListTx(const std::string& clue,
   JsnListWire wire;
   Status st = HandleWire<JsnListWire>(
       RpcOp::kListTx, fault, &wire, [&](JsnListWire* o) {
-        return inner_->ListTx(clue, &o->jsns);
+        return inner_->ListTx(clue, &o->value);
       });
-  if (st.ok()) *jsns = std::move(wire.jsns);
+  if (st.ok()) *jsns = std::move(wire.value);
   return st;
 }
 
@@ -271,6 +260,35 @@ Status ByzantineTransport::ProveClueRange(const std::string& clue,
       RpcOp::kProveClueRange, fault, out, [&](ClueRangeResult* o) {
         return inner_->ProveClueRange(clue, from, to, o);
       });
+}
+
+Status ByzantineTransport::GetHeaders(uint64_t first_height,
+                                      uint64_t end_height,
+                                      std::vector<BlockHeader>* out) {
+  // Network faults go through the generic plumbing; every mutation kind
+  // is typed here and hits one seeded header that has a predecessor.
+  FaultKind fault = TakeFault(RpcOp::kGetHeaders);
+  const bool typed = fault >= FaultKind::kForgeProof;
+  HeaderListWire wire;
+  LEDGERDB_RETURN_IF_ERROR(HandleWire<HeaderListWire>(
+      RpcOp::kGetHeaders, typed ? FaultKind::kNone : fault, &wire,
+      [&](HeaderListWire* o) {
+        return inner_->GetHeaders(first_height, end_height, &o->value);
+      }));
+  *out = std::move(wire.value);
+  if (!typed || out->size() < 2) return Status::OK();
+  const size_t i = 1 + rng_.Uniform(out->size() - 1);
+  BlockHeader& header = (*out)[i];
+  if (fault == FaultKind::kForgeProof) {
+    header.prev_block_hash.bytes[rng_.Uniform(32)] ^= 0x01;
+  } else if (fault == FaultKind::kCorruptPayload) {
+    header.tx_root.bytes[rng_.Uniform(32)] ^= 0x01;
+  } else if (fault == FaultKind::kStaleRoot) {
+    header.fam_root = (*out)[i - 1].fam_root;
+  } else if (fault == FaultKind::kTruncateProof) {
+    out->erase(out->begin() + static_cast<long>(i - 1));  // leaves a gap
+  }
+  return Status::OK();
 }
 
 Status ByzantineTransport::GetCommitment(SignedCommitment* out) {
@@ -335,9 +353,9 @@ Status ByzantineTransport::GetDelta(uint64_t from, uint64_t to,
   DeltaListWire wire;
   Status st = HandleWire<DeltaListWire>(
       RpcOp::kGetDelta, fault, &wire, [&](DeltaListWire* o) {
-        return inner_->GetDelta(from, to, &o->deltas);
+        return inner_->GetDelta(from, to, &o->value);
       });
-  if (st.ok()) *out = std::move(wire.deltas);
+  if (st.ok()) *out = std::move(wire.value);
   return st;
 }
 

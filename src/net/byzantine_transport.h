@@ -17,6 +17,10 @@ namespace ledgerdb {
 /// into one RPC exchange. The first five model an adversarial *network*
 /// (fail-recover, maskable by retries); the rest model an adversarial
 /// *LSP* mutating responses (must be detected by client verification).
+/// GetJournal's kTruncateProof erases the payload under a false occult
+/// flag. GetHeaders' mutations hit one header: kForgeProof its link,
+/// kTruncateProof removes one (a gap), kStaleRoot its parent's fam root,
+/// kCorruptPayload its tx root.
 enum class FaultKind : uint8_t {
   kNone = 0,
   kDrop,              ///< request never reaches the server; deadline fires
@@ -29,6 +33,7 @@ enum class FaultKind : uint8_t {
   kStaleRoot,         ///< an old commitment is replayed (freshness attack)
   kSubstituteReceipt, ///< receipt/journal for a *different* jsn is served
   kCorruptPayload,    ///< journal payload bytes tampered, digest kept
+  kForgeSignature,    ///< GetJournal: an endorsement signature bit-flipped
 };
 
 const char* FaultKindName(FaultKind kind);
@@ -92,6 +97,8 @@ class ByzantineTransport : public LedgerTransport {
                        FamBatchProof* out) override;
   Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
                         ClueRangeResult* out) override;
+  Status GetHeaders(uint64_t first_height, uint64_t end_height,
+                    std::vector<BlockHeader>* out) override;
 
   const std::string& uri() const override { return inner_->uri(); }
 

@@ -71,6 +71,7 @@ void SocketFaultProxy::Stop() {
   if (listen_fd_ >= 0) {
     close(listen_fd_);
     listen_fd_ = -1;
+    unlink(listen_path_.c_str());  // close() leaves the socket file behind
   }
   std::vector<std::unique_ptr<Relay>> relays;
   {

@@ -51,6 +51,8 @@ const char* RpcOpName(RpcOp op) {
       return "GetProofBatch";
     case RpcOp::kProveClueRange:
       return "ProveClueRange";
+    case RpcOp::kGetHeaders:
+      return "GetHeaders";
   }
   return "Unknown";
 }
@@ -139,6 +141,17 @@ Status WireTransport::ProveClueRange(const std::string& clue, Timestamp from,
                                          static_cast<uint64_t>(to)),
            &resp));
   return DecodeBody(resp, out, "clue range");
+}
+
+Status WireTransport::GetHeaders(uint64_t first_height, uint64_t end_height,
+                                 std::vector<BlockHeader>* out) {
+  Bytes resp;
+  LEDGERDB_RETURN_IF_ERROR(Call(
+      RpcOp::kGetHeaders, wire::EncodeRangeRequest(first_height, end_height),
+      &resp));
+  return wire::DecodeHeaders(resp, out)
+             ? Status::OK()
+             : Status::Corruption("header list response body undecodable");
 }
 
 LocalTransport::LocalTransport(Ledger* ledger)

@@ -23,9 +23,10 @@ enum class RpcOp : uint8_t {
   kGetDelta,
   kGetProofBatch,
   kProveClueRange,
+  kGetHeaders,
 };
 
-constexpr int kNumRpcOps = 10;
+constexpr int kNumRpcOps = 11;
 
 const char* RpcOpName(RpcOp op);
 
@@ -65,6 +66,13 @@ class LedgerTransport {
   virtual Status ProveClueRange(const std::string& clue, Timestamp from,
                                 Timestamp to, ClueRangeResult* out) = 0;
 
+  /// Sealed headers at heights [first_height, end_height), at most
+  /// wire::kMaxHeadersPerReply; not pure, so older decorators compile.
+  virtual Status GetHeaders(uint64_t /*first_height*/, uint64_t /*end_height*/,
+                            std::vector<BlockHeader>* /*out*/) {
+    return Status::NotSupported("GetHeaders");
+  }
+
   virtual const std::string& uri() const = 0;
 
   /// Per-request deadline budget in microseconds (0 = unbounded). Every
@@ -99,6 +107,8 @@ class WireTransport : public LedgerTransport {
                        FamBatchProof* out) final;
   Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
                         ClueRangeResult* out) final;
+  Status GetHeaders(uint64_t first_height, uint64_t end_height,
+                    std::vector<BlockHeader>* out) final;
 
  protected:
   /// One request/response exchange. On an OK response `*resp_body`

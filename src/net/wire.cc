@@ -237,6 +237,22 @@ bool DecodeDeltas(Slice body, std::vector<JournalDelta>* deltas) {
   return r.AtEnd();
 }
 
+Bytes EncodeHeaders(const std::vector<BlockHeader>& headers) {
+  Bytes out;
+  PutU32(&out, static_cast<uint32_t>(headers.size()));
+  for (const BlockHeader& h : headers) PutLengthPrefixed(&out, h.Serialize());
+  return out;
+}
+
+bool DecodeHeaders(Slice body, std::vector<BlockHeader>* headers) {
+  ByteReader r(body);
+  headers->assign(r.Count(kMaxHeadersPerReply), BlockHeader());
+  for (BlockHeader& h : *headers) {
+    if (!r.Nested(&h)) return false;
+  }
+  return r.AtEnd();
+}
+
 // ---------------------------------------------------------------------------
 // Server-side dispatch
 // ---------------------------------------------------------------------------
@@ -360,6 +376,17 @@ ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& frame) {
       if (!st.ok()) return fail(std::move(st));
       resp = ResponseFrame::From(op, id, Status::OK());
       resp.body = std::move(range_wire);
+      return resp;
+    }
+    case RpcOp::kGetHeaders: {
+      uint64_t first = 0, end = 0;
+      if (!DecodeRangeRequest(body, &first, &end)) return bad_body();
+      std::vector<BlockHeader> headers;
+      Status st = ledger->GetHeaders(
+          first, std::min(end, first + kMaxHeadersPerReply), &headers);
+      if (!st.ok()) return fail(std::move(st));
+      resp = ResponseFrame::From(op, id, Status::OK());
+      resp.body = EncodeHeaders(headers);
       return resp;
     }
   }

@@ -139,6 +139,15 @@ bool DecodeJsnList(Slice body, std::vector<uint64_t>* jsns);
 Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas);
 bool DecodeDeltas(Slice body, std::vector<JournalDelta>* deltas);
 
+/// Most headers one GetHeaders reply carries (~1 MiB, well inside a frame).
+inline constexpr uint32_t kMaxHeadersPerReply = 4096;
+
+/// GetHeaders request is a range request [u64 first][u64 end] of heights;
+/// the response is [u32 count][lp header]*, count at most
+/// kMaxHeadersPerReply.
+Bytes EncodeHeaders(const std::vector<BlockHeader>& headers);
+bool DecodeHeaders(Slice body, std::vector<BlockHeader>* headers);
+
 // ---------------------------------------------------------------------------
 // Server-side dispatch
 // ---------------------------------------------------------------------------

@@ -204,11 +204,15 @@ TEST_F(AsyncSealTest, ReadersRaceBackgroundSealerAcrossBoundaries) {
     Ledger* shard = group.shard(s);
     Receipt receipt;
     ASSERT_TRUE(shard->GetReceipt(shard->NumJournals() - 1, &receipt).ok());
+    LocalTransport transport(shard);
+    LedgerClient::Options copts;
+    copts.lsp_key = shard->lsp_key();
+    copts.fractal_height = options_.fractal_height;
     DaseinAuditor::Context context;
-    context.ledger = shard;
     context.members = &registry_;
     AuditReport report;
-    Status audit = DaseinAuditor(context).Audit(receipt, {}, &report);
+    Status audit =
+        DaseinAuditor(&transport, copts, context).Audit(receipt, {}, &report);
     ASSERT_TRUE(audit.ok()) << audit.ToString() << " — "
                             << report.failure_reason;
     EXPECT_TRUE(report.passed) << report.failure_reason;

@@ -30,6 +30,7 @@ class AuditTest : public ::testing::Test {
     options.block_capacity = 4;
     ledger_ = std::make_unique<Ledger>("lg://audit", options, &clock_,
                                        lsp_key_, &registry_);
+    transport_ = std::make_unique<LocalTransport>(ledger_.get());
   }
 
   uint64_t Append(const KeyPair& signer, const std::string& payload,
@@ -48,12 +49,14 @@ class AuditTest : public ::testing::Test {
   }
 
   DaseinAuditor MakeAuditor(bool with_tledger = false) {
+    LedgerClient::Options copts;
+    copts.lsp_key = lsp_key_.public_key();
+    copts.fractal_height = 4;
     DaseinAuditor::Context context;
-    context.ledger = ledger_.get();
     context.members = &registry_;
     context.tsa_key = tsa_.public_key();
     context.tledger = with_tledger ? &tledger_ : nullptr;
-    return DaseinAuditor(context);
+    return DaseinAuditor(transport_.get(), copts, context);
   }
 
   Receipt LatestReceipt() {
@@ -73,6 +76,7 @@ class AuditTest : public ::testing::Test {
   TsaService tsa_;
   TLedger tledger_;
   std::unique_ptr<Ledger> ledger_;
+  std::unique_ptr<LocalTransport> transport_;
   uint64_t nonce_ = 0;
 };
 
@@ -159,6 +163,40 @@ TEST_F(AuditTest, ForgedReceiptFails) {
   EXPECT_TRUE(MakeAuditor().Audit(receipt, {}, &report).IsVerificationFailed());
   EXPECT_FALSE(report.passed);
   EXPECT_NE(report.failure_reason.find("receipt"), std::string::npos);
+}
+
+TEST_F(AuditTest, ReceiptNamingAnotherBlockFails) {
+  // Step 5 binds the receipt to its block: an LSP-signed receipt with the
+  // right tx-hash but the hash of another audited block must fail.
+  for (int i = 0; i < 6; ++i) Append(alice_, "p" + std::to_string(i));
+  Receipt receipt = LatestReceipt();
+  ASSERT_GE(ledger_->blocks().size(), 2u);
+  receipt.block_hash = ledger_->blocks().front().Hash();
+  ASSERT_FALSE(receipt.block_hash == LatestReceipt().block_hash);
+  receipt.lsp_sig = lsp_key_.Sign(receipt.MessageHash());  // LSP collusion
+  AuditReport report;
+  EXPECT_TRUE(MakeAuditor().Audit(receipt, {}, &report).IsVerificationFailed());
+  EXPECT_FALSE(report.passed);
+  EXPECT_EQ(report.failure_reason,
+            "LSP receipt names another block than its own");
+}
+
+TEST_F(AuditTest, AuditSurvivesOccultByClue) {
+  Append(alice_, "v0", {"acct"});
+  Append(bob_, "other", {"misc"});
+  Append(alice_, "v1", {"acct"});
+  Digest request = Ledger::OccultClueRequestHash("lg://audit", "acct");
+  std::vector<Endorsement> sigs = {Endorse(dba_, request),
+                                   Endorse(regulator_, request)};
+  size_t hidden = 0;
+  ASSERT_TRUE(ledger_->OccultByClue("acct", sigs, &hidden, nullptr).ok());
+  EXPECT_EQ(hidden, 2u);
+  ledger_->ReorganizeOcculted();
+  Receipt receipt = LatestReceipt();
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor().Audit(receipt, {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_EQ(report.occult_journals, 1u);
 }
 
 TEST_F(AuditTest, ReceiptSignedByImpostorFails) {

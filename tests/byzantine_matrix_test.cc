@@ -3,15 +3,18 @@
 // of two outcomes:
 //
 //   MASKED   — the scenario completes, the ledger is bit-identical to the
-//              honest baseline (roots + journal count), and BOTH audits
-//              (server-side Dasein-complete, transport-level RemoteAudit)
-//              still pass; or
+//              honest baseline (roots + journal count), and the
+//              Dasein-complete audit over the transport still passes; or
 //   DETECTED — some step returns an explicit error (VerificationFailed /
 //              Corruption / IOError after retry exhaustion / ...).
 //
 // Silent acceptance — the scenario "succeeds" but the state diverges from
-// the baseline or an audit fails — is a test failure in every cell. Each
+// the baseline or the audit fails — is a test failure in every cell. Each
 // cell is run twice from the same seed and must replay bit-identically.
+//
+// The audit cells turn the adversary on the auditor itself: each typed
+// mutation of a header, time journal, endorsement or occult flag must fail
+// the audit, and network faults on the audit's own RPCs must be masked.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +25,10 @@
 #include <vector>
 
 #include "audit/dasein_auditor.h"
-#include "audit/remote_audit.h"
 #include "client/ledger_client.h"
 #include "net/byzantine_transport.h"
 #include "net/transport.h"
+#include "timestamp/tsa.h"
 
 namespace ledgerdb {
 namespace {
@@ -46,8 +49,7 @@ struct RunResult {
   uint64_t journals = 0;
   uint64_t faults = 0;
   bool dasein_ok = false;  // only meaningful when ok
-  bool remote_ok = false;  // only meaningful when ok
-  std::string dasein_why, remote_why;
+  std::string dasein_why;
 
   std::string Fingerprint() const {
     return (ok ? "ok" : "err:" + step + ":" + error) + "|" + fam + "|" + clue +
@@ -133,24 +135,16 @@ class ByzantineMatrixTest : public ::testing::Test {
     r.faults = byz.faults_injected();
 
     if (r.ok) {
-      // A masked cell must still pass BOTH audits on the post-fault ledger.
+      // A masked cell must still pass the audit on the post-fault ledger,
+      // fetched through an honest transport.
+      LocalTransport honest(&ledger);
       DaseinAuditor::Context context;
-      context.ledger = &ledger;
       context.members = &registry;
       AuditReport dreport;
-      DaseinAuditor auditor(context);
+      DaseinAuditor auditor(&honest, copts, context);
       Status ds = auditor.Audit(client.receipts().back(), {}, &dreport);
       r.dasein_ok = ds.ok() && dreport.passed;
       if (!r.dasein_ok) r.dasein_why = ds.ToString() + dreport.failure_reason;
-
-      LocalTransport honest(&ledger);
-      RemoteAuditOptions ropts;
-      ropts.lsp_key = lsp_.public_key();
-      ropts.fractal_height = options.fractal_height;
-      RemoteAuditReport rreport;
-      Status rs = RemoteAudit(&honest, ropts, &rreport);
-      r.remote_ok = rs.ok() && rreport.passed;
-      if (!r.remote_ok) r.remote_why = rs.ToString() + rreport.failure_reason;
     }
     return r;
   }
@@ -185,7 +179,6 @@ TEST_F(ByzantineMatrixTest, HonestBaselinePassesBothAudits) {
   ASSERT_TRUE(base.ok) << base.step << ": " << base.error;
   EXPECT_EQ(base.faults, 0u);
   EXPECT_TRUE(base.dasein_ok) << base.dasein_why;
-  EXPECT_TRUE(base.remote_ok) << base.remote_why;
   EXPECT_EQ(base.journals, 4u);  // genesis + 3 appends
 }
 
@@ -206,7 +199,6 @@ TEST_F(ByzantineMatrixTest, NetworkFaultsAreMaskedEverywhere) {
         EXPECT_EQ(r.state, base.state) << cell;
         EXPECT_EQ(r.journals, base.journals) << cell;
         EXPECT_TRUE(r.dasein_ok) << cell << ": " << r.dasein_why;
-        EXPECT_TRUE(r.remote_ok) << cell << ": " << r.remote_why;
       }
     }
   }
@@ -264,14 +256,13 @@ TEST_F(ByzantineMatrixTest, MutationFaultsAreDetectedOrProvablyHarmless) {
           continue;
         }
         // The cell claims to be harmless — prove it: bit-identical ledger
-        // AND both audits pass. Anything else is silent acceptance.
+        // AND the audit passes. Anything else is silent acceptance.
         ++harmless;
         EXPECT_EQ(r.fam, base.fam) << cell << " silently diverged";
         EXPECT_EQ(r.clue, base.clue) << cell << " silently diverged";
         EXPECT_EQ(r.state, base.state) << cell << " silently diverged";
         EXPECT_EQ(r.journals, base.journals) << cell << " silently diverged";
         EXPECT_TRUE(r.dasein_ok) << cell << ": " << r.dasein_why;
-        EXPECT_TRUE(r.remote_ok) << cell << ": " << r.remote_why;
       }
     }
   }
@@ -292,6 +283,127 @@ TEST_F(ByzantineMatrixTest, EveryCellReplaysBitIdenticallyFromItsSeed) {
       RunResult a = RunScenario(op, kind, 0);
       RunResult b = RunScenario(op, kind, 0);
       EXPECT_EQ(a.Fingerprint(), b.Fingerprint()) << CellName(op, kind, 0);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Audit cells: the adversary serves the Dasein auditor itself.
+// ---------------------------------------------------------------------------
+
+/// The audited world: seven appends over several blocks, a TSA time
+/// journal, a DBA + regulator occult, and a last append whose receipt
+/// (which seals the tail) is the audit's step-5 evidence. The auditor
+/// fetches journal n as the nth GetJournal, so a cell aims at a journal
+/// by its jsn.
+struct AuditWorld {
+  AuditWorld() {
+    registry.Register(ca.Certify("lsp", lsp.public_key(), Role::kLsp));
+    registry.Register(ca.Certify("alice", alice.public_key(), Role::kUser));
+    registry.Register(ca.Certify("dba", dba.public_key(), Role::kDba));
+    registry.Register(
+        ca.Certify("regulator", regulator.public_key(), Role::kRegulator));
+    options.fractal_height = 3;
+    options.block_capacity = 3;
+    ledger = std::make_unique<Ledger>("lg://audit-matrix", options, &clock,
+                                      lsp, &registry);
+    ledger->AttachDirectTsa(&tsa);
+    local = std::make_unique<LocalTransport>(ledger.get());
+    LedgerClient client(local.get(), alice, ClientOptions());
+    for (int i = 0; i < 7; ++i) {
+      uint64_t jsn = 0;
+      EXPECT_TRUE(client
+                      .AppendVerified(StringToBytes("tx-" + std::to_string(i)),
+                                      {"asset"}, &jsn)
+                      .ok());
+      if (i == 0) normal_jsn = jsn;
+    }
+    EXPECT_TRUE(ledger->AnchorTime(&time_jsn).ok());
+    Digest request = Ledger::OccultRequestHash("lg://audit-matrix", 3);
+    std::vector<Endorsement> sigs = {
+        {dba.public_key(), dba.Sign(request)},
+        {regulator.public_key(), regulator.Sign(request)}};
+    EXPECT_TRUE(ledger->Occult(3, sigs, &occult_jsn).ok());
+    ledger->ReorganizeOcculted();
+    EXPECT_TRUE(client.AppendVerified(StringToBytes("tail"), {"asset"},
+                                      nullptr, &receipt)
+                    .ok());
+  }
+
+  LedgerClient::Options ClientOptions() const {
+    LedgerClient::Options copts;
+    copts.lsp_key = lsp.public_key();
+    copts.fractal_height = options.fractal_height;
+    return copts;
+  }
+
+  Status Audit(LedgerTransport* via) const {
+    DaseinAuditor::Context context;
+    context.members = &registry;
+    context.tsa_key = tsa_key.public_key();
+    AuditReport report;
+    return DaseinAuditor(via, ClientOptions(), context)
+        .Audit(receipt, {}, &report);
+  }
+
+  SimulatedClock clock{1000 * kMicrosPerSecond};
+  CertificateAuthority ca{KeyPair::FromSeedString("audit-matrix-ca")};
+  MemberRegistry registry{&ca};
+  KeyPair lsp = KeyPair::FromSeedString("audit-matrix-lsp");
+  KeyPair alice = KeyPair::FromSeedString("audit-matrix-alice");
+  KeyPair dba = KeyPair::FromSeedString("audit-matrix-dba");
+  KeyPair regulator = KeyPair::FromSeedString("audit-matrix-regulator");
+  KeyPair tsa_key = KeyPair::FromSeedString("audit-matrix-tsa");
+  TsaService tsa{tsa_key, &clock};
+  LedgerOptions options;
+  std::unique_ptr<Ledger> ledger;
+  std::unique_ptr<LocalTransport> local;
+  uint64_t normal_jsn = 0, time_jsn = 0, occult_jsn = 0;
+  Receipt receipt;
+};
+
+TEST_F(ByzantineMatrixTest, AuditMutationsAreAlwaysDetected) {
+  AuditWorld world;
+  ASSERT_TRUE(world.Audit(world.local.get()).ok());
+  ASSERT_GE(world.ledger->blocks().size(), 4u);
+  const Cell cells[] = {
+      {RpcOp::kGetHeaders, FaultKind::kForgeProof, 0},      // header link
+      {RpcOp::kGetHeaders, FaultKind::kCorruptPayload, 0},  // header tx root
+      {RpcOp::kGetHeaders, FaultKind::kStaleRoot, 0},       // header fam root
+      {RpcOp::kGetHeaders, FaultKind::kTruncateProof, 0},   // header gap
+      {RpcOp::kGetJournal, FaultKind::kCorruptPayload,
+       world.time_jsn},  // time-journal evidence bytes
+      {RpcOp::kGetJournal, FaultKind::kForgeSignature,
+       world.occult_jsn},  // endorsement signature
+      {RpcOp::kGetJournal, FaultKind::kTruncateProof,
+       world.normal_jsn},  // false occult
+  };
+  for (const Cell& cell : cells) {
+    // Every seed places the typed mutation differently; all must fail.
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+      ByzantineTransport byz(world.local.get(), seed);
+      byz.InjectFault(cell.op, cell.nth, cell.kind);
+      Status s = world.Audit(&byz);
+      EXPECT_EQ(byz.faults_injected(), 1u) << CellName(cell.op, cell.kind,
+                                                       cell.nth);
+      EXPECT_FALSE(s.ok()) << CellName(cell.op, cell.kind, cell.nth)
+                           << " seed " << seed << " accepted";
+    }
+  }
+}
+
+TEST_F(ByzantineMatrixTest, NetworkFaultsOnAuditRpcsAreMasked) {
+  AuditWorld world;
+  for (RpcOp op : {RpcOp::kGetCommitment, RpcOp::kGetDelta,
+                   RpcOp::kGetJournal, RpcOp::kGetHeaders}) {
+    for (FaultKind kind : kNetworkFaults) {
+      for (uint64_t nth : {uint64_t{0}, world.time_jsn}) {
+        ByzantineTransport byz(world.local.get(), kMatrixSeed);
+        byz.InjectFault(op, nth, kind);
+        Status s = world.Audit(&byz);
+        EXPECT_TRUE(s.ok()) << CellName(op, kind, nth) << ": "
+                            << s.ToString();
+      }
     }
   }
 }

@@ -6,7 +6,7 @@
 
 #include <functional>
 
-#include "audit/remote_audit.h"
+#include "audit/dasein_auditor.h"
 #include "client/ledger_client.h"
 #include "net/byzantine_transport.h"
 #include "net/transport.h"
@@ -346,7 +346,7 @@ TEST_F(ByzantineTransportTest, EquivocationWithWrongKeyCaughtImmediately) {
 
 // ---------------------------------------------------------------------------
 // Rewritten replies: every acceptor runs the client's checks, so a reply the
-// client rejects is rejected by the transport-level audit too.
+// client rejects is rejected by the Dasein audit over the transport too.
 // ---------------------------------------------------------------------------
 
 /// Forwards every RPC to `inner`; when set, the hooks rewrite an OK
@@ -397,6 +397,10 @@ class RewritingTransport : public LedgerTransport {
     if (s.ok() && on_range) on_range(out);
     return s;
   }
+  Status GetHeaders(uint64_t first_height, uint64_t end_height,
+                    std::vector<BlockHeader>* out) override {
+    return inner_->GetHeaders(first_height, end_height, out);
+  }
   const std::string& uri() const override { return inner_->uri(); }
 
  private:
@@ -406,17 +410,19 @@ class RewritingTransport : public LedgerTransport {
 TEST_F(ByzantineTransportTest, RemoteAuditRejectsOccultedJournalWithOtherBytes) {
   LedgerClient alice = MakeClient(local_.get(), alice_);
   uint64_t jsn = 0;
-  ASSERT_TRUE(alice.AppendVerified(StringToBytes("original"), {"asset"}, &jsn)
+  Receipt receipt;
+  ASSERT_TRUE(alice.AppendVerified(StringToBytes("original"), {"asset"}, &jsn,
+                                   &receipt)
                   .ok());
   RewritingTransport rewriting(local_.get());
-  RemoteAuditOptions ropts;
-  ropts.lsp_key = lsp_.public_key();
-  ropts.fractal_height = options_.fractal_height;
-  RemoteAuditReport report;
-  Status s = RemoteAudit(&rewriting, ropts, &report);
+  DaseinAuditor::Context context;
+  context.members = &registry_;
+  DaseinAuditor auditor(&rewriting, ClientOptions(), context);
+  AuditReport report;
+  Status s = auditor.Audit(receipt, {}, &report);
   ASSERT_TRUE(s.ok()) << s.ToString() << " " << report.failure_reason;
   EXPECT_TRUE(report.passed);
-  EXPECT_EQ(report.journals_verified, ledger_->NumJournals());
+  EXPECT_EQ(report.journals_replayed, ledger_->NumJournals());
 
   // "Occulted" but still carrying bytes: the tx-hash, π_c and fam proof
   // bind only the payload digest, so the payload check alone must fail it.
@@ -425,10 +431,45 @@ TEST_F(ByzantineTransportTest, RemoteAuditRejectsOccultedJournalWithOtherBytes) 
     journal->occulted = true;
     journal->payload = StringToBytes("forged");
   };
-  s = RemoteAudit(&rewriting, ropts, &report);
+  s = auditor.Audit(receipt, {}, &report);
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
   EXPECT_FALSE(report.passed);
   EXPECT_EQ(report.failure_reason, "payload digest mismatch");
+}
+
+TEST_F(ByzantineTransportTest, AuditRejectsOccultClaimNoOccultJournalBacks) {
+  LedgerClient alice = MakeClient(local_.get(), alice_);
+  uint64_t jsn = 0;
+  Receipt receipt;
+  ASSERT_TRUE(alice.AppendVerified(StringToBytes("evidence"), {"asset"}, &jsn,
+                                   &receipt)
+                  .ok());
+  // The payload is hidden behind the Protocol 2 presentation: occulted,
+  // payload erased. The client's content check exempts that shape, and the
+  // tx-hash, π_c and fam proof bind only the retained digest...
+  RewritingTransport rewriting(local_.get());
+  rewriting.on_journal = [&](Journal* journal) {
+    if (journal->jsn != jsn) return;
+    journal->occulted = true;
+    journal->payload.clear();
+  };
+  Journal served;
+  LedgerClient bob = MakeClient(&rewriting, bob_);
+  ASSERT_TRUE(bob.RefreshTrustedRoots().ok());
+  EXPECT_TRUE(bob.FetchAndVerifyJournal(jsn, &served).ok());
+  EXPECT_TRUE(served.occulted);
+  // ...so only the audit, which sees every occult journal, can tell that
+  // no verified occult journal hides this one.
+  DaseinAuditor::Context context;
+  context.members = &registry_;
+  DaseinAuditor auditor(&rewriting, ClientOptions(), context);
+  AuditReport report;
+  Status s = auditor.Audit(receipt, {}, &report);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_FALSE(report.passed);
+  EXPECT_EQ(report.failure_reason, "journal " + std::to_string(jsn) +
+                                       " served as occulted with no occult "
+                                       "journal");
 }
 
 TEST_F(ByzantineTransportTest, EmptyRangeReplyRejected) {

@@ -81,6 +81,7 @@ const std::map<std::string, std::string>& Golden() {
       {"RequestFrame/GetClueProof", "87bde95eb237db8693d4eac575c45d190e679d2dd3b905519b0a04ea15f258eb"},
       {"RequestFrame/GetCommitment", "6d142707ceaa8d65d93d2d99a5c0514c9502bf9d6260d176ed524c202d584fc2"},
       {"RequestFrame/GetDelta", "0f724e6553a2440c1d51642b2ae6f064759bdae1c59d2580bc3dff244b24ff97"},
+      {"RequestFrame/GetHeaders", "eab76e82aa3269e0ec866bcfab24b74293dab37c08f3a292f83b3048042ed34c"},
       {"RequestFrame/GetJournal", "8a5821c6d9486fdfb4b62b01b711a5f40e04a266a4767087c84cd4ec32abe94d"},
       {"RequestFrame/GetProof", "7817d501d3982f2a5a689e52bc0c6c8ff9f4cba7e040897eb182a00aea5ff13e"},
       {"RequestFrame/GetProofBatch", "8fa708425f0998f1f2161515ea17a738844adef68a3da2353cd19330d857a40f"},
@@ -91,6 +92,7 @@ const std::map<std::string, std::string>& Golden() {
       {"ResponseFrame/GetClueProof", "775cd9b0848b75c190fb06e16dc9261b3c7f5ef346f0ec96092d174c173e2f8d"},
       {"ResponseFrame/GetCommitment", "685b5526461b21fa1b227bf388ade13822e17130687aeec64e3e3ea77547b2bb"},
       {"ResponseFrame/GetDelta", "df49b0e55df67efc8e287433821889f0fa177c295f64900fa06395ae772deffd"},
+      {"ResponseFrame/GetHeaders", "7a2a01bf4b7fac16da460d15d0d8937dc54a5c9a3259166cbb36a061c0e57db0"},
       {"ResponseFrame/GetJournal", "cc3e005668fd91d3fcfba97a4eca44cbd1c304c7103855084bf5009efa34ddef"},
       {"ResponseFrame/GetProof", "46f6dc1f491c5df73d3fc3cf8153d1169a487c8294270944c9d5588969b87c9a"},
       {"ResponseFrame/GetProofBatch", "7179876143d0f30978e3c7c1b01864673190d02fc5eb42cc5b61cc32aa3fcadf"},
@@ -339,6 +341,7 @@ TEST_F(CodecGoldenTest, EveryEncodingMatchesItsRecordedDigest) {
       wire::EncodeJsnList({5, 6, 12}),
       wire::EncodeClueWindowRequest("acct-0", 0,
                                     static_cast<uint64_t>(clock_.Now() + 1)),
+      wire::EncodeRangeRequest(1, 3),
   };
   for (int op = kNumRpcOps - 1; op >= 0; --op) {
     wire::RequestFrame request;

@@ -219,14 +219,18 @@ class FaultMatrixTest : public ::testing::Test {
   /// Recovered state must both replay consistently and pass the external
   /// Dasein audit — "verifiable even after a crash".
   void ExpectAuditPasses(Ledger* ledger) {
+    LocalTransport transport(ledger);
+    LedgerClient::Options copts;
+    copts.lsp_key = ledger->lsp_key();
+    copts.fractal_height = options_.fractal_height;
     DaseinAuditor::Context context;
-    context.ledger = ledger;
     context.members = &registry_;
     context.tsa_key = tsa_key_.public_key();
     Receipt receipt;
     ASSERT_TRUE(ledger->GetReceipt(ledger->NumJournals() - 1, &receipt).ok());
     AuditReport report;
-    Status s = DaseinAuditor(context).Audit(receipt, {}, &report);
+    Status s =
+        DaseinAuditor(&transport, copts, context).Audit(receipt, {}, &report);
     EXPECT_TRUE(s.ok()) << s.ToString() << " — " << report.failure_reason;
     EXPECT_TRUE(report.passed) << report.failure_reason;
   }

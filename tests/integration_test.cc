@@ -151,13 +151,18 @@ TEST(IntegrationTest, FullLifecycleSurvivesEverything) {
   // Phase 7: the Dasein-complete audit still passes.
   Receipt receipt;
   ASSERT_TRUE(ledger->GetReceipt(ledger->NumJournals() - 1, &receipt).ok());
+  LocalTransport transport(ledger.get());
+  LedgerClient::Options copts;
+  copts.lsp_key = ledger->lsp_key();
+  copts.fractal_height = options.fractal_height;
   DaseinAuditor::Context context;
-  context.ledger = ledger.get();
   context.members = &registry;
   context.tsa_key = tsa.public_key();
   context.tledger = &tledger;
   AuditReport report;
-  ASSERT_TRUE(DaseinAuditor(context).Audit(receipt, {}, &report).ok())
+  ASSERT_TRUE(DaseinAuditor(&transport, copts, context)
+                  .Audit(receipt, {}, &report)
+                  .ok())
       << report.failure_reason;
   EXPECT_TRUE(report.passed);
   EXPECT_EQ(report.occult_journals, 1u);

@@ -483,6 +483,20 @@ TEST_F(NetServiceTest, StopRemovesTheSocketFileStartBound) {
   std::remove(opts.unix_path.c_str());
 }
 
+TEST_F(NetServiceTest, FaultProxyStopRemovesTheSocketFileStartBound) {
+  const std::string path = SockPath("proxy-unlink");
+  SocketFaultProxy proxy(path, "unix:" + SockPath("proxy-backend"),
+                         /*seed=*/1);
+  ASSERT_TRUE(proxy.Start().ok());
+  ASSERT_EQ(access(path.c_str(), F_OK), 0);
+  proxy.Stop();
+  EXPECT_NE(access(path.c_str(), F_OK), 0);
+  // The path is free again: a second proxy binds it without a cleanup.
+  SocketFaultProxy again(path, "unix:" + SockPath("proxy-backend"),
+                         /*seed=*/2);
+  EXPECT_TRUE(again.Start().ok());
+}
+
 TEST_F(NetServiceTest, QueuedRequestPastDeadlineAnsweredDeadlineExceeded) {
   LedgerServer::Options opts;
   opts.unix_path = SockPath("dl");
@@ -634,6 +648,7 @@ TEST_F(NetServiceTest, DispatchRejectsMalformedBodyOfEveryOp) {
       {RpcOp::kProveClueRange,
        wire::EncodeClueWindowRequest(
            "trail", 0, static_cast<uint64_t>(clock_.Now() + 1))},
+      {RpcOp::kGetHeaders, wire::EncodeRangeRequest(0, 1)},
   };
   ASSERT_EQ(std::size(valid), static_cast<size_t>(kNumRpcOps));
 

@@ -38,10 +38,12 @@
 
 #include "accum/fam.h"
 #include "accum/shrubs.h"
+#include "audit/dasein_auditor.h"
 #include "client/ledger_client.h"
 #include "cmtree/cm_tree.h"
 #include "common/random.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
 #include "storage/stream_store.h"
@@ -88,6 +90,16 @@ Sample MakeSample(Bytes honest, std::function<bool(const T&)> accept) {
             return outcome;
           }};
 }
+
+/// A GetHeaders reply body, as the socket wire codes it.
+struct HeaderRange {
+  std::vector<BlockHeader> headers;
+
+  Bytes Serialize() const { return wire::EncodeHeaders(headers); }
+  static bool Deserialize(Slice raw, HeaderRange* out) {
+    return wire::DecodeHeaders(raw, &out->headers);
+  }
+};
 
 /// The world every sample is built from: a ledger with three verified
 /// appends on clue "asset", reached through the frame loopback.
@@ -425,6 +437,31 @@ const std::vector<FuzzEntry>& Registry() {
              });
        },
        1.0, 256},
+      {"HeaderRange",
+       [](ProofPlaneFuzz* w) {
+         // The auditor's header check against a fresh audited replay, with
+         // the latest receipt (in the last block) as step-5 evidence.
+         w->AppendMore(3, 9);
+         LedgerClient::Options copts;
+         copts.lsp_key = w->lsp_.public_key();
+         copts.fractal_height = w->options_.fractal_height;
+         auto pinned = std::make_shared<LedgerClient>(w->transport_.get(),
+                                                      KeyPair(), copts);
+         EXPECT_TRUE(pinned->RefreshTrustedRoots().ok());
+         HeaderRange reply;
+         EXPECT_TRUE(w->transport_->GetHeaders(0, 64, &reply.headers).ok());
+         EXPECT_GE(reply.headers.size(), 3u);
+         return MakeSample<HeaderRange>(
+             reply.Serialize(),
+             [pinned, receipt = w->client_->receipts().back()](
+                 const HeaderRange& m) {
+               AuditReport report;
+               return DaseinAuditor::VerifyHeaders(m.headers, *pinned,
+                                                   &receipt, &report)
+                   .ok();
+             });
+       },
+       1.0, 512},
       {"CheckpointManifest",
        [](ProofPlaneFuzz* w) {
          MemEnv env;

@@ -121,13 +121,18 @@ TEST_F(ServiceTest, HostedLedgerFullyAuditable) {
 
   Receipt receipt;
   ASSERT_TRUE(ledger->GetReceipt(ledger->NumJournals() - 1, &receipt).ok());
+  LocalTransport transport(ledger);
+  LedgerClient::Options copts;
+  copts.lsp_key = ledger->lsp_key();
+  copts.fractal_height = 4;
   DaseinAuditor::Context context;
-  context.ledger = ledger;
   context.members = &registry_;
   context.tsa_key = tsa_.public_key();
   context.tledger = service_.tledger();
   AuditReport report;
-  ASSERT_TRUE(DaseinAuditor(context).Audit(receipt, {}, &report).ok())
+  ASSERT_TRUE(DaseinAuditor(&transport, copts, context)
+                  .Audit(receipt, {}, &report)
+                  .ok())
       << report.failure_reason;
   EXPECT_TRUE(report.passed);
 }

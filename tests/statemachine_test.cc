@@ -207,12 +207,16 @@ TEST_P(StateMachineTest, RandomOperationSequenceHoldsInvariants) {
   ledger_->ReorganizeOcculted();
   Receipt receipt;
   ASSERT_TRUE(ledger_->GetReceipt(ledger_->NumJournals() - 1, &receipt).ok());
+  LocalTransport transport(ledger_.get());
+  LedgerClient::Options copts;
+  copts.lsp_key = ledger_->lsp_key();
+  copts.fractal_height = options_.fractal_height;
   DaseinAuditor::Context context;
-  context.ledger = ledger_.get();
   context.members = &registry_;
   context.tsa_key = tsa_.public_key();
   AuditReport report;
-  Status s = DaseinAuditor(context).Audit(receipt, {}, &report);
+  Status s =
+      DaseinAuditor(&transport, copts, context).Audit(receipt, {}, &report);
   ASSERT_TRUE(s.ok()) << report.failure_reason;
   EXPECT_TRUE(report.passed);
 }

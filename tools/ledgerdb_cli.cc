@@ -14,6 +14,7 @@
 //   ledgerdb_cli occult <dir> <jsn>              hide a journal (DBA+regulator)
 //   ledgerdb_cli purge  <dir> <before_jsn>       purge history
 //   ledgerdb_cli audit  <dir>                    full Dasein-complete audit
+//                                                (also with --remote)
 //   ledgerdb_cli status <dir>                    audited roots & counters
 //   ledgerdb_cli checkpoint <dir>                write an audited checkpoint
 //   ledgerdb_cli fsck   <dir> [--json]           stream + checkpoint integrity
@@ -30,12 +31,13 @@
 //                       [--drain-deadline-us <n>] [--ticks <n>]
 //                                                host the ledger over a socket
 //
-// Client commands: `append`, `get`, `verify`, `lineage`, `status` and
-// `verify-receipt` run one body against a LedgerTransport and a
-// LedgerClient over it, so a ledger read from disk is accepted by exactly
-// the checks a remote client applies: roots are pinned by an audited
-// refresh, and journals, lineages and receipts are verified by
-// LedgerClient. The transport is a LocalTransport over the recovered
+// Client commands: `append`, `get`, `verify`, `lineage`, `status`,
+// `verify-receipt` and `audit` run one body against a LedgerTransport and
+// a LedgerClient over it, so a ledger read from disk is accepted by
+// exactly the checks a remote client applies: roots are pinned by an
+// audited refresh, journals, lineages and receipts are verified by
+// LedgerClient, and `audit` runs the DaseinAuditor over the same
+// transport. The transport is a LocalTransport over the recovered
 // ledger, or, with `--remote <addr>` ("unix:<path>" or
 // "tcp:<ipv4>:<port>"), a SocketTransport to a running `serve` process; then
 // <dir> supplies only the seed-derived identities and uri.
@@ -408,16 +410,25 @@ int CmdPurge(CliContext* ctx, uint64_t before) {
   return 0;
 }
 
-int CmdAudit(CliContext* ctx) {
+/// The full Dasein-complete audit through the client's transport, with
+/// the receipt of the last journal (taking it seals that journal) as the
+/// step-5 evidence. The auditor checks the receipt and the commitment.
+int CmdAudit(CliContext* ctx, LedgerClient* client,
+             const std::vector<std::string>&) {
+  SignedCommitment commitment;
+  Status s = client->transport()->GetCommitment(&commitment);
   Receipt receipt;
-  Status s = ctx->ledger->GetReceipt(ctx->ledger->NumJournals() - 1, &receipt);
+  if (s.ok()) {
+    s = client->transport()->GetReceipt(commitment.journal_count - 1,
+                                        &receipt);
+  }
   if (!s.ok()) return FailStatus("receipt", s);
   DaseinAuditor::Context context;
-  context.ledger = ctx->ledger.get();
   context.members = ctx->registry.get();
   context.tsa_key = ctx->tsa->public_key();
   AuditReport report;
-  s = DaseinAuditor(context).Audit(receipt, {}, &report);
+  s = DaseinAuditor(client->transport(), client->options(), context)
+          .Audit(receipt, {}, &report);
   std::printf("journals replayed:    %llu\n",
               (unsigned long long)report.journals_replayed);
   std::printf("blocks verified:      %llu\n",
@@ -428,7 +439,10 @@ int CmdAudit(CliContext* ctx) {
               (unsigned long long)report.signatures_verified);
   std::printf("audit: %s\n",
               report.passed ? "PASSED"
-                            : ("FAILED — " + report.failure_reason).c_str());
+                            : ("FAILED — " + (report.failure_reason.empty()
+                                                  ? s.ToString()
+                                                  : report.failure_reason))
+                                  .c_str());
   return report.passed && s.ok() ? 0 : 1;
 }
 
@@ -717,11 +731,10 @@ int RunStatsExercise(CliContext* ctx) {
   s = ctx->ledger->GetReceipt(ctx->ledger->NumJournals() - 1, &receipt);
   if (!s.ok()) return FailStatus("exercise receipt", s);
   DaseinAuditor::Context context;
-  context.ledger = ctx->ledger.get();
   context.members = ctx->registry.get();
   context.tsa_key = ctx->tsa->public_key();
   AuditReport report;
-  s = DaseinAuditor(context).Audit(receipt, {}, &report);
+  s = DaseinAuditor(&local, copts, context).Audit(receipt, {}, &report);
   if (!s.ok() || !report.passed) return FailStatus("exercise audit", s);
   return 0;
 }
@@ -802,8 +815,8 @@ int Usage() {
                "usage: ledgerdb_cli <init|append|get|verify|lineage|anchor|"
                "occult|purge|audit|status|checkpoint|stats|fsck|receipt|"
                "verify-receipt|serve> <dir> [args...]\n"
-               "       append/get/verify/lineage/status/verify-receipt also "
-               "accept --remote <unix:path|tcp:host:port>\n");
+               "       append/get/verify/lineage/status/verify-receipt/audit "
+               "also accept --remote <unix:path|tcp:host:port>\n");
   return 2;
 }
 
@@ -825,6 +838,7 @@ constexpr ClientCommand kClientCommands[] = {
     {"lineage", 1, 1, CmdLineage},
     {"status", 0, 0, CmdStatus},
     {"verify-receipt", 1, 1, CmdVerifyReceipt},
+    {"audit", 0, 0, CmdAudit},
 };
 
 const ClientCommand* FindClientCommand(const std::string& name) {
@@ -898,7 +912,6 @@ int main(int argc, char** argv) {
   if (command == "purge" && rest.size() == 1) {
     return CmdPurge(&ctx, ParseJsn(rest[0]));
   }
-  if (command == "audit") return CmdAudit(&ctx);
   if (command == "checkpoint") return CmdCheckpoint(&ctx);
   if (command == "stats") return CmdStats(&ctx, rest);
   if (command == "receipt" && rest.size() == 2) {
