@@ -218,22 +218,21 @@ Status DaseinAuditor::VerifyHeaders(const std::vector<BlockHeader>& headers,
   const std::vector<JournalDelta>& committed = pinned.accepted_deltas();
   const LedgerMirror& mirror = pinned.mirror();
   uint64_t next = 0;
-  Digest prev;
+  Digest prev;  // the genesis block links to the zero digest
   for (uint64_t h = 0; h < headers.size(); ++h) {
     const BlockHeader& header = headers[h];
     const std::string at = " at height " + std::to_string(h);
     if (header.height != h || header.first_jsn != next ||
-        header.journal_count == 0 ||
-        header.journal_count > committed.size() - next) {
+        header.journal_count == 0) {
       return Fail(report, "block headers do not tile the journals" + at);
     }
+    // A block sealed after the roots were pinned lies beyond this audit.
+    if (header.journal_count > committed.size() - next) break;
     // V'(B_{i-1}, B_i): boundary verification across adjacent blocks.
-    if (h > 0) {
-      if (!(header.prev_block_hash == prev)) {
-        return Fail(report, "block boundary hash mismatch" + at);
-      }
-      ++report->boundaries_verified;
+    if (!(header.prev_block_hash == prev)) {
+      return Fail(report, "block boundary hash mismatch" + at);
     }
+    if (h > 0) ++report->boundaries_verified;
     // V(B_i): the tx root over the committed tx-hashes, and the fam
     // snapshot against the mirror's historical root at the block's end.
     ShrubsAccumulator tx_tree;
@@ -253,22 +252,23 @@ Status DaseinAuditor::VerifyHeaders(const std::vector<BlockHeader>& headers,
         receipt->jsn < next && !(receipt->block_hash == prev)) {
       return Fail(report, "LSP receipt names another block than its own");
     }
+    // Only a chain that reaches the pinned count ends at the pinned roots.
+    if (next == committed.size() &&
+        !(header.clue_root == mirror.clue_root() &&
+          header.state_root == mirror.state_root())) {
+      return Fail(report, "last block header contradicts the pinned roots");
+    }
     ++report->blocks_verified;
   }
-  if (next != committed.size()) {
-    return Fail(report, "block headers leave journals " + std::to_string(next) +
-                            ".." + std::to_string(committed.size()) +
-                            " unsealed");
-  }
-  if (!headers.empty() &&
-      !(headers.back().clue_root == mirror.clue_root() &&
-        headers.back().state_root == mirror.state_root())) {
-    return Fail(report, "last block header contradicts the pinned roots");
-  }
+  // The headers tile the sealed prefix [0, next); journals above it are
+  // bound by the replay alone. The receipt's journal must be sealed.
   if (receipt != nullptr && (receipt->jsn >= committed.size() ||
                              !(committed[receipt->jsn].tx_hash ==
                                receipt->tx_hash))) {
     return Fail(report, "LSP receipt does not match ledger content");
+  }
+  if (receipt != nullptr && receipt->jsn >= next) {
+    return Fail(report, "LSP receipt names a journal no audited header seals");
   }
   return Status::OK();
 }

@@ -61,24 +61,27 @@ class DaseinAuditor {
         context_(context) {}
 
   /// Full Dasein-complete audit. `latest_receipt` is the client-held π_s
-  /// evidence (step 5). The headers must cover every journal, so audit a
-  /// ledger whose last journal is sealed (taking its receipt seals it).
+  /// evidence (step 5); taking it seals its journal. Journals appended
+  /// since are bound by the replay alone, so a live LSP can be audited.
   Status Audit(const Receipt& latest_receipt, const AuditOptions& options,
                AuditReport* report) const;
 
-  /// Per-factor entry points: each runs its own sweep for one factor.
-  /// what: binds journals [begin, end) and verifies the header chain.
+  /// Per-factor entry points. Each is a full audit pass: it pins the
+  /// roots, fetches and binds every journal and checks every purge and
+  /// occult journal. The range or window narrows only the counted factor.
+  /// what: counts journals [begin, end) and verifies the header chain.
   Status VerifyWhatRange(uint64_t begin, uint64_t end, AuditReport* report) const;
   /// when: validates every time journal in the temporal range.
   Status VerifyWhen(const AuditOptions& options, AuditReport* report) const;
-  /// who: π_c of journals [begin, end) and endorsements, batched per chunk.
+  /// who: π_c of journals [begin, end), batched per chunk.
   Status VerifyWho(uint64_t begin, uint64_t end, AuditReport* report) const;
 
   /// The acceptance rule for the header chain, with no I/O: `headers`
-  /// tile the journals `pinned` audited from height 0; each links to its
-  /// predecessor, its tx root and fam root are recomputed from the pinned
-  /// replay, and the last carries the pinned clue and state roots. A
-  /// `receipt` must match its committed tx-hash and name its header.
+  /// tile a prefix of the journals `pinned` audited, from height 0 (later
+  /// headers are ignored); each links to its predecessor, its tx root and
+  /// fam root are recomputed from the replay, and one ending at the pinned
+  /// count carries the pinned clue and state roots. A `receipt` must match
+  /// its committed tx-hash, lie in the prefix and name its header.
   static Status VerifyHeaders(const std::vector<BlockHeader>& headers,
                               const LedgerClient& pinned,
                               const Receipt* receipt, AuditReport* report);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "audit/dasein_auditor.h"
 
 namespace ledgerdb {
@@ -123,6 +126,24 @@ TEST_F(AuditTest, TLedgerEvidenceWithoutContextFails) {
   EXPECT_FALSE(report.passed);
 }
 
+TEST_F(AuditTest, TimeEvidenceFromAnUntrustedTsaFails) {
+  ledger_->AttachDirectTsa(&tsa_);
+  Append(alice_, "p");
+  ASSERT_TRUE(ledger_->AnchorTime(nullptr).ok());
+  Receipt receipt = LatestReceipt();
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp_key_.public_key();
+  copts.fractal_height = 4;
+  DaseinAuditor::Context context;
+  context.members = &registry_;
+  context.tsa_key = alice_.public_key();  // not the ledger's TSA
+  AuditReport report;
+  EXPECT_TRUE(DaseinAuditor(transport_.get(), copts, context)
+                  .Audit(receipt, {}, &report)
+                  .IsVerificationFailed());
+  EXPECT_EQ(report.failure_reason, "TSA attestation signature invalid");
+}
+
 TEST_F(AuditTest, AuditSurvivesOccult) {
   uint64_t target = Append(alice_, "pii-data");
   Append(bob_, "other");
@@ -179,6 +200,63 @@ TEST_F(AuditTest, ReceiptNamingAnotherBlockFails) {
   EXPECT_FALSE(report.passed);
   EXPECT_EQ(report.failure_reason,
             "LSP receipt names another block than its own");
+}
+
+/// Runs `before_headers` once, when the auditor first asks for the block
+/// headers: what a client of a live LSP does between the auditor's pin
+/// and its header fetch.
+struct LiveTransport : LocalTransport {
+  using LocalTransport::LocalTransport;
+  Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) override {
+    if (op == RpcOp::kGetHeaders && before_headers) {
+      std::exchange(before_headers, nullptr)();
+    }
+    return LocalTransport::Call(op, body, resp_body);
+  }
+  std::function<void()> before_headers;
+};
+
+TEST_F(AuditTest, AuditPassesWhileClientsKeepAppending) {
+  // One journal lands after the receipt is taken and stays unsealed;
+  // another is appended and sealed after the auditor pinned its roots.
+  // The headers then tile only a prefix, and the audit still passes.
+  for (int i = 0; i < 6; ++i) Append(alice_, "p" + std::to_string(i));
+  Receipt receipt = LatestReceipt();
+  Append(bob_, "after-receipt");
+  auto live = std::make_unique<LiveTransport>(ledger_.get());
+  live->before_headers = [&] {
+    Append(bob_, "after-pin");
+    ASSERT_TRUE(ledger_->SealBlock().ok());
+  };
+  LiveTransport* live_ptr = live.get();
+  transport_ = std::move(live);
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor().Audit(receipt, {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_TRUE(report.passed);
+  EXPECT_FALSE(live_ptr->before_headers);
+  EXPECT_EQ(report.journals_replayed, receipt.jsn + 2);
+  EXPECT_EQ(report.blocks_verified, ledger_->blocks().size() - 1);
+}
+
+TEST_F(AuditTest, ReceiptForUnsealedJournalFails) {
+  // The LSP signs a receipt with the right tx-hash for a journal it has
+  // not sealed; no audited header covers it, so step 5 cannot pass.
+  for (int i = 0; i < 5; ++i) Append(alice_, "p" + std::to_string(i));
+  LatestReceipt();
+  uint64_t tail = Append(bob_, "unsealed");
+  Journal journal;
+  ASSERT_TRUE(ledger_->GetJournal(tail, &journal).ok());
+  Receipt receipt;
+  receipt.jsn = tail;
+  receipt.request_hash = journal.request_hash;
+  receipt.tx_hash = journal.TxHash();
+  receipt.timestamp = clock_.Now();
+  receipt.lsp_sig = lsp_key_.Sign(receipt.MessageHash());  // LSP collusion
+  AuditReport report;
+  EXPECT_TRUE(MakeAuditor().Audit(receipt, {}, &report).IsVerificationFailed());
+  EXPECT_EQ(report.failure_reason,
+            "LSP receipt names a journal no audited header seals");
 }
 
 TEST_F(AuditTest, AuditSurvivesOccultByClue) {

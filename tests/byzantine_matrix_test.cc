@@ -9,8 +9,11 @@
 //              Corruption / IOError after retry exhaustion / ...).
 //
 // Silent acceptance — the scenario "succeeds" but the state diverges from
-// the baseline or the audit fails — is a test failure in every cell. Each
-// cell is run twice from the same seed and must replay bit-identically.
+// the baseline, a fetched payload differs from the bytes appended, or the
+// audit fails — is a test failure in every cell. The one exception is a
+// listed known gap: a point or lineage read accepts a payload withheld
+// under an occult claim, which only the full audit can refute. Each cell
+// is run twice from the same seed and must replay bit-identically.
 //
 // The audit cells turn the adversary on the auditor itself: each typed
 // mutation of a header, time journal, endorsement or occult flag must fail
@@ -48,13 +51,14 @@ struct RunResult {
   std::string fam, clue, state;
   uint64_t journals = 0;
   uint64_t faults = 0;
+  std::string content;     // first fetched payload that is not the appended one
   bool dasein_ok = false;  // only meaningful when ok
   std::string dasein_why;
 
   std::string Fingerprint() const {
     return (ok ? "ok" : "err:" + step + ":" + error) + "|" + fam + "|" + clue +
            "|" + state + "|" + std::to_string(journals) + "|" +
-           std::to_string(faults);
+           std::to_string(faults) + "|" + content;
   }
 };
 
@@ -91,6 +95,14 @@ class ByzantineMatrixTest : public ::testing::Test {
     //   refresh, 3 appends (clue "asset"), refresh, verify one journal,
     //   verify the clue lineage, re-check the first receipt.
     uint64_t first_jsn = 0;
+    auto check_content = [&](const Journal& journal, int i) {
+      if (!r.content.empty() ||
+          journal.payload == StringToBytes("tx-" + std::to_string(i))) {
+        return;
+      }
+      r.content = "jsn " + std::to_string(journal.jsn) +
+                  (journal.occulted ? " served occulted" : " payload differs");
+    };
     Status s;
     auto step = [&](const char* name, Status st) {
       if (r.error.empty() && !st.ok()) {
@@ -112,6 +124,7 @@ class ByzantineMatrixTest : public ::testing::Test {
       Journal journal;
       go = step("verify-journal", client.FetchAndVerifyJournal(first_jsn,
                                                                &journal));
+      if (go) check_content(journal, 0);
     }
     if (go) {
       std::vector<Journal> lineage;
@@ -122,6 +135,7 @@ class ByzantineMatrixTest : public ::testing::Test {
         r.error = "lineage size " + std::to_string(lineage.size());
         go = false;
       }
+      for (int i = 0; go && i < 3; ++i) check_content(lineage[i], i);
     }
     if (go) {
       go = step("receipt-recheck",
@@ -179,6 +193,7 @@ TEST_F(ByzantineMatrixTest, HonestBaselinePassesBothAudits) {
   ASSERT_TRUE(base.ok) << base.step << ": " << base.error;
   EXPECT_EQ(base.faults, 0u);
   EXPECT_TRUE(base.dasein_ok) << base.dasein_why;
+  EXPECT_EQ(base.content, "");
   EXPECT_EQ(base.journals, 4u);  // genesis + 3 appends
 }
 
@@ -198,6 +213,7 @@ TEST_F(ByzantineMatrixTest, NetworkFaultsAreMaskedEverywhere) {
         EXPECT_EQ(r.clue, base.clue) << cell;
         EXPECT_EQ(r.state, base.state) << cell;
         EXPECT_EQ(r.journals, base.journals) << cell;
+        EXPECT_EQ(r.content, "") << cell;
         EXPECT_TRUE(r.dasein_ok) << cell << ": " << r.dasein_why;
       }
     }
@@ -240,6 +256,16 @@ TEST_F(ByzantineMatrixTest, MutationFaultsAreDetectedOrProvablyHarmless) {
   must_detect.insert(CellName(RpcOp::kGetCommitment, FaultKind::kStaleRoot, 1));
   must_detect.insert(CellName(RpcOp::kGetDelta, FaultKind::kForgeProof, 1));
 
+  // Known gap: a false occult on GetJournal withholds the payload of the
+  // point read (#0) or of a lineage entry (#1). The client cannot refute
+  // an occult claim without the occult journals, which only the full
+  // audit fetches; these cells are listed so that they are not counted
+  // as harmless, and so that closing the gap shows here.
+  const std::set<std::string> known_gap = {
+      CellName(RpcOp::kGetJournal, FaultKind::kTruncateProof, 0),
+      CellName(RpcOp::kGetJournal, FaultKind::kTruncateProof, 1)};
+  std::set<std::string> gaps;
+
   int detected = 0, harmless = 0;
   for (RpcOp op : kAllOps) {
     for (FaultKind kind : kMutationFaults) {
@@ -255,9 +281,16 @@ TEST_F(ByzantineMatrixTest, MutationFaultsAreDetectedOrProvablyHarmless) {
                         << "completed without an error";
           continue;
         }
-        // The cell claims to be harmless — prove it: bit-identical ledger
-        // AND the audit passes. Anything else is silent acceptance.
+        if (known_gap.count(cell) &&
+            r.content.find(" served occulted") != std::string::npos) {
+          gaps.insert(cell);
+          continue;
+        }
+        // The cell claims to be harmless — prove it: bit-identical ledger,
+        // the appended payloads served back AND the audit passes. Anything
+        // else is silent acceptance.
         ++harmless;
+        EXPECT_EQ(r.content, "") << cell << " silently served other bytes";
         EXPECT_EQ(r.fam, base.fam) << cell << " silently diverged";
         EXPECT_EQ(r.clue, base.clue) << cell << " silently diverged";
         EXPECT_EQ(r.state, base.state) << cell << " silently diverged";
@@ -270,6 +303,7 @@ TEST_F(ByzantineMatrixTest, MutationFaultsAreDetectedOrProvablyHarmless) {
   // hand-checked floor keeps the detection machinery honest.
   EXPECT_GE(detected, static_cast<int>(must_detect.size()));
   EXPECT_GT(harmless, 0);
+  EXPECT_EQ(gaps, known_gap);
 }
 
 TEST_F(ByzantineMatrixTest, EveryCellReplaysBitIdenticallyFromItsSeed) {
@@ -337,13 +371,15 @@ struct AuditWorld {
     return copts;
   }
 
-  Status Audit(LedgerTransport* via) const {
+  Status Audit(LedgerTransport* via, std::string* why = nullptr) const {
     DaseinAuditor::Context context;
     context.members = &registry;
     context.tsa_key = tsa_key.public_key();
     AuditReport report;
-    return DaseinAuditor(via, ClientOptions(), context)
-        .Audit(receipt, {}, &report);
+    Status s = DaseinAuditor(via, ClientOptions(), context)
+                   .Audit(receipt, {}, &report);
+    if (why != nullptr) *why = report.failure_reason;
+    return s;
   }
 
   SimulatedClock clock{1000 * kMicrosPerSecond};
@@ -366,28 +402,45 @@ TEST_F(ByzantineMatrixTest, AuditMutationsAreAlwaysDetected) {
   AuditWorld world;
   ASSERT_TRUE(world.Audit(world.local.get()).ok());
   ASSERT_GE(world.ledger->blocks().size(), 4u);
-  const Cell cells[] = {
-      {RpcOp::kGetHeaders, FaultKind::kForgeProof, 0},      // header link
-      {RpcOp::kGetHeaders, FaultKind::kCorruptPayload, 0},  // header tx root
-      {RpcOp::kGetHeaders, FaultKind::kStaleRoot, 0},       // header fam root
-      {RpcOp::kGetHeaders, FaultKind::kTruncateProof, 0},   // header gap
-      {RpcOp::kGetJournal, FaultKind::kCorruptPayload,
-       world.time_jsn},  // time-journal evidence bytes
-      {RpcOp::kGetJournal, FaultKind::kForgeSignature,
-       world.occult_jsn},  // endorsement signature
-      {RpcOp::kGetJournal, FaultKind::kTruncateProof,
-       world.normal_jsn},  // false occult
+  struct AuditCell {
+    Cell cell;
+    std::string why;  // the check that must reject it
   };
-  for (const Cell& cell : cells) {
-    // Every seed places the typed mutation differently; all must fail.
+  // Every mutation of a time journal's bytes served through the transport
+  // changes its payload, so the payload digest rejects it before the
+  // time-evidence check runs. That check is reached only by committed
+  // evidence the auditor does not accept (AuditTest's time-evidence tests).
+  const AuditCell cells[] = {
+      {{RpcOp::kGetHeaders, FaultKind::kForgeProof, 0},
+       "block boundary hash mismatch"},
+      {{RpcOp::kGetHeaders, FaultKind::kCorruptPayload, 0},
+       "block tx root mismatch"},
+      {{RpcOp::kGetHeaders, FaultKind::kStaleRoot, 0},
+       "block fam root mismatch"},
+      {{RpcOp::kGetHeaders, FaultKind::kTruncateProof, 0},
+       "block headers do not tile the journals"},
+      {{RpcOp::kGetJournal, FaultKind::kCorruptPayload, world.time_jsn},
+       "payload digest mismatch"},
+      {{RpcOp::kGetJournal, FaultKind::kForgeSignature, world.occult_jsn},
+       "occult endorsement signature invalid"},
+      {{RpcOp::kGetJournal, FaultKind::kTruncateProof, world.normal_jsn},
+       "journal " + std::to_string(world.normal_jsn) +
+           " served as occulted with no occult journal"},
+  };
+  for (const AuditCell& audit_cell : cells) {
+    const Cell& cell = audit_cell.cell;
+    const std::string name = CellName(cell.op, cell.kind, cell.nth);
+    // Every seed places the typed mutation differently; all must fail,
+    // each by the check the cell aims at.
     for (uint64_t seed = 1; seed <= 16; ++seed) {
       ByzantineTransport byz(world.local.get(), seed);
       byz.InjectFault(cell.op, cell.nth, cell.kind);
-      Status s = world.Audit(&byz);
-      EXPECT_EQ(byz.faults_injected(), 1u) << CellName(cell.op, cell.kind,
-                                                       cell.nth);
-      EXPECT_FALSE(s.ok()) << CellName(cell.op, cell.kind, cell.nth)
-                           << " seed " << seed << " accepted";
+      std::string why;
+      Status s = world.Audit(&byz, &why);
+      EXPECT_EQ(byz.faults_injected(), 1u) << name;
+      EXPECT_FALSE(s.ok()) << name << " seed " << seed << " accepted";
+      EXPECT_EQ(why.rfind(audit_cell.why, 0), 0u)
+          << name << " seed " << seed << " failed with: " << why;
     }
   }
 }

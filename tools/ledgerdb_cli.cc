@@ -412,7 +412,8 @@ int CmdPurge(CliContext* ctx, uint64_t before) {
 
 /// The full Dasein-complete audit through the client's transport, with
 /// the receipt of the last journal (taking it seals that journal) as the
-/// step-5 evidence. The auditor checks the receipt and the commitment.
+/// step-5 evidence. The auditor checks the receipt and the commitment;
+/// journals appended meanwhile need no seal.
 int CmdAudit(CliContext* ctx, LedgerClient* client,
              const std::vector<std::string>&) {
   SignedCommitment commitment;
