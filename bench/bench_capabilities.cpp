@@ -1,7 +1,10 @@
 // Table I reproduction: the ledger-verification capability matrix. The
 // rows for external systems restate the paper's analysis; the LedgerDB row
 // is *probed live* — each claimed capability is exercised against this
-// repository's implementation and the probe result printed.
+// repository's implementation and the probe result printed. Every probe
+// accepts an answer only as a client would: through a LedgerClient or the
+// Dasein auditor over a transport, against roots pinned by an audited
+// refresh.
 
 #include <cstdio>
 #include <string>
@@ -80,20 +83,16 @@ int main(int argc, char** argv) {
   std::vector<Probe> probes;
 
   // Probe: Dasein-complete audit (what-when-who) with TSA-only trust.
-  std::vector<Digest> clue_digests;
-  for (int i = 0; i < 20; ++i) {
-    uint64_t jsn = append("rec" + std::to_string(i), {"asset"});
-    Journal j;
-    ledger.GetJournal(jsn, &j);
-    clue_digests.push_back(j.TxHash());
-  }
-  ledger.AnchorTime(nullptr);
+  for (int i = 0; i < 20; ++i) append("rec" + std::to_string(i), {"asset"});
+  uint64_t time_jsn = 0;
+  ledger.AnchorTime(&time_jsn);
   Receipt receipt;
   ledger.GetReceipt(ledger.NumJournals() - 1, &receipt);
   LocalTransport transport(&ledger);
   LedgerClient::Options copts;
   copts.lsp_key = lsp.public_key();
   copts.fractal_height = options.fractal_height;
+  LedgerClient client(&transport, user, copts);
   DaseinAuditor::Context context;
   context.members = &registry;
   context.tsa_key = tsa.public_key();
@@ -102,31 +101,32 @@ int main(int argc, char** argv) {
   bool audit_ok = auditor.Audit(receipt, {}, &report).ok() && report.passed;
   probes.push_back({"Dasein-complete audit (what-when-who)", audit_ok});
 
-  // Probe: when evidence verifiable WITHOUT trusting the LSP (TSA only).
-  bool tsa_only = !ledger.time_journals().empty() &&
-                  ledger.time_journals()[0].evidence.attestation.Verify(
-                      tsa.public_key());
+  // Probe: when evidence verifiable WITHOUT trusting the LSP (TSA only):
+  // the verified time journal's attestation checks under the TSA key.
+  Journal time_journal;
+  TimeEvidence evidence;
+  bool tsa_only =
+      client.RefreshTrustedRoots().ok() &&
+      client.FetchAndVerifyJournal(time_jsn, &time_journal).ok() &&
+      TimeEvidence::Deserialize(time_journal.payload, &evidence) &&
+      evidence.attestation.Verify(tsa.public_key());
   probes.push_back({"when trusted dependency = TSA, not LSP", tsa_only});
 
   // Probe: verifiable N-lineage via CM-Tree clue proof.
-  ClueProof clue_proof;
-  bool lineage_ok =
-      ledger.GetClueProof("asset", 0, 0, &clue_proof).ok() &&
-      CmTree::VerifyClueProof(ledger.ClueRoot(), clue_digests, clue_proof);
+  std::vector<Journal> lineage;
+  bool lineage_ok = client.FetchAndVerifyLineage("asset", &lineage).ok() &&
+                    lineage.size() == 20;
   probes.push_back({"verifiable N-lineage (CM-Tree)", lineage_ok});
 
   // Probe: verifiable mutation — purge.
   Digest preq = Ledger::PurgeRequestHash("lg://cap", 10);
   std::vector<Endorsement> psigs = {{dba.public_key(), dba.Sign(preq)},
                                     {user.public_key(), user.Sign(preq)}};
-  bool purge_ok = ledger.Purge(10, psigs, {}, nullptr).ok();
-  Journal gone;
-  purge_ok &= ledger.GetJournal(3, &gone).IsNotFound();
-  FamProof after_purge;
-  Journal kept;
-  purge_ok &= ledger.GetJournal(12, &kept).ok() &&
-              ledger.GetProof(12, &after_purge).ok() &&
-              Ledger::VerifyJournalProof(kept, after_purge, ledger.FamRoot());
+  bool purge_ok = ledger.Purge(10, psigs, {}, nullptr).ok() &&
+                  client.RefreshTrustedRoots().ok();
+  Journal gone, kept;
+  purge_ok &= client.FetchAndVerifyJournal(3, &gone).IsNotFound() &&
+              client.FetchAndVerifyJournal(12, &kept).ok();
   probes.push_back({"verifiable mutation: purge (Protocol 1)", purge_ok});
 
   // Probe: verifiable mutation — occult.
@@ -134,20 +134,18 @@ int main(int argc, char** argv) {
   Digest oreq = Ledger::OccultRequestHash("lg://cap", target);
   std::vector<Endorsement> osigs = {{dba.public_key(), dba.Sign(oreq)},
                                     {regulator.public_key(), regulator.Sign(oreq)}};
-  bool occult_ok = ledger.Occult(target, osigs, nullptr).ok();
+  bool occult_ok = ledger.Occult(target, osigs, nullptr).ok() &&
+                   client.RefreshTrustedRoots().ok();
   Journal hidden;
-  occult_ok &= ledger.GetJournal(target, &hidden).ok() && hidden.occulted &&
-               hidden.payload.empty();
-  FamProof oproof;
-  occult_ok &= ledger.GetProof(target, &oproof).ok() &&
-               Ledger::VerifyJournalProof(hidden, oproof, ledger.FamRoot());
+  occult_ok &= client.FetchAndVerifyJournal(target, &hidden).ok() &&
+               hidden.occulted && hidden.payload.empty();
   probes.push_back({"verifiable mutation: occult (Protocol 2)", occult_ok});
 
   // Probe: verification efficiency — anchored fam proof bounded by the
   // fractal height even as the ledger grows.
   for (int i = 0; i < 200; ++i) append("bulk" + std::to_string(i), {});
   FamProof recent;
-  ledger.GetProof(ledger.NumJournals() - 1, &recent);
+  transport.GetProof(ledger.NumJournals() - 1, &recent);
   bool bounded = recent.local.siblings.size() <=
                  static_cast<size_t>(options.fractal_height);
   probes.push_back({"fam proof bounded by fractal height", bounded});

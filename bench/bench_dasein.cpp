@@ -1,6 +1,17 @@
 // Figure 7 reproduction: latency breakdown of Dasein verification
 // (what-when-who) over an audit of 1000 sequential journals.
 //
+//  - what: DaseinAuditor::Audit over a LocalTransport, payload sizes
+//    256B - 256KB, one signature per journal and no time journals. The
+//    per-journal cost is the auditor's audit_what stage — each journal's
+//    fetch, its tx-hash binding and its payload digest, plus the header
+//    chain — divided by the journal count. It grows with payload hashing
+//    (~4x in paper).
+//    A build with LEDGERDB_OBS_OFF compiles the stage out and reports 0.
+//
+// The when and who panels are bench-level loops over the same evidence
+// the auditor checks, not the auditor itself:
+//
 //  - when: three timestamp configurations — direct TSA pegging, T-Ledger
 //    with the audited ledger appending at 1 TPS (TL-1), and at 10 TPS
 //    (TL-10). Direct TSA evidence is an RFC3161-style token whose
@@ -8,21 +19,23 @@
 //    T-Ledger the TSA binding is one finalization shared by every
 //    submission in its window, so its signature check amortizes (the
 //    paper reports ~50x reduction for TL-10 vs TSA).
-//  - what: fam existence verification with payload sizes 256B - 256KB
-//    (TL-1, single signature). Grows with payload hashing (~4x in paper).
+//    The auditor itself checks a direct-TSA journal with one signature
+//    and a T-Ledger journal with two (the receipt and the finalization),
+//    so its own when stage would invert the paper's TSA > TL-1 > TL-10.
 //  - who: signature verification with 1-7 signers (TL-1, 256B). Linear in
 //    the signer count (~12x from 256B to 256KB payloads is attributed to
-//    who because the request-hash covers the payload).
+//    who because the request-hash covers the payload). Ordinary journals
+//    carry one signature, so the co-signers are attached here.
 
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "accum/fam.h"
+#include "audit/dasein_auditor.h"
 #include "bench/bench_util.h"
-#include "common/random.h"
-#include "ledger/ledger.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 using namespace ledgerdb;
 using namespace ledgerdb::bench;
@@ -30,6 +43,7 @@ using namespace ledgerdb::bench;
 namespace {
 
 constexpr int kJournals = 1000;
+constexpr int kFractalHeight = 10;
 
 struct Fixture {
   SimulatedClock clock{0};
@@ -50,7 +64,7 @@ struct Fixture {
     tsa_member = ca.Certify("tsa", tsa_key.public_key(), Role::kTsa);
     registry.Register(tsa_member);
     LedgerOptions options;
-    options.fractal_height = 10;
+    options.fractal_height = kFractalHeight;
     ledger = std::make_unique<Ledger>("lg://bench", options, &clock, lsp,
                                       &registry);
   }
@@ -128,34 +142,31 @@ double WhenLatencyUs(bool use_tledger, int tps) {
   return secs * 1e6 / kJournals;
 }
 
-/// what scenario: per-journal existence verification cost at a payload
-/// size (fam epoch proof + payload digest recomputation).
+/// what scenario: one Dasein audit over a LocalTransport of 1000 journals
+/// at a payload size; the per-journal cost is read from its audit_what
+/// stage.
 double WhatLatencyUs(size_t payload_bytes) {
   Fixture fx;
-  std::vector<uint64_t> jsns;
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < kJournals; ++i) {
-    jsns.push_back(fx.Append(payload_bytes));
-    payloads.push_back(Bytes(payload_bytes, static_cast<uint8_t>(i + 1)));
+  for (int i = 0; i < kJournals; ++i) fx.Append(payload_bytes);
+  Receipt receipt;
+  if (!fx.ledger->GetReceipt(fx.ledger->NumJournals() - 1, &receipt).ok()) {
+    std::abort();
   }
-  // Client-side verifier with synced epoch roots (fam-aoa).
-  double secs = TimeSeconds([&] {
-    for (int i = 0; i < kJournals; ++i) {
-      Journal journal;
-      if (!fx.ledger->GetJournal(jsns[i], &journal).ok()) std::abort();
-      // Recompute the payload digest from raw content ('foobar' vs
-      // 'foopar' detection) and the tx-hash, then check the fam path.
-      if (!(Sha256::Hash(journal.payload) == journal.payload_digest)) {
-        std::abort();
-      }
-      FamProof proof;
-      if (!fx.ledger->GetProof(jsns[i], &proof).ok()) std::abort();
-      if (!Ledger::VerifyJournalProof(journal, proof, fx.ledger->FamRoot())) {
-        std::abort();
-      }
-    }
-  });
-  return secs * 1e6 / kJournals;
+  LocalTransport transport(fx.ledger.get());
+  LedgerClient::Options copts;
+  copts.lsp_key = fx.lsp.public_key();
+  copts.fractal_height = kFractalHeight;
+  DaseinAuditor::Context context;
+  context.members = &fx.registry;
+  context.tsa_key = fx.tsa.public_key();
+  DaseinAuditor auditor(&transport, copts, context);
+  obs::Histogram* what =
+      obs::MetricsRegistry::Default().GetHistogram(obs::names::kAuditWhatUs);
+  what->Reset();
+  AuditReport report;
+  if (!auditor.Audit(receipt, {}, &report).ok()) std::abort();
+  return static_cast<double>(what->Sum()) /
+         static_cast<double>(report.journals_replayed);
 }
 
 /// who scenario: per-journal non-repudiation cost with `signers`

@@ -10,14 +10,19 @@
 // (Table II's measured value); the lineage rows then follow from protocol
 // structure alone — per-version re-verification makes them scale with the
 // version count (paper: 7.8 s at 5 versions, 155.9 s at 100).
+//
+// The LedgerDB verify and lineage rows accept answers only through a
+// LedgerClient over a LocalTransport, against roots pinned by one audited
+// refresh before the timed loops; they include π_c of every fetched
+// journal.
 
 #include <string>
 #include <vector>
 
 #include "baselines/qldb_sim.h"
 #include "bench/bench_util.h"
+#include "client/ledger_client.h"
 #include "common/random.h"
-#include "ledger/ledger.h"
 
 using namespace ledgerdb;
 using namespace ledgerdb::bench;
@@ -117,16 +122,9 @@ int main(int argc, char** argv) {
   };
 
   for (uint64_t i = 0; i < kPreload / 4; ++i) append("", Bytes(64, 1));
-  std::vector<Digest> lineage5, lineage100;
-  for (int v = 0; v < 5; ++v) {
-    Journal j;
-    ledger.GetJournal(append("l5", Bytes(1024, static_cast<uint8_t>(v))), &j);
-    lineage5.push_back(j.TxHash());
-  }
+  for (int v = 0; v < 5; ++v) append("l5", Bytes(1024, static_cast<uint8_t>(v)));
   for (int v = 0; v < 100; ++v) {
-    Journal j;
-    ledger.GetJournal(append("l100", Bytes(1024, static_cast<uint8_t>(v))), &j);
-    lineage100.push_back(j.TxHash());
+    append("l100", Bytes(1024, static_cast<uint8_t>(v)));
   }
   uint64_t target = append("doc", doc);
 
@@ -138,31 +136,33 @@ int main(int argc, char** argv) {
                       }) +
                        kLedgerDbRttUs) /
                       1e6;
+  LocalTransport transport(&ledger);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = LedgerOptions().fractal_height;
+  LedgerClient verifier(&transport, client, copts);
+  if (!verifier.RefreshTrustedRoots().ok()) std::abort();
   double l_verify = (AvgLatencyUs(5, [&] {
                       Journal j;
-                      if (!ledger.GetJournal(target, &j).ok()) std::abort();
-                      FamProof proof;
-                      if (!ledger.GetProof(target, &proof).ok()) std::abort();
-                      if (!Ledger::VerifyJournalProof(j, proof, ledger.FamRoot())) {
+                      if (!verifier.FetchAndVerifyJournal(target, &j).ok()) {
                         std::abort();
                       }
                     }) +
                      kLedgerDbRttUs) /
                     1e6;
-  auto ledger_lineage = [&](const std::string& clue,
-                            const std::vector<Digest>& digests) {
+  auto ledger_lineage = [&](const std::string& clue, size_t versions) {
     return (AvgLatencyUs(5, [&] {
-             ClueProof proof;
-             if (!ledger.GetClueProof(clue, 0, 0, &proof).ok()) std::abort();
-             if (!CmTree::VerifyClueProof(ledger.ClueRoot(), digests, proof)) {
+             std::vector<Journal> lineage;
+             if (!verifier.FetchAndVerifyLineage(clue, &lineage).ok() ||
+                 lineage.size() != versions) {
                std::abort();
              }
            }) +
             kLedgerDbRttUs) /
            1e6;
   };
-  double l_lineage5 = ledger_lineage("l5", lineage5);
-  double l_lineage100 = ledger_lineage("l100", lineage100);
+  double l_lineage5 = ledger_lineage("l5", 5);
+  double l_lineage100 = ledger_lineage("l100", 100);
 
   // --- Table --------------------------------------------------------------
   Header("Table II: application-level latency (seconds)");

@@ -1,21 +1,23 @@
 // The §IV-A copyright-protection example: an artwork produced in 2005,
 // with royalty transfers in 2010 and 2015, tracked under clue DCI001.
 // Clue-oriented verification must validate all three records *and their
-// count* — a missing record is as fatal as a forged one.
+// count* — a missing record is as fatal as a forged one. The verifier is a
+// LedgerClient that reads the ledger only over a transport.
 //
 // Build & run:  ./build/examples/copyright_lineage
 
 #include <cstdio>
 #include <vector>
 
-#include "ledger/ledger.h"
+#include "client/ledger_client.h"
+#include "net/byzantine_transport.h"
 
 using namespace ledgerdb;
 
 namespace {
 
-uint64_t AppendEvent(Ledger* ledger, const KeyPair& who, uint64_t* nonce,
-                     Clock* clock, const std::string& event) {
+void AppendEvent(Ledger* ledger, const KeyPair& who, uint64_t* nonce,
+                 Clock* clock, const std::string& event) {
   ClientTransaction tx;
   tx.ledger_uri = "lg://copyright";
   tx.clues = {"DCI001"};
@@ -23,9 +25,7 @@ uint64_t AppendEvent(Ledger* ledger, const KeyPair& who, uint64_t* nonce,
   tx.nonce = (*nonce)++;
   tx.client_ts = clock->Now();
   tx.Sign(who);
-  uint64_t jsn = 0;
-  ledger->Append(tx, &jsn);
-  return jsn;
+  ledger->Append(tx, nullptr);
 }
 
 }  // namespace
@@ -46,12 +46,11 @@ int main() {
 
   // Lifecycle: produced 2005, royalty 2010, transfer 2015 — each appended
   // with AppendTx(lg_id, payload, 'DCI001').
-  std::vector<uint64_t> jsns;
-  jsns.push_back(AppendEvent(&ledger, artist, &nonce, &clock, "artwork produced (2005)"));
+  AppendEvent(&ledger, artist, &nonce, &clock, "artwork produced (2005)");
   clock.Advance(5LL * 365 * 24 * 3600 * kMicrosPerSecond);
-  jsns.push_back(AppendEvent(&ledger, artist, &nonce, &clock, "first royalty transfer (2010)"));
+  AppendEvent(&ledger, artist, &nonce, &clock, "first royalty transfer (2010)");
   clock.Advance(5LL * 365 * 24 * 3600 * kMicrosPerSecond);
-  jsns.push_back(AppendEvent(&ledger, gallery, &nonce, &clock, "royalty transfer (2015)"));
+  AppendEvent(&ledger, gallery, &nonce, &clock, "royalty transfer (2015)");
 
   // Unrelated ledger traffic — CM-Tree keeps DCI001 verification cost
   // independent of it.
@@ -66,35 +65,36 @@ int main() {
     ledger.Append(tx, nullptr);
   }
 
-  // ListTx + Verify: retrieve and validate all DCI001 records.
-  std::vector<uint64_t> listed;
-  ledger.ListTx("DCI001", &listed);
-  std::printf("DCI001 has %zu lifecycle records\n", listed.size());
+  // The LSP as the verifier meets it: honest at first, but from its second
+  // listing of a clue on it hides the newest record.
+  LocalTransport local(&ledger);
+  ByzantineTransport lsp_view(&local, /*seed=*/1);
+  lsp_view.InjectFault(RpcOp::kListTx, 1, FaultKind::kTruncateProof);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = LedgerOptions().fractal_height;
+  LedgerClient verifier(&lsp_view, gallery, copts);
+  Status pinned = verifier.RefreshTrustedRoots();
 
-  std::vector<Digest> digests;
-  for (uint64_t jsn : listed) {
-    Journal j;
-    ledger.GetJournal(jsn, &j);
-    std::printf("  jsn %llu: %s\n", (unsigned long long)jsn,
+  // ListTx + Verify: retrieve and validate all DCI001 records against the
+  // audited clue root.
+  std::vector<Journal> lineage;
+  bool complete =
+      pinned.ok() && verifier.FetchAndVerifyLineage("DCI001", &lineage).ok();
+  std::printf("DCI001 has %zu lifecycle records\n", lineage.size());
+  for (const Journal& j : lineage) {
+    std::printf("  jsn %llu: %s\n", (unsigned long long)j.jsn,
                 std::string(j.payload.begin(), j.payload.end()).c_str());
-    digests.push_back(j.TxHash());
   }
-
-  ClueProof proof;
-  ledger.GetClueProof("DCI001", 0, 0, &proof);
-  bool complete = CmTree::VerifyClueProof(ledger.ClueRoot(), digests, proof);
   std::printf("full lineage verification: %s\n", complete ? "valid" : "INVALID");
 
-  // Completeness check: presenting only 2 of 3 records must fail, because
-  // the CM-Tree1 leaf binds the entry count.
-  std::vector<Digest> partial(digests.begin(), digests.end() - 1);
-  ClueProof partial_proof;
-  ledger.GetClueProof("DCI001", 0, 2, &partial_proof);
-  partial_proof.entry_count = 2;  // the lie an adversary would need
-  bool partial_ok =
-      CmTree::VerifyClueProof(ledger.ClueRoot(), partial, partial_proof);
-  std::printf("suppressed-record attack rejected: %s\n",
-              partial_ok ? "NO (bug!)" : "yes");
+  // Completeness check: a listing with only 2 of 3 records must fail,
+  // because the CM-Tree1 leaf binds the entry count.
+  std::vector<Journal> partial;
+  Status suppressed = verifier.FetchAndVerifyLineage("DCI001", &partial);
+  bool rejected = pinned.ok() && suppressed.IsVerificationFailed();
+  std::printf("suppressed-record attack rejected: %s (%s)\n",
+              rejected ? "yes" : "NO (bug!)", suppressed.ToString().c_str());
 
-  return (complete && !partial_ok) ? 0 : 1;
+  return (complete && rejected) ? 0 : 1;
 }

@@ -76,31 +76,25 @@ int main() {
               (unsigned long long)ledger.NumJournals(), ledger.blocks().size(),
               ledger.time_journals().size());
 
+  // The bank and the auditor read the ledger only through a transport,
+  // exactly as they would read a remote LSP.
+  LocalTransport transport(&ledger);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = options.fractal_height;
+
   // --- Lineage query: trace one shipment across corporations -------------
-  std::vector<uint64_t> jsns;
-  ledger.ListTx("shipment-3", &jsns);
-  std::vector<Digest> tx_hashes;
-  for (uint64_t jsn : jsns) {
-    Journal j;
-    ledger.GetJournal(jsn, &j);
-    tx_hashes.push_back(j.TxHash());
-  }
-  ClueProof clue_proof;
-  ledger.GetClueProof("shipment-3", 0, 0, &clue_proof);
-  bool lineage_ok =
-      CmTree::VerifyClueProof(ledger.ClueRoot(), tx_hashes, clue_proof);
-  std::printf("shipment-3 lineage (%zu records): %s\n", jsns.size(),
+  // Accepted only against clue roots the bank's client audited itself.
+  LedgerClient bank(&transport, corps[0].key, copts);
+  std::vector<Journal> shipment;
+  bool lineage_ok = bank.RefreshTrustedRoots().ok() &&
+                    bank.FetchAndVerifyLineage("shipment-3", &shipment).ok();
+  std::printf("shipment-3 lineage (%zu records): %s\n", shipment.size(),
               lineage_ok ? "verified" : "INVALID");
 
   // --- External judicial audit (Dasein-complete, §V) ---------------------
   Receipt latest;
   ledger.GetReceipt(ledger.NumJournals() - 1, &latest);
-  // The auditor reads the ledger only through a transport, exactly as it
-  // would read a remote LSP.
-  LocalTransport transport(&ledger);
-  LedgerClient::Options copts;
-  copts.lsp_key = lsp.public_key();
-  copts.fractal_height = options.fractal_height;
   DaseinAuditor::Context context;
   context.members = &registry;
   context.tsa_key = tsa.public_key();

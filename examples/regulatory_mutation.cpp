@@ -2,13 +2,14 @@
 // obsolete records, purges them (keeping one milestone trade in the
 // survival stream), and occults a journal that leaked personal data —
 // all without breaking verifiability, and each gated by the required
-// multi-signatures.
+// multi-signatures. A client that reads the ledger only over a transport
+// checks every outcome against roots it audited itself.
 //
 // Build & run:  ./build/examples/regulatory_mutation
 
 #include <cstdio>
 
-#include "ledger/ledger.h"
+#include "client/ledger_client.h"
 
 using namespace ledgerdb;
 
@@ -28,6 +29,11 @@ int main() {
   LedgerOptions options;
   options.fractal_height = 6;
   Ledger ledger("lg://bank", options, &clock, lsp, &registry);
+  LocalTransport transport(&ledger);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = options.fractal_height;
+  LedgerClient client(&transport, trader, copts);
 
   auto append = [&](const std::string& payload) {
     static uint64_t nonce = 0;
@@ -66,13 +72,18 @@ int main() {
               s.ToString().c_str(), (unsigned long long)purge_jsn,
               (unsigned long long)ledger.PurgedBoundary());
 
-  // The milestone survives in the survival stream and still proves.
+  // The milestone survives in the survival stream and still proves
+  // against the roots the client pins after the purge.
   Journal survivor;
   ledger.ReadSurvivor(0, &survivor);
   FamProof survivor_proof;
-  ledger.GetProof(survivor.jsn, &survivor_proof);
   bool survivor_ok =
-      Ledger::VerifyJournalProof(survivor, survivor_proof, ledger.FamRoot());
+      client.RefreshTrustedRoots().ok() &&
+      transport.GetProof(survivor.jsn, &survivor_proof).ok() &&
+      LedgerClient::VerifyJournalAt(survivor, milestone, survivor_proof,
+                                    copts.fractal_height,
+                                    client.trusted_fam_root())
+          .ok();
   std::printf("milestone survives purge and verifies: %s\n",
               survivor_ok ? "yes" : "NO");
 
@@ -89,17 +100,13 @@ int main() {
               ledger.PendingOccultErasures());
   ledger.ReorganizeOcculted();  // idle-time data reorganization utility
 
+  // Protocol 2: the ledger remains verifiable through the retained hash.
   Journal hidden;
-  ledger.GetJournal(leaked, &hidden);
+  bool still_verifiable = client.RefreshTrustedRoots().ok() &&
+                          client.FetchAndVerifyJournal(leaked, &hidden).ok();
   std::printf("occulted payload retrievable: %s; retained digest: %s...\n",
               hidden.payload.empty() ? "no" : "YES (bug!)",
               hidden.payload_digest.ToHex().substr(0, 16).c_str());
-
-  // Protocol 2: the ledger remains verifiable through the retained hash.
-  FamProof occult_proof;
-  ledger.GetProof(leaked, &occult_proof);
-  bool still_verifiable =
-      Ledger::VerifyJournalProof(hidden, occult_proof, ledger.FamRoot());
   std::printf("ledger verifiable after occult: %s\n",
               still_verifiable ? "yes" : "NO");
 
@@ -121,7 +128,8 @@ int main() {
               weak_status.IsPermissionDenied() ? "yes" : "NO",
               weak_status.ToString().c_str());
 
-  return (survivor_ok && still_verifiable && weak_status.IsPermissionDenied())
+  return (survivor_ok && still_verifiable && hidden.payload.empty() &&
+          weak_status.IsPermissionDenied())
              ? 0
              : 1;
 }

@@ -60,6 +60,11 @@ Status VerifyMutationJournal(const DaseinAuditor::Context& context,
   return Status::OK();
 }
 
+/// Whether `journal` falls in the audit's temporal predicate.
+bool InWindow(const AuditOptions& window, const Journal& journal) {
+  return journal.server_ts >= window.from && journal.server_ts <= window.to;
+}
+
 Status VerifyTimeJournal(const DaseinAuditor::Context& context,
                          const Journal& journal, const LedgerMirror& mirror,
                          AuditReport* report) {
@@ -121,7 +126,7 @@ struct DaseinAuditor::Sweep {
 };
 
 Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
-                                  const Scope& scope,
+                                  const AuditOptions& window,
                                   const LedgerMirror& mirror, Sweep* sweep,
                                   AuditReport* report) const {
   // One job per checked π_c plus one per mutation endorsement; the whole
@@ -153,7 +158,7 @@ Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
       }
       requests[i] = MutationRequestHash(transport_->uri(), mutations[i]);
     }
-    if (mutation || (scope.who && scope.Covers(journal))) {
+    if (mutation || InWindow(window, journal)) {
       sig_job[i] = jobs.size();
       add_job(journal.client_key, journal.request_hash, journal.client_sig);
     }
@@ -196,7 +201,7 @@ Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
         }
         break;
       case JournalType::kTime:
-        if (scope.when && scope.Covers(journal)) {
+        if (InWindow(window, journal)) {
           LEDGERDB_RETURN_IF_ERROR(
               VerifyTimeJournal(context_, journal, mirror, report));
         }
@@ -205,7 +210,7 @@ Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
         break;
     }
     if (journal.occulted) sweep->claims.push_back(journal);
-    if (scope.what && scope.Covers(journal)) ++report->journals_replayed;
+    if (InWindow(window, journal)) ++report->journals_replayed;
   }
   return Status::OK();
 }
@@ -273,7 +278,7 @@ Status DaseinAuditor::VerifyHeaders(const std::vector<BlockHeader>& headers,
   return Status::OK();
 }
 
-Status DaseinAuditor::Run(const Scope& scope, const Receipt* receipt,
+Status DaseinAuditor::Run(const AuditOptions& window, const Receipt& receipt,
                           AuditReport* report) const {
   // The auditor only reads, so it needs no signing identity. Its audited
   // refresh from an empty mirror pins the roots and every tx-hash.
@@ -283,29 +288,34 @@ Status DaseinAuditor::Run(const Scope& scope, const Receipt* receipt,
   LEDGERDB_RETURN_IF_ERROR(s);
   const std::vector<JournalDelta>& committed = pinned.accepted_deltas();
 
-  // Steps 1-4: one fetch per journal, bound by its committed tx-hash.
+  // what, steps 1-4: one fetch per journal, bound by its committed
+  // tx-hash, with its payload checked against the digest.
+  auto fetch = [&](uint64_t jsn, Journal* journal) {
+    LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWhat);
+    Status st = RetryTransient(
+        options_.retry, [&] { return transport_->GetJournal(jsn, journal); });
+    if (!st.ok()) return st;
+    if (journal->jsn != jsn || !(journal->TxHash() == committed[jsn].tx_hash)) {
+      return Fail(report, "journal at jsn " + std::to_string(jsn) +
+                              " is not the committed one");
+    }
+    st = LedgerClient::CheckPayload(*journal);
+    return st.ok() ? st : Fail(report, st.message());
+  };
   Sweep sweep;
   std::vector<Journal> chunk;
   for (uint64_t jsn = 0; jsn < committed.size(); ++jsn) {
     Journal journal;
-    s = RetryTransient(options_.retry,
-                       [&] { return transport_->GetJournal(jsn, &journal); });
+    s = fetch(jsn, &journal);
     if (s.IsNotFound()) {
       sweep.missing_end = jsn + 1;
     } else {
       LEDGERDB_RETURN_IF_ERROR(s);
-      if (journal.jsn != jsn ||
-          !(journal.TxHash() == committed[jsn].tx_hash)) {
-        return Fail(report, "journal at jsn " + std::to_string(jsn) +
-                                " is not the committed one");
-      }
-      s = LedgerClient::CheckPayload(journal);
-      if (!s.ok()) return Fail(report, s.message());
       chunk.push_back(std::move(journal));
     }
     if (chunk.size() == kChunk || jsn + 1 == committed.size()) {
       LEDGERDB_RETURN_IF_ERROR(
-          VerifyChunk(chunk, scope, pinned.mirror(), &sweep, report));
+          VerifyChunk(chunk, window, pinned.mirror(), &sweep, report));
       chunk.clear();
     }
   }
@@ -327,7 +337,6 @@ Status DaseinAuditor::Run(const Scope& scope, const Receipt* receipt,
     }
   }
 
-  if (!scope.what && receipt == nullptr) return Status::OK();
   std::vector<BlockHeader> headers, reply;
   do {
     s = RetryTransient(options_.retry, [&] {
@@ -338,22 +347,7 @@ Status DaseinAuditor::Run(const Scope& scope, const Receipt* receipt,
     headers.insert(headers.end(), reply.begin(), reply.end());
   } while (reply.size() == wire::kMaxHeadersPerReply &&
            headers.size() <= committed.size());
-  return VerifyHeaders(headers, pinned, receipt, report);
-}
-
-Status DaseinAuditor::VerifyWhatRange(uint64_t begin, uint64_t end,
-                                      AuditReport* report) const {
-  return Run({begin, end, {}, true, false, false}, nullptr, report);
-}
-
-Status DaseinAuditor::VerifyWhen(const AuditOptions& options,
-                                 AuditReport* report) const {
-  return Run({0, UINT64_MAX, options, false, true, false}, nullptr, report);
-}
-
-Status DaseinAuditor::VerifyWho(uint64_t begin, uint64_t end,
-                                AuditReport* report) const {
-  return Run({begin, end, {}, false, false, true}, nullptr, report);
+  return VerifyHeaders(headers, pinned, &receipt, report);
 }
 
 Status DaseinAuditor::Audit(const Receipt& latest_receipt,
@@ -367,8 +361,7 @@ Status DaseinAuditor::Audit(const Receipt& latest_receipt,
     return Fail(report, "LSP receipt signature invalid");
   }
   ++report->signatures_verified;
-  LEDGERDB_RETURN_IF_ERROR(
-      Run({0, UINT64_MAX, options, true, true, true}, &latest_receipt, report));
+  LEDGERDB_RETURN_IF_ERROR(Run(options, latest_receipt, report));
   // Step 6: conjunction of all proofs.
   report->passed = true;
   return Status::OK();

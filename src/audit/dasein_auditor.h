@@ -66,16 +66,6 @@ class DaseinAuditor {
   Status Audit(const Receipt& latest_receipt, const AuditOptions& options,
                AuditReport* report) const;
 
-  /// Per-factor entry points. Each is a full audit pass: it pins the
-  /// roots, fetches and binds every journal and checks every purge and
-  /// occult journal. The range or window narrows only the counted factor.
-  /// what: counts journals [begin, end) and verifies the header chain.
-  Status VerifyWhatRange(uint64_t begin, uint64_t end, AuditReport* report) const;
-  /// when: validates every time journal in the temporal range.
-  Status VerifyWhen(const AuditOptions& options, AuditReport* report) const;
-  /// who: π_c of journals [begin, end), batched per chunk.
-  Status VerifyWho(uint64_t begin, uint64_t end, AuditReport* report) const;
-
   /// The acceptance rule for the header chain, with no I/O: `headers`
   /// tile a prefix of the journals `pinned` audited, from height 0 (later
   /// headers are ignored); each links to its predecessor, its tx root and
@@ -87,28 +77,17 @@ class DaseinAuditor {
                               const Receipt* receipt, AuditReport* report);
 
  private:
-  /// Which journals and factors one sweep checks.
-  struct Scope {
-    uint64_t begin = 0;
-    uint64_t end = std::numeric_limits<uint64_t>::max();
-    AuditOptions window;
-    bool what = false, when = false, who = false;
-
-    bool Covers(const Journal& journal) const {
-      return journal.jsn >= begin && journal.jsn < end &&
-             journal.server_ts >= window.from && journal.server_ts <= window.to;
-    }
-  };
   struct Sweep;
 
-  /// Pins the roots and sweeps every journal once; then the header chain
-  /// for `scope.what` or a receipt.
-  Status Run(const Scope& scope, const Receipt* receipt,
+  /// Pins the roots, sweeps every journal once, then checks the header
+  /// chain against the replay and `receipt`. `window` narrows the
+  /// counted and time-checked journals, never the binding.
+  Status Run(const AuditOptions& window, const Receipt& receipt,
              AuditReport* report) const;
   /// who / when / mutation checks of one chunk of fetched journals.
-  Status VerifyChunk(const std::vector<Journal>& journals, const Scope& scope,
-                     const LedgerMirror& mirror, Sweep* sweep,
-                     AuditReport* report) const;
+  Status VerifyChunk(const std::vector<Journal>& journals,
+                     const AuditOptions& window, const LedgerMirror& mirror,
+                     Sweep* sweep, AuditReport* report) const;
 
   LedgerTransport* transport_;
   LedgerClient::Options options_;

@@ -184,25 +184,4 @@ Status CmTree::RestoreFrom(Slice raw) {
   return Status::OK();
 }
 
-Status CmTree::VerifyClueServerSide(const std::string& clue,
-                                    const std::vector<Digest>& digests,
-                                    uint64_t begin, bool* valid) const {
-  auto it = accumulators_.find(clue);
-  if (it == accumulators_.end()) return Status::NotFound("unknown clue");
-  const ShrubsAccumulator& accum = it->second;
-  if (begin + digests.size() > accum.size()) {
-    return Status::OutOfRange("range beyond clue size");
-  }
-  // The server validates directly against its own trees (no proof
-  // materialization; steps 4–5 skipped per §IV-C).
-  *valid = true;
-  for (size_t i = 0; i < digests.size(); ++i) {
-    if (accum.LeafNode(begin + i) != HashMerkleLeaf(digests[i])) {
-      *valid = false;
-      return Status::OK();
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace ledgerdb

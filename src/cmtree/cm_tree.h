@@ -68,13 +68,6 @@ class CmTree {
                               const std::vector<Digest>& digests,
                               const ClueProof& proof);
 
-  /// Server-side verification (skips proof materialization; the server
-  /// validates directly against its own trees). Returns OK and sets
-  /// `*valid` on a definitive answer.
-  Status VerifyClueServerSide(const std::string& clue,
-                              const std::vector<Digest>& digests,
-                              uint64_t begin, bool* valid) const;
-
   /// SHA-3 scattering of a clue string into its 32-byte CM-Tree1 key.
   static Digest ScatterClueKey(const std::string& clue) {
     return Sha3_256::Hash(clue);

@@ -1106,14 +1106,27 @@ Status Ledger::OccultByClue(const std::string& clue,
         "occult requires DBA and regulator signatures");
   }
 
+  // The clue journal commits first, as in the single-journal form, so a
+  // crash before the flag flips below leaves it for recovery to replay.
+  // Its payload carries the count, so the hidden postings are chosen first.
+  std::vector<uint64_t> hidden;
+  for (uint64_t jsn : *postings) {
+    if (OccultableByClue(jsn)) hidden.push_back(jsn);
+  }
+  if (occulted_count != nullptr) *occulted_count = hidden.size();
+  MutationPayload occult;
+  occult.form = MutationPayload::Form::kOccultClue;
+  occult.clue = clue;
+  occult.occulted_count = hidden.size();
+  const size_t before = journals_.size();
+  Status appended = AppendInternal(JournalType::kOccult, {}, occult.Encode(),
+                                   endorsements, occult_jsn);
+  if (journals_.size() == before) return appended;
+
   // Same memo-privacy rule as the single-journal form: occulted payloads
   // must not survive in root-stamped response memos.
   if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-  size_t count = 0;
-  for (uint64_t jsn : *postings) {
-    if (jsn < purged_boundary_ || !journals_[jsn].has_value()) continue;
-    if (occult_bitmap_.Get(jsn)) continue;
-    if (journals_[jsn]->type != JournalType::kNormal) continue;
+  for (uint64_t jsn : hidden) {
     occult_bitmap_.Set(jsn);
     journals_[jsn]->occulted = true;
     if (options_.sync_occult_erasure) {
@@ -1122,16 +1135,14 @@ Status Ledger::OccultByClue(const std::string& clue,
       LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
       pending_occult_.push_back(jsn);
     }
-    ++count;
   }
-  if (occulted_count != nullptr) *occulted_count = count;
+  return appended;
+}
 
-  MutationPayload occult;
-  occult.form = MutationPayload::Form::kOccultClue;
-  occult.clue = clue;
-  occult.occulted_count = count;
-  return AppendInternal(JournalType::kOccult, {}, occult.Encode(),
-                        endorsements, occult_jsn);
+bool Ledger::OccultableByClue(uint64_t jsn) const {
+  return jsn >= purged_boundary_ && journals_[jsn].has_value() &&
+         !occult_bitmap_.Get(jsn) &&
+         journals_[jsn]->type == JournalType::kNormal;
 }
 
 Status Ledger::ResolveClueRange(const std::string& clue, Timestamp from,
@@ -1163,38 +1174,6 @@ Status Ledger::ResolveClueRange(const std::string& clue, Timestamp from,
   if (first == last) return Status::NotFound("no clue entries in time range");
   *begin = static_cast<uint64_t>(first - jsns.begin());
   *end = static_cast<uint64_t>(last - jsns.begin());
-  return Status::OK();
-}
-
-Status Ledger::VerifyJournal(uint64_t jsn, const Digest& claimed_tx_hash,
-                             VerifyLevel level, const Digest& trusted_root,
-                             bool* valid) const {
-  if (jsn >= journals_.size()) return Status::NotFound("no such journal");
-  if (level == VerifyLevel::kServer) {
-    // Server side: compare against the ledger's own record (skip proof
-    // materialization, §IV-C server variant).
-    if (!journals_[jsn].has_value()) {
-      return Status::NotFound("journal purged");
-    }
-    *valid = journals_[jsn]->TxHash() == claimed_tx_hash;
-    return Status::OK();
-  }
-  FamProof proof;
-  LEDGERDB_RETURN_IF_ERROR(fam_.GetProof(jsn, &proof));
-  *valid = FamAccumulator::VerifyProof(claimed_tx_hash, proof, trusted_root);
-  return Status::OK();
-}
-
-Status Ledger::VerifyClue(const std::string& clue,
-                          const std::vector<Digest>& txdata, uint64_t begin,
-                          uint64_t end, VerifyLevel level,
-                          const Digest& trusted_clue_root, bool* valid) const {
-  if (level == VerifyLevel::kServer) {
-    return cmtree_.VerifyClueServerSide(clue, txdata, begin, valid);
-  }
-  ClueProof proof;
-  LEDGERDB_RETURN_IF_ERROR(cmtree_.GetClueProof(clue, begin, end, &proof));
-  *valid = CmTree::VerifyClueProof(trusted_clue_root, txdata, proof);
   return Status::OK();
 }
 
@@ -1242,16 +1221,24 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
       break;
     }
     case JournalType::kOccult: {
-      // Single-journal form only. The by-clue form needs no replay here
-      // because each hidden journal's record was rewritten with its
-      // occult flag set.
       MutationPayload occult;
-      if (MutationPayload::Decode(journal.payload, &occult) &&
-          occult.form == MutationPayload::Form::kOccult &&
+      if (!MutationPayload::Decode(journal.payload, &occult)) break;
+      if (occult.form == MutationPayload::Form::kOccult &&
           occult.jsn < occult_bitmap_.size()) {
         occult_bitmap_.Set(occult.jsn);
         if (journals_[occult.jsn].has_value()) {
           journals_[occult.jsn]->occulted = true;
+        }
+      } else if (occult.form == MutationPayload::Form::kOccultClue) {
+        // The clue form hides the postings below its own jsn that were
+        // still visible when it committed.
+        const std::vector<uint64_t>* postings = clue_index_.Find(occult.clue);
+        for (size_t i = 0; postings != nullptr && i < postings->size(); ++i) {
+          const uint64_t jsn = (*postings)[i];
+          if (jsn >= journal.jsn) break;
+          if (!OccultableByClue(jsn)) continue;
+          occult_bitmap_.Set(jsn);
+          journals_[jsn]->occulted = true;
         }
       }
       break;

@@ -417,31 +417,6 @@ class Ledger {
     return proof_cache_ ? proof_cache_->stats() : ProofCache::Stats{};
   }
 
-  // -------------------------------------------------------------------
-  // Unified Verify API (the paper's
-  // Verify(lgid, CLUE, *{key, txdata, rho, root}, level) entry point)
-  // -------------------------------------------------------------------
-
-  enum class VerifyLevel : uint8_t {
-    kServer = 0,  ///< LSP-trusted fast path: validated against live trees
-    kClient = 1,  ///< distrusted LSP: full proof materialization + check
-  };
-
-  /// Journal existence verification at either trust level. At kClient the
-  /// proof is built and independently re-verified against `trusted_root`
-  /// (pass the fam root obtained out-of-band); at kServer the ledger
-  /// checks its own accumulator directly.
-  Status VerifyJournal(uint64_t jsn, const Digest& claimed_tx_hash,
-                       VerifyLevel level, const Digest& trusted_root,
-                       bool* valid) const;
-
-  /// Clue verification at either trust level over entries [begin, end)
-  /// (`end == 0` = latest). `txdata` are the claimed journal tx-hashes.
-  Status VerifyClue(const std::string& clue,
-                    const std::vector<Digest>& txdata, uint64_t begin,
-                    uint64_t end, VerifyLevel level,
-                    const Digest& trusted_clue_root, bool* valid) const;
-
   /// World-state access (single-layer state accumulator, Figure 2).
   const WorldState& world_state() const { return world_state_; }
 
@@ -633,6 +608,10 @@ class Ledger {
 
   /// Erases one journal's payload in place (keeps digest + metadata).
   Status ErasePayload(uint64_t jsn);
+
+  /// Whether an occult-clue journal committed now would hide posting
+  /// `jsn`: a normal journal, not purged and not yet occulted.
+  bool OccultableByClue(uint64_t jsn) const;
 
   /// Reads the clock and clamps against last_server_ts_ (see that member).
   Timestamp StampServerTime();

@@ -346,20 +346,5 @@ TEST_F(AuditTest, WorldStateUpdateProofs) {
   }
 }
 
-TEST_F(AuditTest, PerFactorEntryPoints) {
-  ledger_->AttachDirectTsa(&tsa_);
-  for (int i = 0; i < 6; ++i) Append(alice_, "p" + std::to_string(i));
-  ASSERT_TRUE(ledger_->AnchorTime(nullptr).ok());
-  ledger_->SealBlock();
-  DaseinAuditor auditor = MakeAuditor();
-  AuditReport report;
-  EXPECT_TRUE(auditor.VerifyWho(0, ledger_->NumJournals(), &report).ok());
-  EXPECT_TRUE(auditor.VerifyWhen({}, &report).ok());
-  EXPECT_TRUE(auditor.VerifyWhatRange(0, ledger_->NumJournals(), &report).ok());
-  EXPECT_GT(report.signatures_verified, 0u);
-  EXPECT_GT(report.journals_replayed, 0u);
-  EXPECT_EQ(report.time_journals_verified, 1u);
-}
-
 }  // namespace
 }  // namespace ledgerdb

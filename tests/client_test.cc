@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "client/ledger_client.h"
 #include "net/transport.h"
 
@@ -53,6 +55,22 @@ TEST_F(ClientTest, FetchAndVerifyJournal) {
   Journal journal;
   ASSERT_TRUE(client_->FetchAndVerifyJournal(jsn, &journal).ok());
   EXPECT_EQ(journal.payload, StringToBytes("hello"));
+
+  // The same acceptance rule rejects a journal whose tx-hash is not the
+  // committed one, and a root the client never pinned.
+  FamProof proof;
+  ASSERT_TRUE(transport_->GetProof(jsn, &proof).ok());
+  const int height = client_->options().fractal_height;
+  const Digest& root = client_->trusted_fam_root();
+  Journal forged = journal;
+  forged.nonce ^= 1;  // moves the tx-hash; payload and π_c still verify
+  EXPECT_TRUE(LedgerClient::VerifyJournalAt(forged, jsn, proof, height, root)
+                  .IsVerificationFailed());
+  Digest lying_root = root;
+  lying_root.bytes[5] ^= 0x20;
+  EXPECT_TRUE(
+      LedgerClient::VerifyJournalAt(journal, jsn, proof, height, lying_root)
+          .IsVerificationFailed());
 }
 
 TEST_F(ClientTest, StaleRootRejectsNewJournals) {
@@ -81,6 +99,19 @@ TEST_F(ClientTest, FetchAndVerifyLineage) {
   EXPECT_EQ(lineage.size(), 5u);
   EXPECT_EQ(lineage[3].payload, StringToBytes("life-3"));
   EXPECT_TRUE(client_->FetchAndVerifyLineage("nope", &lineage).IsNotFound());
+
+  // A forged entry in a range reply fails the clue proof.
+  const Timestamp from = 0, to = std::numeric_limits<Timestamp>::max();
+  ClueRangeResult raw;
+  ASSERT_TRUE(client_->BatchAuditRange("asset", from, to, &lineage, &raw).ok());
+  raw.journals[2].nonce ^= 1;
+  Status forged = LedgerClient::VerifyClueRange(
+      raw, "asset", from, to, client_->options().fractal_height,
+      client_->trusted_clue_root(), client_->trusted_fam_root());
+  EXPECT_TRUE(forged.IsVerificationFailed());
+  EXPECT_NE(forged.message().find("clue range does not verify"),
+            std::string::npos)
+      << forged.ToString();
 }
 
 TEST_F(ClientTest, OccultedJournalStillVerifies) {

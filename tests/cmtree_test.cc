@@ -329,19 +329,6 @@ TEST_F(CmTreeTest, ManyCluesIndependent) {
   }
 }
 
-TEST_F(CmTreeTest, ServerSideVerification) {
-  CmTree tree(&store_);
-  std::vector<Digest> records = {JournalDigest("a"), JournalDigest("b")};
-  for (const Digest& d : records) ASSERT_TRUE(tree.Append("c", d, nullptr).ok());
-  bool valid = false;
-  ASSERT_TRUE(tree.VerifyClueServerSide("c", records, 0, &valid).ok());
-  EXPECT_TRUE(valid);
-  std::vector<Digest> forged = {JournalDigest("a"), JournalDigest("x")};
-  ASSERT_TRUE(tree.VerifyClueServerSide("c", forged, 0, &valid).ok());
-  EXPECT_FALSE(valid);
-  EXPECT_TRUE(tree.VerifyClueServerSide("nope", records, 0, &valid).IsNotFound());
-}
-
 TEST_F(CmTreeTest, UnknownClueAndBadRanges) {
   CmTree tree(&store_);
   ASSERT_TRUE(tree.Append("c", JournalDigest("a"), nullptr).ok());

@@ -155,7 +155,8 @@ class FaultMatrixTest : public ::testing::Test {
   }
 
   /// The canonical workload: signed appends across three clue lineages,
-  /// a time anchor, an occult, a purge, trailing appends and a seal. Runs
+  /// a time anchor, an occult, an occult by clue, a purge, trailing
+  /// appends and a seal. Runs
   /// identically (RFC 6979 signatures + simulated clock) on every env and
   /// stops at the first failed operation.
   Status RunWorkload(Env* env, std::map<uint64_t, Snapshot>* trajectory) {
@@ -201,6 +202,15 @@ class FaultMatrixTest : public ::testing::Test {
         {dba_.public_key(), dba_.Sign(oreq)},
         {regulator_.public_key(), regulator_.Sign(oreq)}};
     LEDGERDB_RETURN_IF_ERROR(ledger.Occult(2, osigs, nullptr));
+    snap();
+    // Hides jsns 5 and 8 (2 is already occulted); post-purge-1 lands
+    // under the clue later and stays visible.
+    Digest creq = Ledger::OccultClueRequestHash(kUri, "acct-1");
+    std::vector<Endorsement> csigs = {
+        {dba_.public_key(), dba_.Sign(creq)},
+        {regulator_.public_key(), regulator_.Sign(creq)}};
+    LEDGERDB_RETURN_IF_ERROR(
+        ledger.OccultByClue("acct-1", csigs, nullptr, nullptr));
     snap();
     Digest preq = Ledger::PurgeRequestHash(kUri, 4);
     std::vector<Endorsement> psigs = {{dba_.public_key(), dba_.Sign(preq)},

@@ -5,9 +5,9 @@
 namespace ledgerdb {
 namespace {
 
-/// Fixture for the extended ledger features: unified Verify API,
-/// timestamp-bounded clue ranges, occult-by-clue, fam pruning on purge,
-/// and the TSA pool attachment.
+/// Fixture for the extended ledger features: timestamp-bounded clue
+/// ranges, occult-by-clue, fam pruning on purge, and the TSA pool
+/// attachment.
 class LedgerFeaturesTest : public ::testing::Test {
  protected:
   LedgerFeaturesTest()
@@ -57,58 +57,6 @@ class LedgerFeaturesTest : public ::testing::Test {
   std::unique_ptr<Ledger> ledger_;
   uint64_t nonce_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Unified Verify API
-// ---------------------------------------------------------------------------
-
-TEST_F(LedgerFeaturesTest, VerifyJournalBothLevels) {
-  uint64_t jsn = Append("data");
-  Digest tx_hash = TxHashOf(jsn);
-  bool valid = false;
-  ASSERT_TRUE(ledger_->VerifyJournal(jsn, tx_hash, Ledger::VerifyLevel::kServer,
-                                     Digest(), &valid).ok());
-  EXPECT_TRUE(valid);
-  ASSERT_TRUE(ledger_->VerifyJournal(jsn, tx_hash, Ledger::VerifyLevel::kClient,
-                                     ledger_->FamRoot(), &valid).ok());
-  EXPECT_TRUE(valid);
-
-  Digest forged = tx_hash;
-  forged.bytes[0] ^= 1;
-  ASSERT_TRUE(ledger_->VerifyJournal(jsn, forged, Ledger::VerifyLevel::kServer,
-                                     Digest(), &valid).ok());
-  EXPECT_FALSE(valid);
-  ASSERT_TRUE(ledger_->VerifyJournal(jsn, forged, Ledger::VerifyLevel::kClient,
-                                     ledger_->FamRoot(), &valid).ok());
-  EXPECT_FALSE(valid);
-}
-
-TEST_F(LedgerFeaturesTest, ClientVerifyDetectsLyingRoot) {
-  uint64_t jsn = Append("data");
-  Digest tx_hash = TxHashOf(jsn);
-  Digest wrong_root = ledger_->FamRoot();
-  wrong_root.bytes[5] ^= 0x20;
-  bool valid = true;
-  ASSERT_TRUE(ledger_->VerifyJournal(jsn, tx_hash, Ledger::VerifyLevel::kClient,
-                                     wrong_root, &valid).ok());
-  EXPECT_FALSE(valid);
-}
-
-TEST_F(LedgerFeaturesTest, VerifyClueBothLevels) {
-  std::vector<Digest> digests;
-  for (int i = 0; i < 4; ++i) digests.push_back(TxHashOf(Append("e" + std::to_string(i), {"k"})));
-  bool valid = false;
-  ASSERT_TRUE(ledger_->VerifyClue("k", digests, 0, 0, Ledger::VerifyLevel::kClient,
-                                  ledger_->ClueRoot(), &valid).ok());
-  EXPECT_TRUE(valid);
-  ASSERT_TRUE(ledger_->VerifyClue("k", digests, 0, 0,
-                                  Ledger::VerifyLevel::kServer, Digest(), &valid).ok());
-  EXPECT_TRUE(valid);
-  digests[2].bytes[0] ^= 1;
-  ASSERT_TRUE(ledger_->VerifyClue("k", digests, 0, 0, Ledger::VerifyLevel::kClient,
-                                  ledger_->ClueRoot(), &valid).ok());
-  EXPECT_FALSE(valid);
-}
 
 // ---------------------------------------------------------------------------
 // Timestamp-bounded clue ranges
