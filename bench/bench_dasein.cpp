@@ -20,8 +20,9 @@
 //    submission in its window, so its signature check amortizes (the
 //    paper reports ~50x reduction for TL-10 vs TSA).
 //    The auditor itself checks a direct-TSA journal with one signature
-//    and a T-Ledger journal with two (the receipt and the finalization),
-//    so its own when stage would invert the paper's TSA > TL-1 > TL-10.
+//    and no certificate chain, and a T-Ledger journal with its receipt
+//    signature plus its window's finalization once per audit, so its own
+//    when stage would still rank TL-1 above TSA.
 //  - who: signature verification with 1-7 signers (TL-1, 256B). Linear in
 //    the signer count (~12x from 256B to 256KB payloads is attributed to
 //    who because the request-hash covers the payload). Ordinary journals

@@ -1,14 +1,17 @@
-// Multi-tenant LSP hosting: a LedgerService runs several notarization
+// Multi-tenant LSP hosting: one operator key hosts several notarization
 // ledgers that share one T-Ledger (two-layer time notary), while an
 // external light client tracks fam epoch roots (fam-aoa) and verifies
-// documents without ever trusting the LSP.
+// documents against the root its LedgerClient pinned by an audited
+// refresh, without ever trusting the LSP.
 //
 // Build & run:  ./build/examples/notarization_service
 
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "accum/fam.h"
-#include "ledger/service.h"
+#include "client/ledger_client.h"
 
 using namespace ledgerdb;
 
@@ -22,21 +25,24 @@ int main() {
   registry.Register(ca.Certify("user", notary_user.public_key(), Role::kUser));
   TsaService tsa(KeyPair::FromSeedString("svc-demo-tsa"), &clock);
 
-  LedgerService::Options options;
-  options.ledger_defaults.fractal_height = 6;  // small epochs for the demo
-  options.anchor_interval = kMicrosPerSecond;
-  LedgerService service(&clock, lsp, &registry, &tsa, options);
-
-  // Three tenants.
+  // Three tenants under one LSP key, all anchored through one T-Ledger
+  // (§III-B2: one public TSA notary anchoring service for all ledgers).
+  TLedger tledger(&tsa, &clock, lsp, TLedger::Options{});
+  LedgerOptions options;
+  options.fractal_height = 6;  // small epochs for the demo
+  std::vector<std::unique_ptr<Ledger>> tenants;
   for (const char* uri : {"lg://tenant-a", "lg://tenant-b", "lg://tenant-c"}) {
-    service.CreateLedger(uri, nullptr);
+    tenants.push_back(
+        std::make_unique<Ledger>(uri, options, &clock, lsp, &registry));
+    if (!tenants.back()->init_status().ok()) return 1;
+    tenants.back()->AttachTLedger(&tledger);
   }
-  std::printf("hosting %zu ledgers\n", service.ListLedgers().size());
+  std::printf("hosting %zu ledgers\n", tenants.size());
 
-  // Tenant A notarizes documents; the service heartbeat anchors all active
-  // ledgers through the shared T-Ledger every second.
-  Ledger* tenant_a = nullptr;
-  service.GetLedger("lg://tenant-a", &tenant_a);
+  // Tenant A notarizes documents and anchors once per simulated second
+  // through the shared T-Ledger; the T-Ledger then runs its own TSA
+  // finalization tick. Tenants B and C stay idle and never anchor.
+  Ledger* tenant_a = tenants[0].get();
   uint64_t nonce = 0;
   std::vector<uint64_t> jsns;
   for (int second = 0; second < 5; ++second) {
@@ -52,31 +58,41 @@ int main() {
       jsns.push_back(jsn);
       clock.Advance(25 * kMicrosPerMilli);
     }
-    service.Tick();
+    if (!tenant_a->AnchorTime(nullptr).ok()) return 1;
+    tledger.Tick();
   }
-  service.tledger()->ForceFinalize();
+  tledger.ForceFinalize();
   std::printf("tenant-a: %llu journals, %zu time journals; TSA endorsements: %llu\n",
               (unsigned long long)tenant_a->NumJournals(),
               tenant_a->time_journals().size(),
               (unsigned long long)tsa.endorsement_count());
 
-  // External light client: syncs epoch roots once, then verifies documents
-  // with in-epoch paths only (the fam-aoa fast path). To do this it uses
-  // the public read API — no LSP trust involved in the verification math.
-  FamVerifier verifier;
-  // (In a real deployment the client verifies epoch links from data it
-  //  already validated; here we sync from the ledger's accumulator.)
-  // Reconstruct the verifier's view by syncing against a local replica:
-  FamAccumulator replica(6);
-  for (uint64_t jsn = 0; jsn < tenant_a->NumJournals(); ++jsn) {
+  // External light client: pins tenant A's fam root through an audited
+  // refresh (the LSP's signed commitment, replayed into the client's own
+  // mirror), then syncs epoch roots once and verifies documents with
+  // in-epoch paths only (the fam-aoa fast path).
+  LocalTransport transport(tenant_a);
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp.public_key();
+  copts.fractal_height = options.fractal_height;
+  LedgerClient client(&transport, notary_user, copts);
+  if (!client.RefreshTrustedRoots().ok()) {
+    std::printf("audited refresh failed!\n");
+    return 1;
+  }
+  // Reconstruct the verifier's view by syncing against a local replica
+  // built from the served journals; it must reproduce the pinned root.
+  FamAccumulator replica(options.fractal_height);
+  for (uint64_t jsn = 0; jsn < client.mirror().journal_count(); ++jsn) {
     Journal j;
     tenant_a->GetJournal(jsn, &j);
     replica.Append(j.TxHash());
   }
-  if (!(replica.Root() == tenant_a->FamRoot())) {
+  if (!(replica.Root() == client.trusted_fam_root())) {
     std::printf("replica mismatch!\n");
     return 1;
   }
+  FamVerifier verifier;
   verifier.Sync(replica);
   std::printf("light client synced %zu trusted epoch roots\n",
               verifier.TrustedEpochs());
@@ -95,7 +111,7 @@ int main() {
   // The when evidence: any submitted digest is provable against the TSA.
   const TimeEvidence& ev = tenant_a->time_journals().back().evidence;
   TimeProof tproof;
-  service.tledger()->GetTimeProof(ev.tledger_index, &tproof);
+  tledger.GetTimeProof(ev.tledger_index, &tproof);
   bool when_ok =
       TLedger::VerifyTimeProof(ev.ledger_digest, tproof, tsa.public_key());
   std::printf("latest anchor's TSA time proof: %s (timestamp %.1fs)\n",

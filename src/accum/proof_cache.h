@@ -41,9 +41,8 @@ namespace ledgerdb {
 ///
 /// Thread safety: every method takes an internal mutex. Lookups and
 /// inserts happen inside const read paths (GetProof et al.) that run
-/// concurrently from many reader threads while sealer lanes drain, so
-/// the cache must synchronize itself rather than lean on the ledger's
-/// seal lock.
+/// concurrently from many reader threads, and the ledger itself holds no
+/// lock, so the cache must synchronize itself.
 class ProofCache {
  public:
   struct Stats {

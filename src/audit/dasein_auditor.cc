@@ -65,9 +65,11 @@ bool InWindow(const AuditOptions& window, const Journal& journal) {
   return journal.server_ts >= window.from && journal.server_ts <= window.to;
 }
 
+/// `finalizations` holds the TSA finalizations whose signature this audit
+/// already verified, keyed by the attestation's full bytes.
 Status VerifyTimeJournal(const DaseinAuditor::Context& context,
                          const Journal& journal, const LedgerMirror& mirror,
-                         AuditReport* report) {
+                         std::set<Bytes>* finalizations, AuditReport* report) {
   LEDGERDB_OBS_SPAN(span, obs::stages::kAuditWhen);
   TimeEvidence evidence;
   if (!TimeEvidence::Deserialize(journal.payload, &evidence)) {
@@ -95,11 +97,19 @@ Status VerifyTimeJournal(const DaseinAuditor::Context& context,
     Status s = context.tledger->GetTimeProof(evidence.tledger_index,
                                               &time_proof);
     if (!s.ok()) return Fail(report, "T-Ledger time proof unavailable");
-    if (!TLedger::VerifyTimeProof(evidence.ledger_digest, time_proof,
-                                  context.tsa_key)) {
+    // One finalization covers every time journal of its window: its TSA
+    // signature is verified once per audit, the membership path always.
+    const Bytes attestation = time_proof.finalization.Serialize();
+    if (finalizations->count(attestation) == 0) {
+      if (!time_proof.finalization.Verify(context.tsa_key)) {
+        return Fail(report, "T-Ledger time proof invalid");
+      }
+      ++report->signatures_verified;
+      finalizations->insert(attestation);
+    }
+    if (!TLedger::VerifyTimeProofPath(evidence.ledger_digest, time_proof)) {
       return Fail(report, "T-Ledger time proof invalid");
     }
-    ++report->signatures_verified;
   }
   // Bind the attested digest to the audited ledger prefix: the mirror's
   // historical fam root at the covered journal count.
@@ -123,6 +133,7 @@ struct DaseinAuditor::Sweep {
   /// clue -> jsn of the last verified occult-clue journal naming it
   std::map<std::string, uint64_t> occulted_clues;
   std::vector<Journal> claims;  ///< journals served as occulted
+  std::set<Bytes> finalizations;  ///< TSA finalizations already verified
 };
 
 Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
@@ -202,8 +213,8 @@ Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
         break;
       case JournalType::kTime:
         if (InWindow(window, journal)) {
-          LEDGERDB_RETURN_IF_ERROR(
-              VerifyTimeJournal(context_, journal, mirror, report));
+          LEDGERDB_RETURN_IF_ERROR(VerifyTimeJournal(
+              context_, journal, mirror, &sweep->finalizations, report));
         }
         break;
       default:

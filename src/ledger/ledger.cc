@@ -288,15 +288,7 @@ Status Ledger::ApplyCommitted(Journal journal) {
   if (recovering_) return Status::OK();
   pending_block_.push_back(jsn);
   if (pending_block_.size() < options_.block_capacity) return Status::OK();
-  if (!seal_scheduler_) return SealBlock();
-  SealJob job = PrepareSeal();
-  {
-    std::lock_guard<std::mutex> lock(seal_mu_);
-    ++inflight_seals_;
-  }
-  pending_block_.clear();
-  seal_scheduler_(std::move(job));
-  return Status::OK();
+  return SealBlock();
 }
 
 void Ledger::Accumulate(const JournalDelta& delta) {
@@ -330,11 +322,7 @@ void Ledger::IndexRecord(JournalDelta delta, std::optional<Journal> journal,
     if (journal->occulted) occult_bitmap_.Set(jsn);
   }
   journals_.push_back(std::move(journal));
-  {
-    // jsn_to_block_ growth here races the sealer lane's element writes.
-    std::lock_guard<std::mutex> lock(seal_mu_);
-    jsn_to_block_.push_back(kUnsealedBlock);
-  }
+  jsn_to_block_.push_back(kUnsealedBlock);
 }
 
 Status Ledger::AppendInternal(JournalType type,
@@ -546,72 +534,33 @@ Status Ledger::CommitPrevalidatedGroup(std::vector<PrevalidatedTx>&& batch,
 }
 
 Status Ledger::SealBlock() {
-  std::unique_lock<std::mutex> lock(seal_mu_);
-  seal_cv_.wait(lock, [&] { return inflight_seals_ == 0; });
-  return SealBlockLocked();
-}
-
-Status Ledger::SealBlockLocked() {
-  // Re-absorb journals from failed asynchronous seal jobs ahead of the
-  // live pending set: they carry the lowest jsns, and blocks must stay
-  // contiguous.
-  if (!failed_seal_jsns_.empty()) {
-    failed_seal_jsns_.insert(failed_seal_jsns_.end(), pending_block_.begin(),
-                             pending_block_.end());
-    pending_block_ = std::move(failed_seal_jsns_);
-    failed_seal_jsns_.clear();
-    seal_failure_ = Status::OK();
-  }
   if (pending_block_.empty()) return Status::OK();
   LEDGERDB_OBS_SPAN(span, obs::stages::kSeal);
-  SealJob job = PrepareSeal();
-  // A failed header write keeps the journals in pending_block_; recovery
-  // simply sees them as not-yet-sealed.
-  LEDGERDB_RETURN_IF_ERROR(PublishSeal(job, TxTreeRoot(job.tx_hashes)));
-  pending_block_.clear();
-  seal_cv_.notify_all();
-  return Status::OK();
-}
-
-void Ledger::SetSealScheduler(SealScheduler scheduler) {
-  seal_scheduler_ = std::move(scheduler);
-}
-
-Ledger::SealJob Ledger::PrepareSeal() const {
-  SealJob job;
-  job.first_jsn = pending_block_.front();
-  job.tx_hashes.reserve(pending_block_.size());
+  std::vector<Digest> tx_hashes;
+  tx_hashes.reserve(pending_block_.size());
   for (uint64_t jsn : pending_block_) {
-    job.tx_hashes.push_back(delta_log_[jsn].tx_hash);
+    tx_hashes.push_back(delta_log_[jsn].tx_hash);
   }
-  job.timestamp = clock_->Now();
-  job.fam_root = fam_.Root();
-  job.clue_root = cmtree_.Root();
-  job.state_root = world_state_.Root();
-  return job;
-}
-
-Status Ledger::PublishSeal(const SealJob& job, const Digest& tx_root) {
   BlockHeader header;
   header.height = blocks_.size();
-  header.first_jsn = job.first_jsn;
-  header.journal_count = static_cast<uint32_t>(job.tx_hashes.size());
-  header.timestamp = job.timestamp;
+  header.first_jsn = pending_block_.front();
+  header.journal_count = static_cast<uint32_t>(pending_block_.size());
+  header.timestamp = clock_->Now();
   header.prev_block_hash = blocks_.empty() ? Digest() : blocks_.back().Hash();
-  header.tx_root = tx_root;
-  header.fam_root = job.fam_root;
-  header.clue_root = job.clue_root;
-  header.state_root = job.state_root;
-  // Persist before publishing.
+  header.tx_root = TxTreeRoot(tx_hashes);
+  header.fam_root = fam_.Root();
+  header.clue_root = cmtree_.Root();
+  header.state_root = world_state_.Root();
+  // Persist before publishing. A failed header write keeps the journals in
+  // pending_block_; recovery simply sees them as not-yet-sealed.
   if (storage_.enabled()) {
     uint64_t index = 0;
     LEDGERDB_RETURN_IF_ERROR(
         storage_.blocks->Append(Slice(header.Serialize()), &index));
   }
-  for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
-    jsn_to_block_[job.first_jsn + i] = header.height;
-  }
+  for (uint64_t jsn : pending_block_) jsn_to_block_[jsn] = header.height;
   blocks_.push_back(header);
+  pending_block_.clear();
   LEDGERDB_OBS_COUNT(obs::names::kLedgerBlocksSealedTotal);
   // Seal published: the roots moved past every cached serialized proof's
   // stamp, so reclaim those bytes now (stale stamps are never served
@@ -620,62 +569,21 @@ Status Ledger::PublishSeal(const SealJob& job, const Digest& tx_root) {
   return Status::OK();
 }
 
-void Ledger::CompleteSeal(SealJob&& job) {
-  LEDGERDB_OBS_SPAN(span, obs::stages::kSeal);
-  // The intra-block tx tree only needs the frozen hashes — build it
-  // before taking the lock.
-  const Digest tx_root = TxTreeRoot(job.tx_hashes);
-  std::unique_lock<std::mutex> lock(seal_mu_);
-  // After an earlier job in the lane failed, blocks must stay contiguous,
-  // so this one cannot seal either.
-  Status status = seal_failure_.ok() ? PublishSeal(job, tx_root) : seal_failure_;
-  if (!status.ok()) {
-    seal_failure_ = status;
-    for (size_t i = 0; i < job.tx_hashes.size(); ++i) {
-      failed_seal_jsns_.push_back(job.first_jsn + i);
-    }
-  }
-  --inflight_seals_;
-  lock.unlock();
-  seal_cv_.notify_all();
-}
-
-Status Ledger::WaitForSeals() {
-  std::unique_lock<std::mutex> lock(seal_mu_);
-  seal_cv_.wait(lock, [&] { return inflight_seals_ == 0; });
-  return seal_failure_;
-}
-
-size_t Ledger::SealBacklog() const {
-  std::lock_guard<std::mutex> lock(seal_mu_);
-  return inflight_seals_;
-}
-
 Status Ledger::GetReceipt(uint64_t jsn, Receipt* receipt) {
   if (jsn >= journals_.size()) return Status::NotFound("no such journal");
   if (jsn < purged_boundary_ || !journals_[jsn].has_value()) {
     return Status::NotFound("journal purged");
   }
-  Digest block_hash;
-  {
-    // Per-block future semantics: wait until either the background sealer
-    // publishes the block covering `jsn` or the sealer lane drains — in
-    // the latter case the journal is still pending (or its job failed)
-    // and we seal inline, exactly like the synchronous path.
-    std::unique_lock<std::mutex> lock(seal_mu_);
-    seal_cv_.wait(lock, [&] {
-      return jsn_to_block_[jsn] != kUnsealedBlock || inflight_seals_ == 0;
-    });
-    if (jsn_to_block_[jsn] == kUnsealedBlock) {
-      LEDGERDB_RETURN_IF_ERROR(SealBlockLocked());
-    }
-    block_hash = blocks_[jsn_to_block_[jsn]].Hash();
+  // Receipts commit at block granularity: an unsealed journal's block is
+  // sealed now, as it stands.
+  if (jsn_to_block_[jsn] == kUnsealedBlock) {
+    LEDGERDB_RETURN_IF_ERROR(SealBlock());
   }
   const Journal& journal = *journals_[jsn];
   receipt->jsn = jsn;
   receipt->request_hash = journal.request_hash;
   receipt->tx_hash = journal.TxHash();
-  receipt->block_hash = block_hash;
+  receipt->block_hash = blocks_[jsn_to_block_[jsn]].Hash();
   receipt->timestamp = clock_->Now();
   receipt->lsp_sig = lsp_key_.Sign(receipt->MessageHash());
   return Status::OK();
@@ -722,7 +630,6 @@ Status Ledger::GetJournal(uint64_t jsn, Journal* out) const {
 
 Status Ledger::GetHeaders(uint64_t first, uint64_t end,
                           std::vector<BlockHeader>* out) const {
-  std::lock_guard<std::mutex> lock(seal_mu_);
   end = std::min<uint64_t>(end, blocks_.size());
   if (first > end) return Status::OutOfRange("header range beyond the chain");
   out->assign(blocks_.data() + first, blocks_.data() + end);
@@ -1387,10 +1294,9 @@ Status Ledger::FinishRecovery(uint64_t n) {
 
   recovering_ = false;
 
-  // A crash can land between a block boundary and its (asynchronous)
-  // seal completing: the journals are durable but their block header
-  // never reached disk. Re-seal any full boundary now so crash behavior
-  // matches the synchronous path — partial boundaries stay pending, as
+  // A crash can land between a full block's journals reaching disk and
+  // its header write: the journals are durable but the header is not.
+  // Re-seal that full boundary now; partial boundaries stay pending, as
   // they always have.
   if (pending_block_.size() >= options_.block_capacity) {
     LEDGERDB_RETURN_IF_ERROR(SealBlock());
@@ -1639,10 +1545,9 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
     return Status::InvalidArgument(
         "checkpointing requires journal+block streams and a checkpoint store");
   }
-  // Quiesce sealing so blocks_ and the roots form one consistent cut; the
-  // caller must hold off commits (shards route this through the committer
-  // lane's maintenance queue).
-  LEDGERDB_RETURN_IF_ERROR(WaitForSeals());
+  // blocks_ and the roots form one consistent cut as long as no commit
+  // interleaves (shards route this through the committer lane's
+  // maintenance queue).
   if (blocks_.empty()) {
     return Status::InvalidArgument(
         "nothing sealed yet: a checkpoint needs at least one block");

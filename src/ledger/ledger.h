@@ -1,10 +1,7 @@
 #ifndef LEDGERDB_LEDGER_LEDGER_H_
 #define LEDGERDB_LEDGER_LEDGER_H_
 
-#include <condition_variable>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -193,8 +190,9 @@ class Ledger {
   /// watermark, the boundary block hash and the three commitment roots,
   /// binds the snapshot bytes by size + SHA-256, and is LSP-signed: a
   /// tampered snapshot or manifest is rejected at load, never trusted.
-  /// Drains in-flight asynchronous seals first; requires at least one
-  /// sealed block. `slot_out` (optional) receives the slot written.
+  /// Must not interleave with commits (a sharded group runs it on the
+  /// shard's committer lane); requires at least one sealed block.
+  /// `slot_out` (optional) receives the slot written.
   Status WriteCheckpoint(uint32_t* slot_out = nullptr);
 
   const std::string& uri() const { return uri_; }
@@ -259,53 +257,10 @@ class Ledger {
                                  std::vector<uint64_t>* jsns,
                                  std::vector<Status>* statuses);
 
-  /// Seals all pending journals into one block (no-op when empty). Drains
-  /// any in-flight asynchronous seals first, re-queueing journals from
-  /// failed seal jobs ahead of the live pending set so the retry keeps
-  /// jsn order. Fails without sealing if the block header cannot be
+  /// Seals all pending journals into one block (no-op when empty) on the
+  /// calling thread. Fails without sealing if the block header cannot be
   /// persisted; the pending journals stay queued for the next attempt.
   Status SealBlock();
-
-  // -------------------------------------------------------------------
-  // Asynchronous sealing
-  // -------------------------------------------------------------------
-
-  /// A block boundary frozen by the committer thread: everything
-  /// CompleteSeal needs to build and persist the header without touching
-  /// live accumulator state (the roots are snapshotted at the boundary,
-  /// which is exactly what recovery's per-block fam cross-check expects).
-  struct SealJob {
-    uint64_t first_jsn = 0;
-    std::vector<Digest> tx_hashes;
-    Timestamp timestamp{};
-    Digest fam_root;
-    Digest clue_root;
-    Digest state_root;
-  };
-
-  using SealScheduler = std::function<void(SealJob&&)>;
-
-  /// Routes block sealing through `scheduler` instead of sealing inline
-  /// at block boundaries: the committer prepares a SealJob and hands it
-  /// off, continuing to append while the scheduler runs CompleteSeal on a
-  /// dedicated lane. The scheduler must execute jobs of this ledger
-  /// serially and in submission order. Call only while no appends or
-  /// seals are in flight; pass nullptr (after WaitForSeals) to restore
-  /// inline sealing.
-  void SetSealScheduler(SealScheduler scheduler);
-
-  /// Completes a seal prepared at a block boundary: builds the intra-block
-  /// tx tree from the frozen hashes and persists + publishes the header.
-  /// Runs on the sealer lane; never touches the live accumulators.
-  void CompleteSeal(SealJob&& job);
-
-  /// Blocks until every scheduled seal completes, then reports any
-  /// asynchronous seal failure. Journals from failed jobs stay queued;
-  /// the next SealBlock retries them.
-  Status WaitForSeals();
-
-  /// Seal jobs handed to the scheduler but not yet completed.
-  size_t SealBacklog() const;
 
   /// Issues the signed LSP receipt π_s for `jsn`; seals the containing
   /// block first if needed (receipts commit at block granularity).
@@ -534,7 +489,7 @@ class Ledger {
 
   /// In-memory half of a commit: threads an already-persisted journal
   /// through the accumulators and ledger bookkeeping and, outside
-  /// recovery, handles the block boundary (inline seal or async hand-off).
+  /// recovery, seals the block when it reaches its capacity.
   Status ApplyCommitted(Journal journal);
 
   /// Accumulator transitions of one record: fam, CM-Tree and world state.
@@ -546,19 +501,6 @@ class Ledger {
   /// unsealed jsn_to_block_ slot. `key_ids` (optional) memoizes signer ids.
   void IndexRecord(JournalDelta delta, std::optional<Journal> journal,
                    KeyIdMemo* key_ids = nullptr);
-
-  /// Freezes the current pending block into a SealJob (hashes copied,
-  /// roots snapshotted). The pending set is left for the caller to clear.
-  SealJob PrepareSeal() const;
-
-  /// Builds the header for `job` on top of blocks_, persists it and
-  /// publishes it. Requires seal_mu_ held. On failure nothing is
-  /// published.
-  Status PublishSeal(const SealJob& job, const Digest& tx_root);
-
-  /// SealBlock body: seals the pending set inline through PrepareSeal +
-  /// PublishSeal; requires seal_mu_ held.
-  Status SealBlockLocked();
 
   /// Tracks ledger-level side effects of special journal types (purge
   /// boundaries, occult bits, time evidence). Used by both the live
@@ -638,21 +580,8 @@ class Ledger {
   ClueSkipList clue_index_;
 
   std::vector<BlockHeader> blocks_;
-  std::vector<uint64_t> pending_block_;          // jsns awaiting sealing
-  std::vector<uint64_t> jsn_to_block_;           // jsn -> block height (sealed)
-
-  /// Async sealing state. seal_mu_ guards everything the sealer lane and
-  /// the committer/readers share: blocks_, jsn_to_block_ (growth on the
-  /// committer races element writes on the sealer), the in-flight count,
-  /// and the failed-job queue. pending_block_ itself stays committer-owned
-  /// except inside SealBlockLocked, which only runs when no committer is
-  /// mutating (the documented read contract).
-  SealScheduler seal_scheduler_;
-  mutable std::mutex seal_mu_;
-  mutable std::condition_variable seal_cv_;
-  size_t inflight_seals_ = 0;
-  Status seal_failure_;
-  std::vector<uint64_t> failed_seal_jsns_;
+  std::vector<uint64_t> pending_block_;  // jsns awaiting sealing
+  std::vector<uint64_t> jsn_to_block_;   // jsn -> block height (sealed)
 
   TsaService* direct_tsa_ = nullptr;
   TsaPool* tsa_pool_ = nullptr;

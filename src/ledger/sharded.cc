@@ -151,19 +151,6 @@ Status ShardedLedgerGroup::RouteShard(const ClientTransaction& tx,
   return CheckShard(*shard);
 }
 
-Status ShardedLedgerGroup::Append(const ClientTransaction& tx,
-                                  Location* location) {
-  size_t shard = 0;
-  LEDGERDB_RETURN_IF_ERROR(RouteShard(tx, &shard));
-  uint64_t jsn = 0;
-  LEDGERDB_RETURN_IF_ERROR(shards_[shard]->Append(tx, &jsn));
-  if (location != nullptr) {
-    location->shard = shard;
-    location->jsn = jsn;
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Parallel append pipeline
 // ---------------------------------------------------------------------------
@@ -183,29 +170,10 @@ void ShardedLedgerGroup::StartParallelAppend(size_t prevalidate_threads) {
   prevalidate_pool_ =
       std::make_unique<ThreadPool>(prevalidate_threads, /*queue_capacity=*/4096);
 
-  // One sealer lane per shard: the committer hands each block boundary
-  // off as a SealJob and keeps appending; the single-thread pool runs the
-  // shard's CompleteSeal calls serially, in submission order.
-  sealers_.clear();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    sealers_.push_back(std::make_unique<ThreadPool>(1, /*queue_capacity=*/4096));
-    if (shards_[i] == nullptr) continue;
-    Ledger* ledger = shards_[i].get();
-    ThreadPool* sealer = sealers_.back().get();
-    ledger->SetSealScheduler([ledger, sealer](Ledger::SealJob&& job) {
-      // Boxed: ThreadPool tasks must be copyable.
-      auto boxed = std::make_shared<Ledger::SealJob>(std::move(job));
-      LEDGERDB_OBS_GAUGE_ADD(obs::names::kShardSealBacklogCount, 1);
-      sealer->Submit([ledger, boxed] {
-        ledger->CompleteSeal(std::move(*boxed));
-        LEDGERDB_OBS_GAUGE_ADD(obs::names::kShardSealBacklogCount, -1);
-      });
-    });
-  }
-
-  // One committer lane per shard: commits execute serially in submission
-  // order, preserving the Ledger single-writer invariant; the lane thread
-  // groups contiguously-ready tickets for group commit.
+  // One committer lane per shard: commits and block seals execute
+  // serially in submission order, preserving the Ledger single-writer
+  // invariant; the lane thread groups contiguously-ready tickets for
+  // group commit.
   lanes_.clear();
   for (size_t i = 0; i < shards_.size(); ++i) {
     lanes_.push_back(std::make_unique<CommitterLane>());
@@ -221,14 +189,11 @@ void ShardedLedgerGroup::StartParallelAppend(size_t prevalidate_threads) {
 void ShardedLedgerGroup::StopParallelAppend() {
   std::unique_ptr<ThreadPool> pool;
   std::vector<std::unique_ptr<CommitterLane>> lanes;
-  std::vector<std::unique_ptr<ThreadPool>> sealers;
   {
     std::lock_guard<std::mutex> lock(engine_mu_);
     pool = std::move(prevalidate_pool_);
     lanes = std::move(lanes_);
-    sealers = std::move(sealers_);
     lanes_.clear();
-    sealers_.clear();
   }
   // Committer lanes drain first; their queued tickets block on
   // prevalidations still executing on the (live) pool.
@@ -242,15 +207,6 @@ void ShardedLedgerGroup::StopParallelAppend() {
   }
   for (auto& lane : lanes) {
     if (lane != nullptr && lane->thread.joinable()) lane->thread.join();
-  }
-  // No committer is running, so no new seal jobs can be scheduled: drain
-  // the sealer lanes, then detach the schedulers. An asynchronous seal
-  // failure leaves its journals queued; the next SealBlock retries them.
-  sealers.clear();
-  for (auto& shard : shards_) {
-    if (shard == nullptr) continue;
-    (void)shard->WaitForSeals();
-    shard->SetSealScheduler(nullptr);
   }
   pool.reset();
 }
@@ -604,7 +560,7 @@ Status ShardedLedgerGroup::CheckpointShard(size_t shard, uint32_t* slot_out) {
     }
   }
   if (!ran) {
-    // No live lane: the caller owns the shard (serial mode), write inline.
+    // No live lane: no commit can interleave, so write inline.
     result = ledger->WriteCheckpoint(slot_out);
   }
 

@@ -38,17 +38,16 @@ struct GroupCommitment {
 ///
 /// ## Parallel append pipeline
 ///
-/// Append() is the serial path. AppendBatch()/AppendAsync() run the
-/// two-stage pipeline instead: the expensive shard-independent stage
-/// (π_c ECDSA verification, membership lookup, payload hashing —
+/// AppendBatch()/AppendAsync() are the group's only append path, a
+/// two-stage pipeline: the expensive shard-independent stage (π_c ECDSA
+/// verification, membership lookup, payload hashing —
 /// Ledger::Prevalidate) fans out across a shared worker pool, while
 /// commits drain through one ordered committer lane per shard. Each lane
 /// coalesces the contiguously-ready prefix of its queue into a commit
 /// group (Ledger::CommitPrevalidatedGroup) — one storage flush per group
-/// instead of per journal — and hands block sealing to a dedicated
-/// per-shard sealer lane, so no shard ever sees concurrent mutation and
-/// per-shard journal order equals submission order. See
-/// docs/parallel_append.md.
+/// instead of per journal — and seals full blocks inline on the same
+/// thread, so no shard ever sees concurrent mutation and per-shard
+/// journal order equals submission order. See docs/parallel_append.md.
 class ShardedLedgerGroup {
  public:
   /// Identifies a journal inside the group.
@@ -126,11 +125,6 @@ class ShardedLedgerGroup {
   /// Shard that owns `clue` (stable: lineage never crosses shards).
   size_t ShardOfClue(const std::string& clue) const;
 
-  /// Routes and appends serially on the caller's thread; `location`
-  /// receives (shard, jsn). Do not mix with concurrent AppendBatch /
-  /// AppendAsync traffic on the same shard.
-  Status Append(const ClientTransaction& tx, Location* location);
-
   // -------------------------------------------------------------------
   // Parallel append pipeline
   // -------------------------------------------------------------------
@@ -144,15 +138,12 @@ class ShardedLedgerGroup {
   const PipelineOptions& pipeline_options() const { return pipeline_options_; }
 
   /// Starts the pipeline workers: `prevalidate_threads` shared
-  /// prevalidation workers (0 = hardware concurrency), one committer
-  /// lane per shard, and one sealer lane per shard (block sealing runs
-  /// there, off the committer's critical path). Idempotent; called lazily
-  /// by AppendBatch/AppendAsync.
+  /// prevalidation workers (0 = hardware concurrency) and one committer
+  /// lane per shard. Idempotent; called lazily by AppendBatch/AppendAsync.
   void StartParallelAppend(size_t prevalidate_threads = 0);
 
   /// Drains all in-flight appends and joins the pipeline threads. The
-  /// serial Append path keeps working afterwards; the pipeline restarts
-  /// lazily on the next AppendBatch/AppendAsync.
+  /// pipeline restarts lazily on the next AppendBatch/AppendAsync.
   void StopParallelAppend();
 
   /// Pipelined bulk append. Prevalidation of all transactions fans out
@@ -271,8 +262,8 @@ class ShardedLedgerGroup {
   /// one healthy shard.
   const Ledger* AnyHealthyShard() const;
 
-  /// Clue/request-hash routing shared by the serial and pipelined paths.
-  /// Rejects transactions routed to a quarantined shard with Unavailable.
+  /// Clue/request-hash routing of the append pipeline. Rejects
+  /// transactions routed to a quarantined shard with Unavailable.
   Status RouteShard(const ClientTransaction& tx, size_t* shard) const;
 
   /// One ordered commit lane per shard: an explicit thread draining a
@@ -315,8 +306,7 @@ class ShardedLedgerGroup {
   PipelineOptions pipeline_options_;
   std::mutex engine_mu_;
   std::unique_ptr<ThreadPool> prevalidate_pool_;
-  std::vector<std::unique_ptr<CommitterLane>> lanes_;    // one per shard
-  std::vector<std::unique_ptr<ThreadPool>> sealers_;     // one per shard
+  std::vector<std::unique_ptr<CommitterLane>> lanes_;  // one per shard
 
   mutable std::mutex ckpt_mu_;
   std::condition_variable ckpt_cv_;

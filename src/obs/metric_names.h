@@ -51,8 +51,6 @@ inline constexpr char kShardPrevalidateChunkCount[] =
     "ledgerdb_shard_prevalidate_chunk_count";
 inline constexpr char kShardQuarantinedCount[] =
     "ledgerdb_shard_quarantined_count";
-inline constexpr char kShardSealBacklogCount[] =
-    "ledgerdb_shard_seal_backlog_count";
 
 // --- crypto: batched ECDSA verification ----------------------------------
 inline constexpr char kCryptoBatchVerifyCallsTotal[] =
@@ -179,7 +177,6 @@ inline constexpr const char* kAll[] = {
     kShardCommitWaitUs,
     kShardPrevalidateChunkCount,
     kShardQuarantinedCount,
-    kShardSealBacklogCount,
     kCryptoBatchVerifyCallsTotal,
     kCryptoBatchVerifySigsTotal,
     kCryptoBatchVerifyFailuresTotal,

@@ -97,9 +97,14 @@ Status TLedger::GetTimeProof(uint64_t index, TimeProof* proof) const {
 
 bool TLedger::VerifyTimeProof(const Digest& digest, const TimeProof& proof,
                               const PublicKey& tsa_key) {
-  // (1) TSA really signed this root at this time.
-  if (!proof.finalization.Verify(tsa_key)) return false;
-  // (2) The membership proof is against exactly the finalized size, sits
+  // TSA really signed this root at this time, and the digest sits under it.
+  return proof.finalization.Verify(tsa_key) &&
+         VerifyTimeProofPath(digest, proof);
+}
+
+bool TLedger::VerifyTimeProofPath(const Digest& digest,
+                                  const TimeProof& proof) {
+  // The membership proof is against exactly the finalized size, sits
   // at the claimed submission index, and its peaks bag into the attested
   // root. Binding leaf_index to proof.index stops an index relabel that
   // would shift which T-Ledger slot the attestation is claimed for.

@@ -78,6 +78,10 @@ class TLedger {
   static bool VerifyTimeProof(const Digest& digest, const TimeProof& proof,
                               const PublicKey& tsa_key);
 
+  /// The membership half of VerifyTimeProof, without the TSA signature:
+  /// for a verifier that already checked `proof.finalization`.
+  static bool VerifyTimeProofPath(const Digest& digest, const TimeProof& proof);
+
   /// Verifies a submission receipt signature.
   bool VerifyReceipt(const Digest& digest, const TLedgerReceipt& receipt) const;
 

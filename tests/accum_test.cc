@@ -489,5 +489,57 @@ TEST(NaiveMerkleTest, RebuildCostIsLinear) {
   EXPECT_GE(cost, 255u);  // full rebuild
 }
 
+// ---------------------------------------------------------------------------
+// BimLightClient (boa)
+// ---------------------------------------------------------------------------
+
+TEST(BimLightClientTest, SyncAndVerify) {
+  BimChain chain(8);
+  for (uint64_t i = 0; i < 40; ++i) chain.Append(TestDigest(i));
+  BimLightClient client;
+  ASSERT_TRUE(client.Sync(chain).ok());
+  EXPECT_EQ(client.HeaderCount(), chain.NumBlocks());
+  for (uint64_t i = 0; i < 40; ++i) {
+    BimProof proof;
+    ASSERT_TRUE(chain.GetProof(i, &proof).ok());
+    EXPECT_TRUE(client.VerifyTransaction(TestDigest(i), proof));
+    EXPECT_FALSE(client.VerifyTransaction(TestDigest(i + 100), proof));
+  }
+}
+
+TEST(BimLightClientTest, IncrementalSync) {
+  BimChain chain(4);
+  for (uint64_t i = 0; i < 8; ++i) chain.Append(TestDigest(i));
+  BimLightClient client;
+  ASSERT_TRUE(client.Sync(chain).ok());
+  EXPECT_EQ(client.HeaderCount(), 2u);
+  for (uint64_t i = 8; i < 16; ++i) chain.Append(TestDigest(i));
+  ASSERT_TRUE(client.Sync(chain).ok());
+  EXPECT_EQ(client.HeaderCount(), 4u);
+}
+
+TEST(BimLightClientTest, RejectsUnknownBlockHeight) {
+  BimChain chain(4);
+  for (uint64_t i = 0; i < 4; ++i) chain.Append(TestDigest(i));
+  BimLightClient client;
+  ASSERT_TRUE(client.Sync(chain).ok());
+  BimProof proof;
+  ASSERT_TRUE(chain.GetProof(0, &proof).ok());
+  proof.block_height = 99;
+  EXPECT_FALSE(client.VerifyTransaction(TestDigest(0), proof));
+}
+
+TEST(BimLightClientTest, StorageGrowsWithBlocks) {
+  // The boa O(n)-headers cost that motivates fam-aoa.
+  BimChain chain(2);
+  BimLightClient client;
+  for (uint64_t i = 0; i < 8; ++i) chain.Append(TestDigest(i));
+  ASSERT_TRUE(client.Sync(chain).ok());
+  size_t small = client.StorageBytes();
+  for (uint64_t i = 8; i < 64; ++i) chain.Append(TestDigest(i));
+  ASSERT_TRUE(client.Sync(chain).ok());
+  EXPECT_GT(client.StorageBytes(), small * 4);
+}
+
 }  // namespace
 }  // namespace ledgerdb

@@ -126,6 +126,58 @@ TEST_F(AuditTest, TLedgerEvidenceWithoutContextFails) {
   EXPECT_FALSE(report.passed);
 }
 
+TEST_F(AuditTest, SharedFinalizationVerifiedOncePerAudit) {
+  // Four time journals, all covered by one T-Ledger finalization.
+  constexpr uint64_t kAnchors = 4;
+  ledger_->AttachTLedger(&tledger_);
+  for (uint64_t i = 0; i < kAnchors; ++i) {
+    Append(alice_, "p" + std::to_string(i));
+    ASSERT_TRUE(ledger_->AnchorTime(nullptr).ok());
+  }
+  tledger_.ForceFinalize();
+  ASSERT_EQ(tledger_.finalization_count(), 1u);
+  Receipt receipt = LatestReceipt();
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor(/*with_tledger=*/true).Audit(receipt, {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_EQ(report.time_journals_verified, kAnchors);
+  // π_s, one π_c per replayed journal, one T-Ledger receipt per time
+  // journal, and the shared finalization once rather than kAnchors times.
+  EXPECT_EQ(report.signatures_verified,
+            1 + report.journals_replayed + kAnchors + 1);
+
+  // A T-Ledger serving the same submissions under a finalization signed
+  // by an untrusted TSA: every time journal citing it fails, each one
+  // audited alone through the temporal window.
+  TsaService rogue_tsa(KeyPair::FromSeedString("rogue-tsa"), &clock_);
+  TLedger rogue(&rogue_tsa, &clock_, KeyPair::FromSeedString("tl-lsp"), {});
+  for (const TimeJournalInfo& info : ledger_->time_journals()) {
+    TLedgerReceipt admitted;
+    ASSERT_TRUE(
+        rogue.Submit(info.evidence.ledger_digest, clock_.Now(), &admitted).ok());
+  }
+  rogue.ForceFinalize();
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp_key_.public_key();
+  copts.fractal_height = 4;
+  DaseinAuditor::Context context;
+  context.members = &registry_;
+  context.tsa_key = tsa_.public_key();
+  context.tledger = &rogue;
+  DaseinAuditor auditor(transport_.get(), copts, context);
+  for (const TimeJournalInfo& info : ledger_->time_journals()) {
+    Journal journal;
+    ASSERT_TRUE(ledger_->GetJournal(info.jsn, &journal).ok());
+    AuditReport forged;
+    EXPECT_TRUE(auditor
+                    .Audit(receipt, {journal.server_ts, journal.server_ts},
+                           &forged)
+                    .IsVerificationFailed())
+        << "jsn " << info.jsn;
+    EXPECT_EQ(forged.failure_reason, "T-Ledger time proof invalid");
+  }
+}
+
 TEST_F(AuditTest, TimeEvidenceFromAnUntrustedTsaFails) {
   ledger_->AttachDirectTsa(&tsa_);
   Append(alice_, "p");

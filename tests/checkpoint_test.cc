@@ -774,6 +774,7 @@ TEST_F(CheckpointTest, ShardedBackgroundCheckpointLaneWrites) {
   SimulatedClock clock(1000 * kMicrosPerSecond);
   ShardedLedgerGroup group(kUri, kShards, options_, &clock, lsp_, &registry_,
                            storage);
+  std::vector<ClientTransaction> txs;
   for (int i = 0; i < 48; ++i) {
     ClientTransaction tx;
     tx.ledger_uri = kUri;
@@ -782,8 +783,10 @@ TEST_F(CheckpointTest, ShardedBackgroundCheckpointLaneWrites) {
     tx.nonce = nonce_++;
     tx.client_ts = clock.Now();
     tx.Sign(alice_);
-    ASSERT_TRUE(group.Append(tx, nullptr).ok());
+    txs.push_back(std::move(tx));
   }
+  std::vector<ShardedLedgerGroup::Location> locations;
+  ASSERT_TRUE(group.AppendBatch(txs, &locations).ok());
   for (size_t i = 0; i < kShards; ++i) {
     ASSERT_GE(group.shard(i)->NumJournals(), options_.block_capacity);
   }

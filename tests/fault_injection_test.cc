@@ -582,14 +582,12 @@ TEST_F(ShardQuarantineTest, DamagedShardIsQuarantinedOthersKeepServing) {
   {
     ShardedLedgerGroup group("lg://sq", kShards, options_, &clock_, lsp_,
                              &registry_, storage);
+    std::vector<ClientTransaction> txs;
     for (int i = 0; i < 12; ++i) {
-      ShardedLedgerGroup::Location loc;
-      ASSERT_TRUE(group
-                      .Append(MakeTx("v" + std::to_string(i),
-                                     "k" + std::to_string(i)),
-                              &loc)
-                      .ok());
+      txs.push_back(MakeTx("v" + std::to_string(i), "k" + std::to_string(i)));
     }
+    std::vector<ShardedLedgerGroup::Location> locations;
+    ASSERT_TRUE(group.AppendBatch(txs, &locations).ok());
   }
   // Every shard owns at least its genesis plus some journals. Tamper a
   // journal payload on shard 1 so its (frame-valid) stream fails ledger
@@ -631,15 +629,20 @@ TEST_F(ShardQuarantineTest, DamagedShardIsQuarantinedOthersKeepServing) {
   std::vector<uint64_t> jsns;
   Status dead = group->ListTx(dead_clue, &jsns, nullptr);
   EXPECT_TRUE(dead.IsUnavailable()) << dead.ToString();
-  ShardedLedgerGroup::Location loc;
-  Status dead_append = group->Append(MakeTx("new", dead_clue), &loc);
+  // The pipeline rejects them with an explicit status instead of crashing
+  // on a null shard.
+  Status dead_append =
+      group->AppendAsync(MakeTx("new", dead_clue)).get().status;
   EXPECT_TRUE(dead_append.IsUnavailable()) << dead_append.ToString();
   Journal journal;
   EXPECT_TRUE(
       group->GetJournal({victim, 0}, &journal).IsUnavailable());
 
   // ...while healthy shards keep serving reads and writes.
-  ASSERT_TRUE(group->Append(MakeTx("alive", live_clue), &loc).ok());
+  ShardedLedgerGroup::AppendOutcome alive =
+      group->AppendAsync(MakeTx("alive", live_clue)).get();
+  ASSERT_TRUE(alive.status.ok()) << alive.status.ToString();
+  const ShardedLedgerGroup::Location& loc = alive.location;
   EXPECT_NE(loc.shard, victim);
   ASSERT_TRUE(group->GetJournal(loc, &journal).ok());
   EXPECT_EQ(journal.payload, StringToBytes("alive"));
@@ -650,12 +653,6 @@ TEST_F(ShardQuarantineTest, DamagedShardIsQuarantinedOthersKeepServing) {
   ASSERT_EQ(commitment.shard_roots.size(), kShards);
   EXPECT_EQ(commitment.shard_roots[victim], Digest{});
   EXPECT_NE(commitment.shard_roots[loc.shard], Digest{});
-
-  // The pipelined path rejects quarantined-shard traffic with the same
-  // explicit status instead of crashing on a null shard.
-  auto future = group->AppendAsync(MakeTx("pipelined", dead_clue));
-  EXPECT_TRUE(future.get().status.IsUnavailable());
-  group->StopParallelAppend();
 }
 
 TEST_F(ShardQuarantineTest, GroupRecoveryFailsWhenEveryShardIsDead) {

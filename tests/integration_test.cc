@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "audit/dasein_auditor.h"
-#include "ledger/service.h"
 
 namespace ledgerdb {
 namespace {

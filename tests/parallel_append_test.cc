@@ -5,8 +5,11 @@
 // (docs/parallel_append.md):
 //   * per-clue lineage order equals submission order (ListTx),
 //   * the concurrent group is bit-identical (fam/clue/state roots, group
-//     commitment) to a serial replay of the same per-shard journal order,
-//   * every shard recovers from its streams via Ledger::Recover.
+//     commitment, block-header hashes) to a serial replay of the same
+//     per-shard journal order,
+//   * every shard passes a Dasein audit over a LocalTransport,
+//   * every shard recovers from its streams via Ledger::Recover, blocks
+//     included.
 // Runs under ThreadSanitizer via the `tsan` CTest label.
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "audit/dasein_auditor.h"
 #include "ledger/sharded.h"
 
 namespace ledgerdb {
@@ -56,6 +60,10 @@ class ParallelAppendTest : public ::testing::Test {
     return tx;
   }
 
+  /// Eight threads drive concurrent AppendBatch calls into a durable
+  /// 4-shard group, then every invariant in the file header is checked.
+  void CheckConcurrentBatches(uint32_t block_capacity);
+
   SimulatedClock clock_;
   CertificateAuthority ca_;
   MemberRegistry registry_;
@@ -64,7 +72,8 @@ class ParallelAppendTest : public ::testing::Test {
   LedgerOptions options_;
 };
 
-TEST_F(ParallelAppendTest, ConcurrentBatchesMatchSerialReplay) {
+void ParallelAppendTest::CheckConcurrentBatches(uint32_t block_capacity) {
+  options_.block_capacity = block_capacity;
   // Per-shard durable streams so every shard can be recovered afterwards.
   std::vector<std::unique_ptr<MemoryStreamStore>> stores;
   std::vector<LedgerStorage> storage;
@@ -150,13 +159,40 @@ TEST_F(ParallelAppendTest, ConcurrentBatchesMatchSerialReplay) {
     EXPECT_EQ(reference.FamRoot(), shard->FamRoot()) << "shard " << s;
     EXPECT_EQ(reference.ClueRoot(), shard->ClueRoot()) << "shard " << s;
     EXPECT_EQ(reference.StateRoot(), shard->StateRoot()) << "shard " << s;
+    // The committer lanes sealed the same chain as inline serial appends.
+    const std::vector<BlockHeader>& sealed = shard->blocks();
+    const std::vector<BlockHeader>& ref_blocks = reference.blocks();
+    ASSERT_EQ(sealed.size(), ref_blocks.size()) << "shard " << s;
+    for (size_t b = 0; b < sealed.size(); ++b) {
+      EXPECT_EQ(sealed[b].Hash(), ref_blocks[b].Hash())
+          << "shard " << s << " block " << b;
+    }
     replay_commitment.shard_roots.push_back(reference.FamRoot());
   }
   EXPECT_EQ(replay_commitment.Combined(), group.Commitment().Combined());
 
+  // --- Dasein audit over each shard; the last journal's receipt seals the
+  // partial tail block. ---------------------------------------------------
+  for (size_t s = 0; s < kShards; ++s) {
+    Ledger* shard = group.shard(s);
+    Receipt receipt;
+    ASSERT_TRUE(shard->GetReceipt(shard->NumJournals() - 1, &receipt).ok());
+    LocalTransport transport(shard);
+    LedgerClient::Options copts;
+    copts.lsp_key = shard->lsp_key();
+    copts.fractal_height = options_.fractal_height;
+    DaseinAuditor::Context context;
+    context.members = &registry_;
+    AuditReport report;
+    Status audit =
+        DaseinAuditor(&transport, copts, context).Audit(receipt, {}, &report);
+    ASSERT_TRUE(audit.ok()) << audit.ToString() << " — "
+                            << report.failure_reason;
+    EXPECT_TRUE(report.passed) << report.failure_reason;
+  }
+
   // --- Recovery: every shard rebuilds from its streams and agrees. ------
   for (size_t s = 0; s < kShards; ++s) {
-    group.shard(s)->SealBlock();
     std::unique_ptr<Ledger> recovered;
     Status recover = Ledger::Recover(
         "lg://parallel", options_, &clock_, lsp_, &registry_,
@@ -166,6 +202,17 @@ TEST_F(ParallelAppendTest, ConcurrentBatchesMatchSerialReplay) {
     EXPECT_EQ(recovered->FamRoot(), group.shard(s)->FamRoot());
     EXPECT_EQ(recovered->ClueRoot(), group.shard(s)->ClueRoot());
     EXPECT_EQ(recovered->StateRoot(), group.shard(s)->StateRoot());
+    EXPECT_EQ(recovered->blocks().size(), group.shard(s)->blocks().size());
+  }
+}
+
+TEST_F(ParallelAppendTest, ConcurrentBatchesMatchSerialReplay) {
+  // The default block capacity, and small blocks that make every commit
+  // group cross block boundaries on the committer lane.
+  for (uint32_t block_capacity : {LedgerOptions{}.block_capacity, 8u}) {
+    SCOPED_TRACE("block_capacity " + std::to_string(block_capacity));
+    CheckConcurrentBatches(block_capacity);
+    if (HasFatalFailure()) return;
   }
 }
 

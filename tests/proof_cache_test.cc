@@ -3,17 +3,14 @@
 // blobs) must produce serializations identical to a cache-disabled ledger
 // driven by the same history; stale blob stamps must never be served; the
 // byte budget must hold under eviction; purge must drop cached epochs in
-// lockstep with the trees; and the seal-time blob GC (CompleteSeal →
-// DropBlobs) must be safe against readers racing the sealer lane (the
-// `tsan` CTest label runs this under ThreadSanitizer).
+// lockstep with the trees; and concurrent readers sharing the cache
+// between inline-sealed append rounds must stay race-free (the `tsan`
+// CTest label runs this under ThreadSanitizer).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -458,106 +455,52 @@ TEST_F(ProofCacheTest, ClientBatchAuditRangeVerifiesAndCatchesTruncation) {
 }
 
 // ---------------------------------------------------------------------------
-// Seal-time blob GC racing readers (tsan)
+// Readers racing each other on the cache between sealed rounds (tsan)
 // ---------------------------------------------------------------------------
-
-/// Minimal serial sealer lane: a dedicated thread draining a FIFO of seal
-/// jobs, as the async-seal contract requires (serial, submission order).
-class SealerLane {
- public:
-  explicit SealerLane(Ledger* ledger) : ledger_(ledger) {
-    worker_ = std::thread([this] { Run(); });
-  }
-  ~SealerLane() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-  void Submit(Ledger::SealJob&& job) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(job));
-    }
-    cv_.notify_all();
-  }
-
- private:
-  void Run() {
-    for (;;) {
-      Ledger::SealJob job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
-        if (queue_.empty()) return;
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      ledger_->CompleteSeal(std::move(job));
-    }
-  }
-
-  Ledger* ledger_;
-  std::thread worker_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Ledger::SealJob> queue_;
-  bool done_ = false;
-};
 
 TEST_F(ProofCacheTest, ReadersRaceSealTimeBlobInvalidation) {
   BuildPair();
   Ledger* ledger = cached_.get();
-  {
-    SealerLane lane(ledger);
-    ledger->SetSealScheduler(
-        [&lane](Ledger::SealJob&& job) { lane.Submit(std::move(job)); });
-
-    constexpr int kRounds = 6;
-    constexpr int kPerRound = 16;  // block_capacity 4: 4 seal jobs per round
-    constexpr int kReaders = 3;
-    for (int round = 0; round < kRounds; ++round) {
-      uint64_t base = static_cast<uint64_t>(round) * kPerRound;
-      for (int i = 0; i < kPerRound; ++i) {
-        uint64_t jsn = 0;
-        ASSERT_TRUE(
-            ledger->Append(MakeTx(base + i, {"asset"}), &jsn).ok());
-      }
-      // Appends are quiescent; the sealer backlog drains concurrently
-      // with readers exercising every cached proof path — including the
-      // blob section that CompleteSeal garbage-collects via DropBlobs.
-      uint64_t committed = base + kPerRound;
-      std::atomic<bool> failed{false};
-      std::vector<std::thread> readers;
-      for (int t = 0; t < kReaders; ++t) {
-        readers.emplace_back([&, t] {
-          for (int iter = 0; iter < 20; ++iter) {
-            ClueProof clue_proof;
-            if (!ledger->GetClueProof("asset", 0, 0, &clue_proof).ok()) {
-              failed = true;
-            }
-            uint64_t jsn = (static_cast<uint64_t>(t) * 20 + iter) % committed;
-            FamProof proof;
-            if (!ledger->GetProof(jsn, &proof).ok()) failed = true;
-            ClueRangeResult range;
-            if (!ledger->ProveClueRange("asset", 0, clock_.Now() + 1, &range)
-                     .ok()) {
-              failed = true;
-            }
-          }
-        });
-      }
-      for (std::thread& t : readers) t.join();
-      EXPECT_FALSE(failed.load());
+  constexpr int kRounds = 6;
+  constexpr int kPerRound = 16;  // block_capacity 4: 4 seals per round
+  constexpr int kReaders = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    uint64_t base = static_cast<uint64_t>(round) * kPerRound;
+    for (int i = 0; i < kPerRound; ++i) {
+      uint64_t jsn = 0;
+      ASSERT_TRUE(ledger->Append(MakeTx(base + i, {"asset"}), &jsn).ok());
     }
-    ASSERT_TRUE(ledger->WaitForSeals().ok());
-    ledger->SetSealScheduler(nullptr);
+    // Appends are quiescent and every seal of the round (each one drops
+    // the blob section via DropBlobs) has run inline. Readers now race
+    // each other through every cached proof path, refilling the blob
+    // section and the sealed-epoch material under the cache's lock.
+    uint64_t committed = base + kPerRound;
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        for (int iter = 0; iter < 20; ++iter) {
+          ClueProof clue_proof;
+          if (!ledger->GetClueProof("asset", 0, 0, &clue_proof).ok()) {
+            failed = true;
+          }
+          uint64_t jsn = (static_cast<uint64_t>(t) * 20 + iter) % committed;
+          FamProof proof;
+          if (!ledger->GetProof(jsn, &proof).ok()) failed = true;
+          ClueRangeResult range;
+          if (!ledger->ProveClueRange("asset", 0, clock_.Now() + 1, &range)
+                   .ok()) {
+            failed = true;
+          }
+        }
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    EXPECT_FALSE(failed.load());
   }
   // After the dust settles the cached ledger still matches a cache-off
   // replay byte for byte.
-  for (uint64_t i = 0; i < 6 * 16; ++i) {
+  for (uint64_t i = 0; i < kRounds * kPerRound; ++i) {
     ClientTransaction tx = MakeTx(i, {"asset"});
     uint64_t jsn = 0;
     ASSERT_TRUE(plain_->Append(tx, &jsn).ok());

@@ -32,6 +32,15 @@ class ShardedTest : public ::testing::Test {
     return tx;
   }
 
+  /// One append through the group's pipeline; `loc` receives where it
+  /// committed.
+  Status Append(ClientTransaction tx, ShardedLedgerGroup::Location* loc) {
+    ShardedLedgerGroup::AppendOutcome outcome =
+        group_->AppendAsync(std::move(tx)).get();
+    *loc = outcome.location;
+    return outcome.status;
+  }
+
   SimulatedClock clock_;
   CertificateAuthority ca_;
   MemberRegistry registry_;
@@ -44,7 +53,7 @@ TEST_F(ShardedTest, AppendsSpreadAcrossShards) {
   std::vector<size_t> hits(4, 0);
   for (int i = 0; i < 200; ++i) {
     ShardedLedgerGroup::Location loc;
-    ASSERT_TRUE(group_->Append(MakeTx("p" + std::to_string(i)), &loc).ok());
+    ASSERT_TRUE(Append(MakeTx("p" + std::to_string(i)), &loc).ok());
     ++hits[loc.shard];
   }
   // All shards get meaningful traffic under hash routing.
@@ -59,7 +68,7 @@ TEST_F(ShardedTest, ClueLineageStaysOnOneShard) {
   for (int i = 0; i < 10; ++i) {
     ShardedLedgerGroup::Location loc;
     ASSERT_TRUE(
-        group_->Append(MakeTx("e" + std::to_string(i), {"asset-7"}), &loc).ok());
+        Append(MakeTx("e" + std::to_string(i), {"asset-7"}), &loc).ok());
     locations.push_back(loc);
   }
   for (const auto& loc : locations) {
@@ -92,12 +101,12 @@ TEST_F(ShardedTest, MixedShardCluesRejected) {
     if (group_->ShardOfClue(b) != group_->ShardOfClue(a)) break;
   }
   ShardedLedgerGroup::Location loc;
-  EXPECT_TRUE(group_->Append(MakeTx("x", {a, b}), &loc).IsInvalidArgument());
+  EXPECT_TRUE(Append(MakeTx("x", {a, b}), &loc).IsInvalidArgument());
 }
 
 TEST_F(ShardedTest, GroupCommitmentVerification) {
   ShardedLedgerGroup::Location loc;
-  ASSERT_TRUE(group_->Append(MakeTx("verify-me"), &loc).ok());
+  ASSERT_TRUE(Append(MakeTx("verify-me"), &loc).ok());
   GroupCommitment commitment = group_->Commitment();
   Digest pinned = commitment.Combined();
 
@@ -124,13 +133,13 @@ TEST_F(ShardedTest, GroupCommitmentVerification) {
 TEST_F(ShardedTest, CommitmentChangesOnAnyShardWrite) {
   Digest before = group_->Commitment().Combined();
   ShardedLedgerGroup::Location loc;
-  ASSERT_TRUE(group_->Append(MakeTx("one more"), &loc).ok());
+  ASSERT_TRUE(Append(MakeTx("one more"), &loc).ok());
   EXPECT_NE(group_->Commitment().Combined(), before);
 }
 
 TEST_F(ShardedTest, ReceiptsWorkThroughTheGroup) {
   ShardedLedgerGroup::Location loc;
-  ASSERT_TRUE(group_->Append(MakeTx("receipted"), &loc).ok());
+  ASSERT_TRUE(Append(MakeTx("receipted"), &loc).ok());
   Receipt receipt;
   ASSERT_TRUE(group_->GetReceipt(loc, &receipt).ok());
   EXPECT_TRUE(receipt.Verify(group_->shard(loc.shard)->lsp_key()));
