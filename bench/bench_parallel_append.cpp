@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
   };
   for (const Config& cfg : {Config{1, 8}, Config{4, 2}, Config{4, 8}}) {
     ShardedLedgerGroup group(plant.uri, cfg.shards, plant.options,
-                             &plant.clock, plant.lsp, &plant.registry);
-    group.StartParallelAppend(cfg.threads);
+                             &plant.clock, plant.lsp, &plant.registry, {},
+                             {.prevalidate_threads = cfg.threads});
     LatencySampler chunk_lat;
     const size_t chunk = 256;
     std::vector<ShardedLedgerGroup::Location> locations;
@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
         });
       }
     });
-    group.StopParallelAppend();
     if (group.TotalJournals() != n + cfg.shards) std::abort();
     double tps = static_cast<double>(n) / secs;
     std::string name = "pipelined " + std::to_string(cfg.shards) +
@@ -111,9 +110,8 @@ int main(int argc, char** argv) {
   // in-memory rows above are compute-bound, the durable rows are
   // fsync-bound.
   Header("Durable write path (real files + fsync): per-append vs group commit");
-  const size_t kGroupCommitMaxSize = 64;
   const uint64_t kGroupCommitMaxDelayUs = 20000;
-  json.SetMetaInt("group_commit_max_size", kGroupCommitMaxSize);
+  json.SetMetaInt("group_commit_max_size", ShardedLedgerGroup::kMaxCommitGroup);
   json.SetMetaInt("group_commit_max_delay_us", kGroupCommitMaxDelayUs);
   auto fsyncs_now = [] {
     obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
@@ -189,9 +187,9 @@ int main(int argc, char** argv) {
     std::vector<LedgerStorage> storage;
     open_stores("group", 4, &stores, &storage);
     ShardedLedgerGroup group(plant.uri, 4, plant.options, &plant.clock,
-                             plant.lsp, &plant.registry, std::move(storage));
-    group.SetPipelineOptions({kGroupCommitMaxSize, kGroupCommitMaxDelayUs});
-    group.StartParallelAppend(8);
+                             plant.lsp, &plant.registry, std::move(storage),
+                             {.prevalidate_threads = 8,
+                              .max_group_delay_us = kGroupCommitMaxDelayUs});
     uint64_t fsyncs_before = fsyncs_now();
     const size_t chunk = 256;
     std::vector<ShardedLedgerGroup::Location> locations;
@@ -207,7 +205,6 @@ int main(int argc, char** argv) {
         }
       }
     });
-    group.StopParallelAppend();
     if (group.TotalJournals() != n_durable + 4) std::abort();
     double tps = static_cast<double>(n_durable) / secs;
     double fsyncs_per_append =

@@ -34,11 +34,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   not_empty_.notify_one();
 }
 
-void ThreadPool::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -48,15 +43,9 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stopping_ and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     not_full_.notify_one();
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

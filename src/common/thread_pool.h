@@ -15,9 +15,9 @@ namespace ledgerdb {
 ///
 /// Producers on any thread Submit() closures; Submit blocks while the queue
 /// is at capacity, so a fast producer is backpressured instead of growing
-/// the queue without bound. A pool with one worker is an *ordered lane*:
-/// tasks execute serially in submission order, which is how the sharded
-/// append pipeline keeps each Ledger shard single-writer.
+/// the queue without bound. A pool with one worker executes tasks serially
+/// in submission order. The sharded append pipeline runs its shared
+/// prevalidation stage on one pool.
 ///
 /// Destruction drains every queued task (nothing submitted is dropped) and
 /// joins the workers.
@@ -32,9 +32,6 @@ class ThreadPool {
   /// Enqueues a task. Blocks while the queue is full (backpressure).
   void Submit(std::function<void()> task);
 
-  /// Blocks until every task submitted so far has finished executing.
-  void Drain();
-
   size_t num_threads() const { return workers_.size(); }
 
  private:
@@ -43,10 +40,8 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable not_empty_;   // signals workers
   std::condition_variable not_full_;    // signals blocked producers
-  std::condition_variable all_done_;    // signals Drain()
   std::deque<std::function<void()>> queue_;
   const size_t capacity_;
-  size_t in_flight_ = 0;  // tasks popped but not yet finished
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

@@ -218,7 +218,7 @@ Ledger::Ledger(std::string uri, const LedgerOptions& options, Clock* clock,
                                                     options.proof_cache_bytes)
                                               : nullptr),
       fam_(options.fractal_height),
-      cmtree_(&cmtree_store_, options.mpt_cache_depth) {
+      cmtree_(&cmtree_store_) {
   if (proof_cache_ != nullptr) fam_.SetProofCache(proof_cache_.get());
   // Genesis journal, authored by the LSP. A persist failure here poisons
   // the ledger (init_status()); the partial on-disk image recovers to an
@@ -241,7 +241,7 @@ Ledger::Ledger(RecoveryTag, std::string uri, const LedgerOptions& options,
                                                     options.proof_cache_bytes)
                                               : nullptr),
       fam_(options.fractal_height),
-      cmtree_(&cmtree_store_, options.mpt_cache_depth) {
+      cmtree_(&cmtree_store_) {
   if (proof_cache_ != nullptr) fam_.SetProofCache(proof_cache_.get());
 }
 
@@ -1552,7 +1552,7 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
     return Status::InvalidArgument(
         "nothing sealed yet: a checkpoint needs at least one block");
   }
-  LEDGERDB_OBS_TIMER(ckpt_timer, obs::names::kCkptWriteUs);
+  LEDGERDB_OBS_TIMER(checkpoint_timer, obs::names::kCkptWriteUs);
   const uint64_t watermark = journals_.size();
   const uint64_t height = blocks_.size();
 

@@ -38,8 +38,6 @@ struct LedgerOptions {
   /// Occult erasure mode: synchronous erases the payload inside the occult
   /// operation; asynchronous defers to ReorganizeOcculted() (§III-A3).
   bool sync_occult_erasure = false;
-  /// MPT tier hint depth for CM-Tree1 ("top 6 layers cached").
-  int mpt_cache_depth = 6;
   /// Purge fam-erasure option (§III-A2): when true, purging also drops the
   /// interior fam nodes of epochs that lie entirely before the purge point
   /// (proofs there become unavailable; the trusted anchor covers them).

@@ -1,6 +1,7 @@
 #include "ledger/sharded.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -24,11 +25,11 @@ ShardedLedgerGroup::ShardedLedgerGroup(const std::string& uri,
                                        const LedgerOptions& options,
                                        Clock* clock, KeyPair lsp_key,
                                        const MemberRegistry* members,
-                                       std::vector<LedgerStorage> shard_storage) {
+                                       std::vector<LedgerStorage> shard_storage,
+                                       const PipelineOptions& pipeline) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);
   shard_health_.assign(shard_count, Status::OK());
-  ckpt_auto_ok_.assign(shard_count, 1);
   for (size_t i = 0; i < shard_count; ++i) {
     LedgerStorage storage =
         i < shard_storage.size() ? shard_storage[i] : LedgerStorage{};
@@ -37,6 +38,7 @@ ShardedLedgerGroup::ShardedLedgerGroup(const std::string& uri,
     shards_.push_back(std::make_unique<Ledger>(uri, options, clock, lsp_key,
                                                members, storage));
   }
+  StartPipeline(pipeline);
 }
 
 Status ShardedLedgerGroup::Recover(const std::string& uri, size_t shard_count,
@@ -45,7 +47,8 @@ Status ShardedLedgerGroup::Recover(const std::string& uri, size_t shard_count,
                                    const MemberRegistry* members,
                                    std::vector<LedgerStorage> shard_storage,
                                    std::unique_ptr<ShardedLedgerGroup>* out,
-                                   RecoverOutcome* outcome) {
+                                   RecoverOutcome* outcome,
+                                   const PipelineOptions& pipeline) {
   if (shard_count == 0) shard_count = 1;
   if (shard_storage.size() < shard_count) {
     return Status::InvalidArgument(
@@ -54,7 +57,6 @@ Status ShardedLedgerGroup::Recover(const std::string& uri, size_t shard_count,
   auto group = std::unique_ptr<ShardedLedgerGroup>(new ShardedLedgerGroup());
   group->shards_.resize(shard_count);
   group->shard_health_.assign(shard_count, Status::OK());
-  group->ckpt_auto_ok_.assign(shard_count, 1);
   std::vector<RecoveryInfo> shard_info(shard_count);
   size_t recovered = 0;
   for (size_t i = 0; i < shard_count; ++i) {
@@ -81,15 +83,28 @@ Status ShardedLedgerGroup::Recover(const std::string& uri, size_t shard_count,
     return Status::Corruption("group recovery failed: no shard recovered (" +
                               group->shard_health_[0].ToString() + ")");
   }
+  group->StartPipeline(pipeline);
   *out = std::move(group);
   return Status::OK();
 }
 
 ShardedLedgerGroup::~ShardedLedgerGroup() {
-  // The checkpoint lane routes work through the committer lanes — stop it
-  // before the pipeline so no ticket lands on a draining lane.
-  StopCheckpointing();
-  StopParallelAppend();
+  // The lanes drain first: their queued tickets may wait on prevalidations
+  // that still need live pool workers. The pool joins next. The lanes are
+  // destroyed last, because a prevalidation task notifies a lane after it
+  // releases the lane's mutex.
+  for (auto& lane : lanes_) {
+    if (lane == nullptr) continue;
+    {
+      std::lock_guard<std::mutex> lock(lane->mu);
+      lane->stopping = true;
+    }
+    lane->cv.notify_one();
+  }
+  for (auto& lane : lanes_) {
+    if (lane != nullptr) lane->thread.join();
+  }
+  prevalidate_pool_.reset();
 }
 
 size_t ShardedLedgerGroup::QuarantinedCount() const {
@@ -161,54 +176,26 @@ namespace {
 constexpr size_t kLaneCapacity = 4096;
 }  // namespace
 
-void ShardedLedgerGroup::StartParallelAppend(size_t prevalidate_threads) {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  if (prevalidate_pool_ != nullptr) return;
-  if (prevalidate_threads == 0) {
-    prevalidate_threads = std::max(2u, std::thread::hardware_concurrency());
-  }
+void ShardedLedgerGroup::StartPipeline(const PipelineOptions& pipeline) {
+  size_t threads = pipeline.prevalidate_threads;
+  if (threads == 0) threads = std::max(2u, std::thread::hardware_concurrency());
   prevalidate_pool_ =
-      std::make_unique<ThreadPool>(prevalidate_threads, /*queue_capacity=*/4096);
+      std::make_unique<ThreadPool>(threads, /*queue_capacity=*/4096);
 
-  // One committer lane per shard: commits and block seals execute
+  // One committer lane per healthy shard: commits and block seals execute
   // serially in submission order, preserving the Ledger single-writer
-  // invariant; the lane thread groups contiguously-ready tickets for
-  // group commit.
-  lanes_.clear();
+  // invariant. A quarantined shard gets no lane; routing rejects its
+  // appends and CheckShard its checkpoints.
+  lanes_.resize(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    lanes_.push_back(std::make_unique<CommitterLane>());
+    if (shards_[i] == nullptr) continue;
+    lanes_[i] = std::make_unique<CommitterLane>();
+    lanes_[i]->thread = std::thread(
+        [this, lane = lanes_[i].get(), ledger = shards_[i].get(), i,
+         delay_us = pipeline.max_group_delay_us] {
+          CommitterLoop(lane, ledger, i, delay_us);
+        });
   }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    CommitterLane* lane = lanes_[i].get();
-    Ledger* ledger = shards_[i].get();
-    lane->thread =
-        std::thread([this, lane, ledger, i] { CommitterLoop(lane, ledger, i); });
-  }
-}
-
-void ShardedLedgerGroup::StopParallelAppend() {
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<std::unique_ptr<CommitterLane>> lanes;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    pool = std::move(prevalidate_pool_);
-    lanes = std::move(lanes_);
-    lanes_.clear();
-  }
-  // Committer lanes drain first; their queued tickets block on
-  // prevalidations still executing on the (live) pool.
-  for (auto& lane : lanes) {
-    if (lane == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lock(lane->mu);
-      lane->stopping = true;
-    }
-    lane->cv.notify_all();
-  }
-  for (auto& lane : lanes) {
-    if (lane != nullptr && lane->thread.joinable()) lane->thread.join();
-  }
-  pool.reset();
 }
 
 bool ShardedLedgerGroup::EnqueueCommitTicket(
@@ -218,112 +205,94 @@ bool ShardedLedgerGroup::EnqueueCommitTicket(
     p->done.set_value({route, Location{}});
     return false;
   }
-  StartParallelAppend();
 
   // Stage 2 reservation: the commit ticket enters the shard's ordered
-  // lane NOW (in submission order); the lane blocks on `ready`, so
-  // per-shard commit order — and therefore per-clue lineage order —
+  // lane NOW (in submission order); the lane commits only a ready head,
+  // so per-shard commit order — and therefore per-clue lineage order —
   // matches submission order even when prevalidations finish out of
   // order.
   CommitterLane& lane = *lanes_[p->shard];
+  bool was_empty = false;
   {
     std::unique_lock<std::mutex> lock(lane.mu);
     lane.space_cv.wait(lock, [&] { return lane.queue.size() < kLaneCapacity; });
+    was_empty = lane.queue.empty();
     lane.queue.push_back(p);
   }
-  lane.cv.notify_all();
+  // Only a new head concerns the lane: it wakes to time the stall until
+  // that head is ready.
+  if (was_empty) lane.cv.notify_one();
   LEDGERDB_OBS_GAUGE_ADD(obs::names::kShardLaneDepthCount, 1);
   return true;
 }
 
 void ShardedLedgerGroup::CommitterLoop(CommitterLane* lane, Ledger* ledger,
-                                       size_t shard) {
-  const size_t max_group = std::max<size_t>(1, pipeline_options_.max_group_size);
-  const auto max_delay =
-      std::chrono::microseconds(pipeline_options_.max_group_delay_us);
+                                       size_t shard,
+                                       uint64_t max_group_delay_us) {
+  const auto max_delay = std::chrono::microseconds(max_group_delay_us);
+  // Length of the queue's contiguously-ready prefix, capped at one group.
+  auto ready_prefix = [lane] {
+    size_t n = 0;
+    while (n < lane->queue.size() && n < kMaxCommitGroup &&
+           lane->queue[n]->ready) {
+      ++n;
+    }
+    return n;
+  };
+  // The current head: whether the lane has seen it yet, and when. A head
+  // first seen not ready is a stall — the pipeline's bubble — and the
+  // commit wait runs from first sight until the head is ready.
+  bool head_seen = false;
+  uint64_t head_seen_us = 0;
+  std::unique_lock<std::mutex> lock(lane->mu);
   for (;;) {
-    // Head of the group: wait for a ticket, a maintenance task, or the
-    // stop signal (the lane drains its whole queue before exiting).
-    std::vector<std::shared_ptr<PendingAppend>> group;
-    std::deque<std::function<void()>> maintenance;
-    {
-      std::unique_lock<std::mutex> lock(lane->mu);
-      lane->cv.wait(lock, [&] {
-        return !lane->queue.empty() || !lane->maintenance.empty() ||
-               lane->stopping;
-      });
+    // One wait: a ready head, queued maintenance, or a stop with an empty
+    // queue (the lane drains its whole queue before exiting).
+    lane->cv.wait(lock, [&] {
+      if (!lane->maintenance.empty()) return true;
+      if (lane->queue.empty()) return lane->stopping;
+      const bool ready = lane->queue.front()->ready;
+      if (!head_seen) {
+        head_seen = true;
+        head_seen_us = obs::Enabled() ? obs::NowUs() : 0;
+        if (!ready) LEDGERDB_OBS_COUNT(obs::names::kShardCommitterStallsTotal);
+      }
+      return ready;
+    });
+    if (!lane->maintenance.empty()) {
+      // Maintenance runs between commit groups on this thread, so the
+      // shard sees no concurrent mutation; it is honored even on the way
+      // out so no caller blocks on an abandoned task.
+      std::deque<std::function<void()>> maintenance;
       maintenance.swap(lane->maintenance);
-      if (lane->queue.empty()) {
-        const bool stopping = lane->stopping;
-        lock.unlock();
-        // Maintenance runs between commit groups on this thread — the
-        // shard sees no concurrent mutation — and is honored even on the
-        // way out so no caller blocks on an abandoned ticket.
-        for (auto& task : maintenance) task();
-        if (stopping) return;
-        continue;
-      }
-      group.push_back(std::move(lane->queue.front()));
-      lane->queue.pop_front();
+      lock.unlock();
+      for (auto& task : maintenance) task();
+      lock.lock();
+      continue;
     }
-    for (auto& task : maintenance) task();
+    if (lane->queue.empty()) return;  // stopping, and drained
+    if (head_seen_us != 0) {
+      LEDGERDB_OBS_OBSERVE(obs::names::kShardCommitWaitUs,
+                           obs::NowUs() - head_seen_us);
+    }
+    head_seen = false;
+    if (max_delay.count() > 0) {
+      lane->cv.wait_for(lock, max_delay, [&] {
+        return lane->stopping || ready_prefix() == kMaxCommitGroup;
+      });
+    }
+
+    // Pop the contiguously-ready prefix — never reordering: it ends at the
+    // first not-ready ticket — and commit it with the lock released.
+    const size_t n = ready_prefix();
+    std::vector<std::shared_ptr<PendingAppend>> group(
+        std::make_move_iterator(lane->queue.begin()),
+        std::make_move_iterator(lane->queue.begin() + n));
+    lane->queue.erase(lane->queue.begin(), lane->queue.begin() + n);
+    lock.unlock();
     lane->space_cv.notify_all();
-    LEDGERDB_OBS_GAUGE_ADD(obs::names::kShardLaneDepthCount, -1);
-
-    {
-      // The lane stalls here whenever the head ticket's prevalidation has
-      // not finished yet — the wait time is the pipeline's bubble.
-      uint64_t wait_start = obs::Enabled() ? obs::NowUs() : 0;
-      std::unique_lock<std::mutex> tlock(group[0]->mu);
-      if (!group[0]->ready) {
-        LEDGERDB_OBS_COUNT(obs::names::kShardCommitterStallsTotal);
-      }
-      group[0]->cv.wait(tlock, [&] { return group[0]->ready; });
-      if (wait_start != 0) {
-        LEDGERDB_OBS_OBSERVE(obs::names::kShardCommitWaitUs,
-                             obs::NowUs() - wait_start);
-      }
-    }
-
-    // Coalesce the contiguously-ready queue prefix into the same group —
-    // never reordering: the scan stops at the first not-ready ticket
-    // (after waiting out the optional delay budget).
-    const auto deadline = std::chrono::steady_clock::now() + max_delay;
-    bool budget = max_delay.count() > 0;
-    while (group.size() < max_group) {
-      std::shared_ptr<PendingAppend> next;
-      {
-        std::unique_lock<std::mutex> lock(lane->mu);
-        if (lane->queue.empty()) {
-          if (!budget || lane->stopping) break;
-          lane->cv.wait_until(lock, deadline, [&] {
-            return !lane->queue.empty() || lane->stopping;
-          });
-          if (lane->queue.empty()) break;
-        }
-        next = lane->queue.front();
-      }
-      bool ready = false;
-      {
-        std::unique_lock<std::mutex> tlock(next->mu);
-        if (!next->ready && budget) {
-          next->cv.wait_until(tlock, deadline, [&] { return next->ready; });
-        }
-        ready = next->ready;
-      }
-      if (budget && std::chrono::steady_clock::now() >= deadline) {
-        budget = false;
-      }
-      if (!ready) break;
-      {
-        // Only this thread pops, so `next` is still the front.
-        std::lock_guard<std::mutex> lock(lane->mu);
-        lane->queue.pop_front();
-      }
-      lane->space_cv.notify_all();
-      LEDGERDB_OBS_GAUGE_ADD(obs::names::kShardLaneDepthCount, -1);
-      group.push_back(std::move(next));
-    }
+    LEDGERDB_OBS_GAUGE_ADD(obs::names::kShardLaneDepthCount,
+                           -static_cast<int64_t>(n));
 
     // Resolve failed prevalidations individually (still in submission
     // order) and commit the survivors as one group — one storage flush
@@ -340,17 +309,20 @@ void ShardedLedgerGroup::CommitterLoop(CommitterLane* lane, Ledger* ledger,
       batch.push_back(std::move(p->prevalidated));
       committing.push_back(std::move(p));
     }
-    if (committing.empty()) continue;
-    std::vector<uint64_t> jsns;
-    std::vector<Status> statuses;
-    // The group-level status only carries a block-seal failure (the
-    // journals themselves are durable); per-ticket outcomes are what the
-    // callers observe.
-    (void)ledger->CommitPrevalidatedGroup(std::move(batch), &jsns, &statuses);
-    for (size_t i = 0; i < committing.size(); ++i) {
-      committing[i]->done.set_value(
-          {std::move(statuses[i]), Location{shard, jsns[i]}});
+    if (!committing.empty()) {
+      std::vector<uint64_t> jsns;
+      std::vector<Status> statuses;
+      // The group-level status only carries a block-seal failure (the
+      // journals themselves are durable); per-ticket outcomes are what the
+      // callers observe.
+      (void)ledger->CommitPrevalidatedGroup(std::move(batch), &jsns,
+                                            &statuses);
+      for (size_t i = 0; i < committing.size(); ++i) {
+        committing[i]->done.set_value(
+            {std::move(statuses[i]), Location{shard, jsns[i]}});
+      }
     }
+    lock.lock();
   }
 }
 
@@ -365,19 +337,32 @@ void ShardedLedgerGroup::SubmitPrevalidateChunk(
   // regardless of routing.
   const Ledger* ledger = AnyHealthyShard();
   LEDGERDB_OBS_OBSERVE(obs::names::kShardPrevalidateChunkCount, chunk.size());
-  prevalidate_pool_->Submit([chunk = std::move(chunk), ledger] {
+  prevalidate_pool_->Submit([this, chunk = std::move(chunk), ledger] {
     std::vector<const ClientTransaction*> txs(chunk.size());
     std::vector<Ledger::PrevalidatedTx> outs(chunk.size());
     std::vector<Status> statuses(chunk.size());
     for (size_t i = 0; i < chunk.size(); ++i) txs[i] = chunk[i]->tx;
     ledger->PrevalidateBatch(txs, outs.data(), statuses.data());
     for (size_t i = 0; i < chunk.size(); ++i) {
-      const std::shared_ptr<PendingAppend>& p = chunk[i];
-      std::lock_guard<std::mutex> lock(p->mu);
-      p->prevalidated = std::move(outs[i]);
-      p->prevalidate_status = std::move(statuses[i]);
-      p->ready = true;
-      p->cv.notify_all();
+      chunk[i]->prevalidated = std::move(outs[i]);
+      chunk[i]->prevalidate_status = std::move(statuses[i]);
+    }
+    // Publish the results once per lane the chunk touches: one lock and
+    // one notify per lane, not per ticket.
+    std::vector<char> published(chunk.size(), 0);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      if (published[i]) continue;
+      const size_t shard = chunk[i]->shard;
+      CommitterLane& lane = *lanes_[shard];
+      {
+        std::lock_guard<std::mutex> lock(lane.mu);
+        for (size_t j = i; j < chunk.size(); ++j) {
+          if (chunk[j]->shard != shard) continue;
+          chunk[j]->ready = true;
+          published[j] = 1;
+        }
+      }
+      lane.cv.notify_one();
     }
   });
 }
@@ -526,51 +511,21 @@ uint64_t ShardedLedgerGroup::TotalJournals() const {
 
 Status ShardedLedgerGroup::CheckpointShard(size_t shard, uint32_t* slot_out) {
   LEDGERDB_RETURN_IF_ERROR(CheckShard(shard));
+  // The checkpoint must not interleave with commits, so it rides the
+  // shard's committer lane as a maintenance task and executes between
+  // commit groups on the lane thread.
   Ledger* ledger = shards_[shard].get();
-  CommitterLane* lane = nullptr;
+  CommitterLane& lane = *lanes_[shard];
+  std::promise<Status> done;
+  std::future<Status> future = done.get_future();
   {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    if (shard < lanes_.size() && lanes_[shard] != nullptr &&
-        lanes_[shard]->thread.joinable()) {
-      lane = lanes_[shard].get();
-    }
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.maintenance.push_back([&done, ledger, slot_out] {
+      done.set_value(ledger->WriteCheckpoint(slot_out));
+    });
   }
-
-  Status result;
-  bool ran = false;
-  if (lane != nullptr) {
-    // Pipeline running: the checkpoint must not interleave with commits,
-    // so it rides the shard's committer lane as a maintenance ticket and
-    // executes between commit groups on the lane thread.
-    std::promise<Status> done;
-    std::future<Status> future = done.get_future();
-    bool enqueued = false;
-    {
-      std::lock_guard<std::mutex> lock(lane->mu);
-      if (!lane->stopping) {
-        lane->maintenance.push_back(
-            [&done, ledger, slot_out] { done.set_value(ledger->WriteCheckpoint(slot_out)); });
-        enqueued = true;
-      }
-    }
-    if (enqueued) {
-      lane->cv.notify_all();
-      result = future.get();
-      ran = true;
-    }
-  }
-  if (!ran) {
-    // No live lane: no commit can interleave, so write inline.
-    result = ledger->WriteCheckpoint(slot_out);
-  }
-
-  {
-    // "Nothing sealed yet" is not a health failure — it only means the
-    // shard has no block to cover; keep the background lane trying.
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    ckpt_auto_ok_[shard] = (result.ok() || result.IsInvalidArgument()) ? 1 : 0;
-  }
-  return result;
+  lane.cv.notify_one();
+  return future.get();
 }
 
 Status ShardedLedgerGroup::CheckpointAll(std::vector<Status>* per_shard) {
@@ -582,49 +537,6 @@ Status ShardedLedgerGroup::CheckpointAll(std::vector<Status>* per_shard) {
     if (first_error.ok() && !s.ok()) first_error = s;
   }
   return first_error;
-}
-
-void ShardedLedgerGroup::StartCheckpointing(uint64_t cadence_ms) {
-  if (cadence_ms == 0) cadence_ms = 1;
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  ckpt_cadence_ms_ = cadence_ms;
-  if (ckpt_thread_.joinable()) return;  // cadence updated, lane already up
-  ckpt_stopping_ = false;
-  ckpt_thread_ = std::thread([this] { CheckpointLoop(); });
-}
-
-void ShardedLedgerGroup::StopCheckpointing() {
-  std::thread thread;
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (!ckpt_thread_.joinable()) return;
-    ckpt_stopping_ = true;
-    thread = std::move(ckpt_thread_);
-  }
-  ckpt_cv_.notify_all();
-  thread.join();
-}
-
-bool ShardedLedgerGroup::AutoCheckpointEnabled(size_t shard) const {
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  return shard < ckpt_auto_ok_.size() && ckpt_auto_ok_[shard] != 0;
-}
-
-void ShardedLedgerGroup::CheckpointLoop() {
-  std::unique_lock<std::mutex> lock(ckpt_mu_);
-  for (;;) {
-    ckpt_cv_.wait_for(lock, std::chrono::milliseconds(ckpt_cadence_ms_),
-                      [&] { return ckpt_stopping_; });
-    if (ckpt_stopping_) return;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (ckpt_auto_ok_[i] == 0) continue;  // paused until a manual success
-      lock.unlock();
-      Status s = IsQuarantined(i) ? Status::OK() : CheckpointShard(i);
-      (void)s;  // CheckpointShard records per-shard health itself
-      lock.lock();
-      if (ckpt_stopping_) return;
-    }
-  }
 }
 
 }  // namespace ledgerdb

@@ -27,6 +27,19 @@ struct GroupCommitment {
   Digest Combined() const;
 };
 
+/// Tunables of a ShardedLedgerGroup's append pipeline, fixed for the
+/// group's lifetime (ShardedLedgerGroup::PipelineOptions). Declared at
+/// namespace scope: a nested struct's member initializers cannot feed a
+/// defaulted argument of its enclosing class.
+struct GroupPipelineOptions {
+  /// Shared prevalidation workers (0 = hardware concurrency, at least 2).
+  size_t prevalidate_threads = 0;
+  /// After a committer lane has one ready ticket, how long it may wait for
+  /// a full group before flushing (0 = flush whatever is contiguously
+  /// ready right now).
+  uint64_t max_group_delay_us = 0;
+};
+
 /// Horizontal scale-out for a single logical ledger (§II-C: LedgerDB's
 /// production throughput exceeds 300K TPS via a centralized scale-out
 /// architecture; each Ledger object here is single-threaded by design).
@@ -47,7 +60,8 @@ struct GroupCommitment {
 /// group (Ledger::CommitPrevalidatedGroup) — one storage flush per group
 /// instead of per journal — and seals full blocks inline on the same
 /// thread, so no shard ever sees concurrent mutation and per-shard
-/// journal order equals submission order. See docs/parallel_append.md.
+/// journal order equals submission order. The pool and the lanes start
+/// with the group and stop in its destructor. See docs/parallel_append.md.
 class ShardedLedgerGroup {
  public:
   /// Identifies a journal inside the group.
@@ -62,24 +76,21 @@ class ShardedLedgerGroup {
     Location location;
   };
 
-  /// Tunables for the pipelined append engine's group commit.
-  struct PipelineOptions {
-    /// Max tickets a committer lane coalesces into one commit group (one
-    /// storage flush / fsync pair for the whole group).
-    size_t max_group_size = 64;
-    /// After the lane has one ready ticket, how long it may wait for more
-    /// to become ready before flushing (0 = flush whatever is
-    /// contiguously ready right now; never waits when the group is full).
-    uint64_t max_group_delay_us = 0;
-  };
+  /// Max tickets a committer lane coalesces into one commit group (one
+  /// storage flush / fsync pair for the whole group).
+  static constexpr size_t kMaxCommitGroup = 64;
+
+  using PipelineOptions = GroupPipelineOptions;
 
   /// `shard_storage`, when non-empty, supplies one LedgerStorage per shard
   /// (padded with disabled storage if shorter), making each shard durable
-  /// and individually recoverable via Ledger::Recover.
+  /// and individually recoverable via Ledger::Recover. Starts the append
+  /// pipeline, which runs until the group is destroyed.
   ShardedLedgerGroup(const std::string& uri, size_t shard_count,
                      const LedgerOptions& options, Clock* clock,
                      KeyPair lsp_key, const MemberRegistry* members,
-                     std::vector<LedgerStorage> shard_storage = {});
+                     std::vector<LedgerStorage> shard_storage = {},
+                     const PipelineOptions& pipeline = {});
 
   /// What group recovery found, per shard.
   struct RecoverOutcome {
@@ -96,16 +107,18 @@ class ShardedLedgerGroup {
   /// quarantined — its slot stays empty, its recovery error is retained,
   /// and every operation routed to it returns Status::Unavailable while
   /// the remaining shards keep serving. Fails outright only when no shard
-  /// recovers at all.
+  /// recovers at all. The healthy shards' pipeline starts on success.
   static Status Recover(const std::string& uri, size_t shard_count,
                         const LedgerOptions& options, Clock* clock,
                         KeyPair lsp_key, const MemberRegistry* members,
                         std::vector<LedgerStorage> shard_storage,
                         std::unique_ptr<ShardedLedgerGroup>* out,
-                        RecoverOutcome* outcome = nullptr);
+                        RecoverOutcome* outcome = nullptr,
+                        const PipelineOptions& pipeline = {});
 
-  /// Joins the append pipeline (draining every in-flight append) before
-  /// destroying the shards.
+  /// Drains every in-flight append and checkpoint, joins the lanes and then
+  /// the prevalidation pool, and only then destroys the lanes and shards.
+  /// No append or checkpoint call may run concurrently with it.
   ~ShardedLedgerGroup();
 
   size_t shard_count() const { return shards_.size(); }
@@ -129,23 +142,6 @@ class ShardedLedgerGroup {
   // Parallel append pipeline
   // -------------------------------------------------------------------
 
-  /// Replaces the pipeline tunables. Takes effect for lanes started
-  /// afterwards — call before StartParallelAppend (or between a Stop and
-  /// the next Start).
-  void SetPipelineOptions(const PipelineOptions& options) {
-    pipeline_options_ = options;
-  }
-  const PipelineOptions& pipeline_options() const { return pipeline_options_; }
-
-  /// Starts the pipeline workers: `prevalidate_threads` shared
-  /// prevalidation workers (0 = hardware concurrency) and one committer
-  /// lane per shard. Idempotent; called lazily by AppendBatch/AppendAsync.
-  void StartParallelAppend(size_t prevalidate_threads = 0);
-
-  /// Drains all in-flight appends and joins the pipeline threads. The
-  /// pipeline restarts lazily on the next AppendBatch/AppendAsync.
-  void StopParallelAppend();
-
   /// Pipelined bulk append. Prevalidation of all transactions fans out
   /// across the worker pool; commits retire through the per-shard
   /// committer lanes in submission order, so per-clue lineage order is
@@ -160,8 +156,7 @@ class ShardedLedgerGroup {
   /// Pipelined single append; the future resolves once the journal has
   /// committed on its shard (or failed prevalidation). Reads of shard
   /// state (GetJournal, roots, proofs) are safe only while no append is
-  /// in flight — resolve every outstanding future (or call
-  /// StopParallelAppend) before reading.
+  /// in flight — resolve every outstanding future before reading.
   std::future<AppendOutcome> AppendAsync(ClientTransaction tx);
 
   Status GetJournal(const Location& location, Journal* journal) const;
@@ -207,13 +202,10 @@ class ShardedLedgerGroup {
   // -------------------------------------------------------------------
 
   /// Writes one verified checkpoint for `shard` (Ledger::WriteCheckpoint).
-  /// Safe concurrently with pipelined appends: when the shard's committer
-  /// lane is running, the checkpoint executes on that lane between commit
-  /// groups, so the single-writer invariant holds without stopping the
-  /// pipeline. Do not call concurrently with StopParallelAppend. Also
-  /// records the shard's auto-checkpoint health: an IO/corruption failure
-  /// pauses the background lane for this shard until a manual call
-  /// succeeds.
+  /// Safe concurrently with pipelined appends: the checkpoint rides the
+  /// shard's committer lane as a maintenance task and executes between
+  /// commit groups, so the single-writer invariant holds without stopping
+  /// the pipeline.
   Status CheckpointShard(size_t shard, uint32_t* slot_out = nullptr);
 
   /// Checkpoints every shard; quarantined shards are recorded as
@@ -221,38 +213,28 @@ class ShardedLedgerGroup {
   /// shards) when non-null; returns the first failure, if any.
   Status CheckpointAll(std::vector<Status>* per_shard = nullptr);
 
-  /// Starts the background checkpoint lane: every `cadence_ms` it
-  /// checkpoints each healthy shard whose auto-checkpoint health is good.
-  /// Shards that have sealed nothing yet are skipped, not failed.
-  /// Idempotent (restarting just updates the cadence).
-  void StartCheckpointing(uint64_t cadence_ms);
-
-  /// Stops the background checkpoint lane (no-op when not running).
-  void StopCheckpointing();
-
-  /// False when a background checkpoint of `shard` failed and no manual
-  /// CheckpointShard has succeeded since (or the shard is out of range).
-  bool AutoCheckpointEnabled(size_t shard) const;
-
  private:
   /// One append travelling through the pipeline. `tx` points at the
   /// caller's span element (AppendBatch, which outlives the batch) or at
-  /// `owned_tx` (AppendAsync). `ready` hands the prevalidation result to
-  /// the committer lane.
+  /// `owned_tx` (AppendAsync). The prevalidation task fills in
+  /// `prevalidated` and `prevalidate_status`, then sets `ready` under the
+  /// owning lane's mutex, which hands the results to the lane.
   struct PendingAppend {
     ClientTransaction owned_tx;
     const ClientTransaction* tx = nullptr;
     size_t shard = 0;
     Ledger::PrevalidatedTx prevalidated;
     Status prevalidate_status;
-    bool ready = false;
-    std::mutex mu;
-    std::condition_variable cv;
+    bool ready = false;  // guarded by lanes_[shard]->mu
     std::promise<AppendOutcome> done;
   };
 
   /// Recovery-only constructor: shards are filled in by Recover().
   ShardedLedgerGroup() = default;
+
+  /// Starts the prevalidation pool and one committer lane per healthy
+  /// shard; called once, by the constructor or by Recover().
+  void StartPipeline(const PipelineOptions& pipeline);
 
   /// Unavailable for quarantined shards, InvalidArgument out of range.
   Status CheckShard(size_t shard) const;
@@ -269,10 +251,12 @@ class ShardedLedgerGroup {
   /// One ordered commit lane per shard: an explicit thread draining a
   /// bounded ticket deque, so it can coalesce the contiguously-ready
   /// queue prefix into commit groups (Ledger::CommitPrevalidatedGroup —
-  /// one storage flush per group) without ever reordering tickets.
+  /// one storage flush per group) without ever reordering tickets. `mu`
+  /// guards `queue`, `maintenance`, `stopping` and the `ready` flag of
+  /// every queued ticket.
   struct CommitterLane {
     std::mutex mu;
-    std::condition_variable cv;        // queue activity / stop signal
+    std::condition_variable cv;  // ready tickets, maintenance, stop
     std::condition_variable space_cv;  // backpressure for producers
     std::deque<std::shared_ptr<PendingAppend>> queue;
     /// Shard-exclusive work (checkpoints) the lane runs between commit
@@ -295,25 +279,15 @@ class ShardedLedgerGroup {
   void SubmitPrevalidateChunk(std::vector<std::shared_ptr<PendingAppend>> chunk);
 
   /// Body of a committer lane thread.
-  void CommitterLoop(CommitterLane* lane, Ledger* ledger, size_t shard);
-
-  /// Body of the background checkpoint lane.
-  void CheckpointLoop();
+  void CommitterLoop(CommitterLane* lane, Ledger* ledger, size_t shard,
+                     uint64_t max_group_delay_us);
 
   std::vector<std::unique_ptr<Ledger>> shards_;
   std::vector<Status> shard_health_;  // indexed like shards_; OK if healthy
 
-  PipelineOptions pipeline_options_;
-  std::mutex engine_mu_;
+  /// Indexed like shards_; null for a quarantined shard.
+  std::vector<std::unique_ptr<CommitterLane>> lanes_;
   std::unique_ptr<ThreadPool> prevalidate_pool_;
-  std::vector<std::unique_ptr<CommitterLane>> lanes_;  // one per shard
-
-  mutable std::mutex ckpt_mu_;
-  std::condition_variable ckpt_cv_;
-  bool ckpt_stopping_ = false;
-  uint64_t ckpt_cadence_ms_ = 0;
-  std::vector<char> ckpt_auto_ok_;  // indexed like shards_
-  std::thread ckpt_thread_;
 };
 
 }  // namespace ledgerdb

@@ -19,8 +19,10 @@ namespace ledgerdb {
 /// Transport-layer faults a flaky network (or malicious middlebox) can
 /// apply to one proxied connection. Mirrors FaultEnv / ByzantineTransport:
 /// every cut point flows from the proxy seed, so a failing matrix cell
-/// replays exactly. (Named SocketFaultKind — FaultKind already exists in
-/// both storage/fault_env.h and net/byzantine_transport.h.)
+/// replays exactly. Each fault plane names its own enum —
+/// StorageFaultKind (storage/fault_env.h), FaultKind for the RPC plane
+/// (net/byzantine_transport.h) and SocketFaultKind here — so any of them
+/// can share a translation unit.
 enum class SocketFaultKind : uint8_t {
   kNone = 0,
   kReset,           ///< abrupt close after a seeded number of response bytes

@@ -89,16 +89,18 @@ inline constexpr char kStorageFaultsInjectedTotal[] =
 inline constexpr char kStorageGroupCommitSizeCount[] =
     "ledgerdb_storage_group_commit_size_count";
 
-// --- ckpt: verified checkpoints + tail replay ----------------------------
-inline constexpr char kCkptWritesTotal[] = "ledgerdb_ckpt_writes_total";
+// --- checkpoint: verified checkpoints + tail replay -----------------------
+inline constexpr char kCkptWritesTotal[] = "ledgerdb_checkpoint_writes_total";
 inline constexpr char kCkptWriteFailuresTotal[] =
-    "ledgerdb_ckpt_write_failures_total";
-inline constexpr char kCkptWriteUs[] = "ledgerdb_ckpt_write_us";
-inline constexpr char kCkptSnapshotBytes[] = "ledgerdb_ckpt_snapshot_bytes";
-inline constexpr char kCkptLoadsTotal[] = "ledgerdb_ckpt_loads_total";
-inline constexpr char kCkptFallbacksTotal[] = "ledgerdb_ckpt_fallbacks_total";
+    "ledgerdb_checkpoint_write_failures_total";
+inline constexpr char kCkptWriteUs[] = "ledgerdb_checkpoint_write_us";
+inline constexpr char kCkptSnapshotBytes[] =
+    "ledgerdb_checkpoint_snapshot_bytes";
+inline constexpr char kCkptLoadsTotal[] = "ledgerdb_checkpoint_loads_total";
+inline constexpr char kCkptFallbacksTotal[] =
+    "ledgerdb_checkpoint_fallbacks_total";
 inline constexpr char kCkptTailJournalsTotal[] =
-    "ledgerdb_ckpt_tail_journals_total";
+    "ledgerdb_checkpoint_tail_journals_total";
 
 // --- proofcache: memoized proof plane ------------------------------------
 inline constexpr char kProofCacheHitsTotal[] =

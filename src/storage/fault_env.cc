@@ -41,7 +41,7 @@ FaultEnv::FaultEnv(Env* base, uint64_t seed) : base_(base), rng_(seed) {}
 
 FaultEnv::~FaultEnv() = default;
 
-void FaultEnv::ScheduleFault(uint64_t op, FaultKind kind) {
+void FaultEnv::ScheduleFault(uint64_t op, StorageFaultKind kind) {
   std::lock_guard<std::mutex> lock(mu_);
   plan_[op] = kind;
 }
@@ -90,10 +90,10 @@ Status FaultEnv::DeleteFile(const std::string& path) {
 Status FaultEnv::Rename(const std::string& from, const std::string& to) {
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_) return Status::IOError(kCrashMsg);
-  FaultKind kind;
+  StorageFaultKind kind;
   if (NextFault(&kind)) {
     switch (kind) {
-      case FaultKind::kTransientError:
+      case StorageFaultKind::kTransientError:
         return Status::TransientIO("injected transient rename error");
       default:
         // Power cut before the metadata op lands: the old name survives
@@ -121,21 +121,21 @@ Status FaultEnv::Rename(const std::string& from, const std::string& to) {
 
 namespace {
 
-const char* StorageFaultName(FaultKind kind) {
+const char* StorageFaultName(StorageFaultKind kind) {
   switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kTornWrite: return "torn_write";
-    case FaultKind::kDroppedSync: return "dropped_sync";
-    case FaultKind::kBitFlip: return "bit_flip";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kTransientError: return "transient_error";
+    case StorageFaultKind::kCrash: return "crash";
+    case StorageFaultKind::kTornWrite: return "torn_write";
+    case StorageFaultKind::kDroppedSync: return "dropped_sync";
+    case StorageFaultKind::kBitFlip: return "bit_flip";
+    case StorageFaultKind::kTruncate: return "truncate";
+    case StorageFaultKind::kTransientError: return "transient_error";
   }
   return "unknown";
 }
 
 }  // namespace
 
-bool FaultEnv::NextFault(FaultKind* kind) {
+bool FaultEnv::NextFault(StorageFaultKind* kind) {
   auto it = plan_.find(op_counter_);
   ++op_counter_;
   if (it == plan_.end()) return false;
@@ -178,12 +178,12 @@ Status FaultEnv::DoSize(FileState* st, uint64_t* out) {
 Status FaultEnv::DoWrite(FileState* st, uint64_t offset, Slice data) {
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_) return Status::IOError(kCrashMsg);
-  FaultKind kind;
+  StorageFaultKind kind;
   if (NextFault(&kind)) {
     switch (kind) {
-      case FaultKind::kTransientError:
+      case StorageFaultKind::kTransientError:
         return Status::TransientIO("injected transient write error");
-      case FaultKind::kTornWrite: {
+      case StorageFaultKind::kTornWrite: {
         // Persist a strict prefix with no undo record — those bytes are
         // "on the platter" — then cut power.
         size_t keep = data.empty() ? 0 : rng_.Uniform(data.size());
@@ -191,7 +191,7 @@ Status FaultEnv::DoWrite(FileState* st, uint64_t offset, Slice data) {
         CrashLocked();
         return Status::IOError("simulated crash (torn write)");
       }
-      case FaultKind::kBitFlip: {
+      case StorageFaultKind::kBitFlip: {
         CrashLocked();  // roll back first so the flip hits durable bytes
         uint64_t size = 0;
         if (st->base->Size(&size).ok() && size > 0) {
@@ -204,7 +204,7 @@ Status FaultEnv::DoWrite(FileState* st, uint64_t offset, Slice data) {
         }
         return Status::IOError("simulated crash (bit flip)");
       }
-      case FaultKind::kTruncate: {
+      case StorageFaultKind::kTruncate: {
         CrashLocked();
         uint64_t size = 0;
         if (st->base->Size(&size).ok() && size > 0) {
@@ -212,8 +212,8 @@ Status FaultEnv::DoWrite(FileState* st, uint64_t offset, Slice data) {
         }
         return Status::IOError("simulated crash (truncate)");
       }
-      case FaultKind::kDroppedSync:
-      case FaultKind::kCrash:
+      case StorageFaultKind::kDroppedSync:
+      case StorageFaultKind::kCrash:
         CrashLocked();
         return Status::IOError(kCrashMsg);
     }
@@ -233,17 +233,17 @@ Status FaultEnv::DoWrite(FileState* st, uint64_t offset, Slice data) {
 Status FaultEnv::DoSync(FileState* st) {
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_) return Status::IOError(kCrashMsg);
-  FaultKind kind;
+  StorageFaultKind kind;
   if (NextFault(&kind)) {
     switch (kind) {
-      case FaultKind::kTransientError:
+      case StorageFaultKind::kTransientError:
         return Status::TransientIO("injected transient sync error");
-      case FaultKind::kDroppedSync:
+      case StorageFaultKind::kDroppedSync:
         // Acknowledge the sync, persist nothing: the unsynced writes are
         // rolled back and the power cut lands right after the (lying) ack.
         CrashLocked();
         return Status::OK();
-      case FaultKind::kBitFlip: {
+      case StorageFaultKind::kBitFlip: {
         CrashLocked();
         uint64_t size = 0;
         if (st->base->Size(&size).ok() && size > 0) {
@@ -256,7 +256,7 @@ Status FaultEnv::DoSync(FileState* st) {
         }
         return Status::IOError("simulated crash (bit flip)");
       }
-      case FaultKind::kTruncate: {
+      case StorageFaultKind::kTruncate: {
         CrashLocked();
         uint64_t size = 0;
         if (st->base->Size(&size).ok() && size > 0) {
@@ -264,8 +264,8 @@ Status FaultEnv::DoSync(FileState* st) {
         }
         return Status::IOError("simulated crash (truncate)");
       }
-      case FaultKind::kTornWrite:  // no write to tear at a sync point
-      case FaultKind::kCrash:
+      case StorageFaultKind::kTornWrite:  // no write to tear at a sync point
+      case StorageFaultKind::kCrash:
         CrashLocked();
         return Status::IOError(kCrashMsg);
     }
@@ -278,10 +278,10 @@ Status FaultEnv::DoSync(FileState* st) {
 Status FaultEnv::DoTruncate(FileState* st, uint64_t size) {
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_) return Status::IOError(kCrashMsg);
-  FaultKind kind;
+  StorageFaultKind kind;
   if (NextFault(&kind)) {
     switch (kind) {
-      case FaultKind::kTransientError:
+      case StorageFaultKind::kTransientError:
         return Status::TransientIO("injected transient truncate error");
       default:
         CrashLocked();

@@ -477,7 +477,6 @@ TEST(PrevalidateBatchTest, PipelinedAppendBatchIsolatesInvalidSignatures) {
   std::vector<ShardedLedgerGroup::Location> locations;
   std::vector<Status> statuses;
   Status overall = group.AppendBatch(txs, &locations, &statuses);
-  group.StopParallelAppend();
   EXPECT_FALSE(overall.ok());
 
   size_t committed = 0;

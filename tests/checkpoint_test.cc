@@ -8,11 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "audit/dasein_auditor.h"
@@ -605,14 +603,15 @@ TEST_F(CheckpointFaultMatrixTest, CrashAtEveryCheckpointFaultPoint) {
 
   for (uint64_t k = 0; k < total_ops; ++k) {
     SCOPED_TRACE("fault point " + std::to_string(k));
-    FaultKind kind = static_cast<FaultKind>(k % kFaultKindCount);
+    StorageFaultKind kind =
+        static_cast<StorageFaultKind>(k % kStorageFaultKindCount);
     MemEnv base;
     FaultEnv env(&base, 4242 + k);
     env.ScheduleFault(k, kind);
     Status run = RunWorkload(&env, nullptr);
     ASSERT_EQ(env.faults_injected(), 1);
 
-    if (kind == FaultKind::kTransientError) {
+    if (kind == StorageFaultKind::kTransientError) {
       // The retry layer (streams and checkpoint store alike) must absorb
       // a one-shot transient error without surfacing it.
       ASSERT_TRUE(run.ok()) << run.ToString();
@@ -620,7 +619,7 @@ TEST_F(CheckpointFaultMatrixTest, CrashAtEveryCheckpointFaultPoint) {
     } else {
       EXPECT_TRUE(env.crashed());
       if (run.ok()) {
-        EXPECT_EQ(kind, FaultKind::kDroppedSync);
+        EXPECT_EQ(kind, StorageFaultKind::kDroppedSync);
       }
     }
 
@@ -672,7 +671,7 @@ TEST_F(CheckpointFaultMatrixTest, CrashAtEveryCheckpointFaultPoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded group: checkpoint lane + per-shard recovery
+// Sharded group: checkpoints on the committer lanes + per-shard recovery
 // ---------------------------------------------------------------------------
 
 TEST_F(CheckpointTest, ShardedGroupCheckpointsAndRecoversPerShard) {
@@ -732,9 +731,7 @@ TEST_F(CheckpointTest, ShardedGroupCheckpointsAndRecoversPerShard) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     for (size_t i = 0; i < kShards; ++i) {
       EXPECT_TRUE(per_shard[i].ok()) << per_shard[i].ToString();
-      EXPECT_TRUE(group.AutoCheckpointEnabled(i));
     }
-    group.StopParallelAppend();
     before = group.Commitment();
   }
 
@@ -751,62 +748,6 @@ TEST_F(CheckpointTest, ShardedGroupCheckpointsAndRecoversPerShard) {
         << "shard " << i << " fell back to full replay";
   }
   EXPECT_EQ(recovered->Commitment().Combined(), before.Combined());
-}
-
-TEST_F(CheckpointTest, ShardedBackgroundCheckpointLaneWrites) {
-  constexpr size_t kShards = 2;
-  MemEnv env;
-  std::vector<std::unique_ptr<FileStreamStore>> streams;
-  std::vector<std::unique_ptr<CheckpointStore>> stores;
-  std::vector<LedgerStorage> storage;
-  for (size_t i = 0; i < kShards; ++i) {
-    std::unique_ptr<FileStreamStore> jf, bf;
-    ASSERT_TRUE(
-        FileStreamStore::Open(&env, "j" + std::to_string(i) + ".log", &jf).ok());
-    ASSERT_TRUE(
-        FileStreamStore::Open(&env, "b" + std::to_string(i) + ".log", &bf).ok());
-    stores.push_back(
-        std::make_unique<CheckpointStore>(&env, "ckpt" + std::to_string(i)));
-    storage.push_back({jf.get(), bf.get(), stores.back().get()});
-    streams.push_back(std::move(jf));
-    streams.push_back(std::move(bf));
-  }
-  SimulatedClock clock(1000 * kMicrosPerSecond);
-  ShardedLedgerGroup group(kUri, kShards, options_, &clock, lsp_, &registry_,
-                           storage);
-  std::vector<ClientTransaction> txs;
-  for (int i = 0; i < 48; ++i) {
-    ClientTransaction tx;
-    tx.ledger_uri = kUri;
-    tx.clues = {"acct-" + std::to_string(i % 12)};
-    tx.payload = StringToBytes("bg-" + std::to_string(i));
-    tx.nonce = nonce_++;
-    tx.client_ts = clock.Now();
-    tx.Sign(alice_);
-    txs.push_back(std::move(tx));
-  }
-  std::vector<ShardedLedgerGroup::Location> locations;
-  ASSERT_TRUE(group.AppendBatch(txs, &locations).ok());
-  for (size_t i = 0; i < kShards; ++i) {
-    ASSERT_GE(group.shard(i)->NumJournals(), options_.block_capacity);
-  }
-  group.StartCheckpointing(/*cadence_ms=*/1);
-  // The lane needs a couple of cadence periods; poll rather than sleep a
-  // fixed amount so the test stays fast on loaded machines.
-  bool all_written = false;
-  for (int spin = 0; spin < 2000 && !all_written; ++spin) {
-    all_written = true;
-    for (size_t i = 0; i < kShards; ++i) {
-      std::vector<CheckpointEntry> entries;
-      ASSERT_TRUE(stores[i]->List(&entries).ok());
-      bool valid = false;
-      for (const CheckpointEntry& e : entries) valid |= e.status.ok();
-      all_written &= valid;
-    }
-    if (!all_written) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  group.StopCheckpointing();
-  EXPECT_TRUE(all_written) << "background lane wrote no checkpoint";
 }
 
 }  // namespace

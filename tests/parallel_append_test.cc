@@ -9,12 +9,15 @@
 //     per-shard journal order,
 //   * every shard passes a Dasein audit over a LocalTransport,
 //   * every shard recovers from its streams via Ledger::Recover, blocks
-//     included.
+//     included,
+//   * checkpoints taken on the lanes while appends race them let group
+//     recovery start from a checkpoint on every shard.
 // Runs under ThreadSanitizer via the `tsan` CTest label.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +26,8 @@
 
 #include "audit/dasein_auditor.h"
 #include "ledger/sharded.h"
+#include "storage/checkpoint.h"
+#include "storage/env.h"
 
 namespace ledgerdb {
 namespace {
@@ -84,8 +89,8 @@ void ParallelAppendTest::CheckConcurrentBatches(uint32_t block_capacity) {
         {stores[2 * s].get(), stores[2 * s + 1].get()});
   }
   ShardedLedgerGroup group("lg://parallel", kShards, options_, &clock_, lsp_,
-                           &registry_, std::move(storage));
-  group.StartParallelAppend(8);
+                           &registry_, std::move(storage),
+                           {.prevalidate_threads = 8});
 
   // Pre-sign all transactions (signing is client-side work, not the path
   // under test) and keep them alive for the whole run.
@@ -105,7 +110,6 @@ void ParallelAppendTest::CheckConcurrentBatches(uint32_t block_capacity) {
     });
   }
   for (std::thread& d : drivers) d.join();
-  group.StopParallelAppend();
 
   for (size_t t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(batch_status[t].ok()) << batch_status[t].ToString();
@@ -218,8 +222,7 @@ TEST_F(ParallelAppendTest, ConcurrentBatchesMatchSerialReplay) {
 
 TEST_F(ParallelAppendTest, AppendAsyncResolvesWithCommittedLocation) {
   ShardedLedgerGroup group("lg://parallel", kShards, options_, &clock_, lsp_,
-                           &registry_);
-  group.StartParallelAppend(4);
+                           &registry_, {}, {.prevalidate_threads = 4});
 
   std::vector<std::future<ShardedLedgerGroup::AppendOutcome>> futures;
   for (size_t i = 0; i < 64; ++i) {
@@ -229,12 +232,101 @@ TEST_F(ParallelAppendTest, AppendAsyncResolvesWithCommittedLocation) {
   // only safe once no committer lane is mutating the shard.
   std::vector<ShardedLedgerGroup::AppendOutcome> outcomes;
   for (auto& f : futures) outcomes.push_back(f.get());
-  group.StopParallelAppend();
   for (const ShardedLedgerGroup::AppendOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
     Journal journal;
     EXPECT_TRUE(group.GetJournal(outcome.location, &journal).ok());
   }
+}
+
+TEST_F(ParallelAppendTest, CheckpointsRaceAsyncAppendsOnTheLanes) {
+  // Checkpoints ride the committer lanes between commit groups while four
+  // threads keep the lanes busy; recovery must then start from a
+  // checkpoint on every shard and land on the same group commitment.
+  constexpr size_t kGroupShards = 2;
+  constexpr size_t kAppenders = 4;
+  constexpr size_t kAsyncPerThread = 100;
+  options_.block_capacity = 8;
+  MemEnv env;
+  std::vector<std::unique_ptr<MemoryStreamStore>> streams;
+  std::vector<std::unique_ptr<CheckpointStore>> checkpoints;
+  std::vector<LedgerStorage> storage;
+  for (size_t s = 0; s < kGroupShards; ++s) {
+    streams.push_back(std::make_unique<MemoryStreamStore>());
+    streams.push_back(std::make_unique<MemoryStreamStore>());
+    checkpoints.push_back(
+        std::make_unique<CheckpointStore>(&env, "ckpt" + std::to_string(s)));
+    storage.push_back({streams[2 * s].get(), streams[2 * s + 1].get(),
+                       checkpoints[s].get()});
+  }
+
+  std::vector<std::vector<ClientTransaction>> txs(kAppenders);
+  for (size_t t = 0; t < kAppenders; ++t) {
+    for (size_t i = 0; i < kAsyncPerThread; ++i) txs[t].push_back(MakeTx(t, i));
+  }
+  GroupCommitment before;
+  {
+    ShardedLedgerGroup group("lg://parallel", kGroupShards, options_, &clock_,
+                             lsp_, &registry_, storage,
+                             {.prevalidate_threads = 2});
+    // Seal a block on every shard first: a shard with nothing sealed has
+    // no checkpoint to write.
+    std::vector<ClientTransaction> warmup;
+    for (size_t i = 0; i < 64; ++i) warmup.push_back(MakeTx(4 + i % 4, i));
+    std::vector<ShardedLedgerGroup::Location> locations;
+    ASSERT_TRUE(group.AppendBatch(warmup, &locations).ok());
+    for (size_t s = 0; s < kGroupShards; ++s) {
+      ASSERT_FALSE(group.shard(s)->blocks().empty()) << "shard " << s;
+    }
+
+    std::atomic<size_t> appenders_left{kAppenders};
+    std::vector<std::vector<Status>> append_status(kAppenders);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kAppenders; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::future<ShardedLedgerGroup::AppendOutcome>> futures;
+        for (const ClientTransaction& tx : txs[t]) {
+          futures.push_back(group.AppendAsync(tx));
+        }
+        for (auto& f : futures) append_status[t].push_back(f.get().status);
+        appenders_left.fetch_sub(1);
+      });
+    }
+    std::vector<Status> checkpoint_status;
+    threads.emplace_back([&] {
+      do {
+        checkpoint_status.push_back(group.CheckpointAll());
+      } while (appenders_left.load() > 0);
+    });
+    for (std::thread& thread : threads) thread.join();
+
+    for (size_t t = 0; t < kAppenders; ++t) {
+      ASSERT_EQ(append_status[t].size(), kAsyncPerThread);
+      for (const Status& s : append_status[t]) {
+        EXPECT_TRUE(s.ok()) << "appender " << t << ": " << s.ToString();
+      }
+    }
+    ASSERT_FALSE(checkpoint_status.empty());
+    for (const Status& s : checkpoint_status) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    EXPECT_EQ(group.TotalJournals(),
+              warmup.size() + kAppenders * kAsyncPerThread + kGroupShards);
+    before = group.Commitment();
+  }
+
+  std::unique_ptr<ShardedLedgerGroup> recovered;
+  ShardedLedgerGroup::RecoverOutcome outcome;
+  Status s = ShardedLedgerGroup::Recover("lg://parallel", kGroupShards,
+                                         options_, &clock_, lsp_, &registry_,
+                                         storage, &recovered, &outcome);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(outcome.shard_info.size(), kGroupShards);
+  for (size_t i = 0; i < kGroupShards; ++i) {
+    EXPECT_TRUE(outcome.shard_info[i].used_checkpoint)
+        << "shard " << i << " fell back to full replay";
+  }
+  EXPECT_EQ(recovered->Commitment().Combined(), before.Combined());
 }
 
 TEST_F(ParallelAppendTest, InvalidTransactionsFailWithoutPoisoningTheBatch) {
@@ -254,7 +346,6 @@ TEST_F(ParallelAppendTest, InvalidTransactionsFailWithoutPoisoningTheBatch) {
   std::vector<ShardedLedgerGroup::Location> locations;
   std::vector<Status> statuses;
   Status overall = group.AppendBatch(txs, &locations, &statuses);
-  group.StopParallelAppend();
 
   EXPECT_FALSE(overall.ok());
   EXPECT_TRUE(statuses[0].ok());

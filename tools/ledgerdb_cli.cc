@@ -104,7 +104,7 @@ struct CliContext {
   KeyPair exercise;  // signer of `stats --exercise` rounds
   std::unique_ptr<TsaService> tsa;
   std::unique_ptr<FileStreamStore> journal_stream, block_stream;
-  std::unique_ptr<CheckpointStore> ckpt_store;
+  std::unique_ptr<CheckpointStore> checkpoint_store;
   std::unique_ptr<Ledger> ledger;
   RecoveryInfo recovery;
 };
@@ -177,10 +177,10 @@ int OpenLedger(CliContext* ctx, const std::string& dir) {
   if (!s.ok()) return FailStatus("open journals", s);
   s = FileStreamStore::Open(dir + "/blocks.log", &ctx->block_stream);
   if (!s.ok()) return FailStatus("open blocks", s);
-  ctx->ckpt_store =
+  ctx->checkpoint_store =
       std::make_unique<CheckpointStore>(Env::Default(), dir + "/ckpt");
   LedgerStorage storage{ctx->journal_stream.get(), ctx->block_stream.get(),
-                        ctx->ckpt_store.get()};
+                        ctx->checkpoint_store.get()};
   s = Ledger::Recover(ctx->uri, CliLedgerOptions(), &ctx->clock, ctx->lsp,
                       ctx->registry.get(), storage, &ctx->ledger,
                       &ctx->recovery);
@@ -609,11 +609,11 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
   bool have_seed = ReadFileString(dir + "/seed", &seed);
   KeyPair lsp;
   if (have_seed) lsp = KeyPair::FromSeedString(seed + ":lsp");
-  CheckpointStore ckpt_store(Env::Default(), dir + "/ckpt");
+  CheckpointStore checkpoint_store(Env::Default(), dir + "/ckpt");
   std::vector<CheckpointEntry> entries;
-  Status list = ckpt_store.List(&entries);
-  std::string ckpt_json;
-  size_t ckpt_valid = 0;
+  Status list = checkpoint_store.List(&entries);
+  std::string checkpoint_json;
+  size_t checkpoints_valid = 0;
   if (!json && (!entries.empty() || !list.ok())) {
     std::printf("checkpoints:\n");
   }
@@ -626,19 +626,20 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
       watermark = entry.manifest.watermark;
       height = entry.manifest.block_height;
       Bytes snapshot;
-      Status s = ckpt_store.ReadSnapshot(entry.manifest, entry.slot, &snapshot);
+      Status s =
+          checkpoint_store.ReadSnapshot(entry.manifest, entry.slot, &snapshot);
       if (!s.ok()) {
         verdict = s.ToString();
       } else if (have_seed && !entry.manifest.Verify(lsp.public_key())) {
         verdict = "Corruption: LSP signature invalid";
       } else {
         verdict = "OK";
-        ++ckpt_valid;
+        ++checkpoints_valid;
       }
     }
     if (json) {
-      if (!ckpt_json.empty()) ckpt_json += ",";
-      ckpt_json += "{\"slot\":" + std::to_string(entry.slot) +
+      if (!checkpoint_json.empty()) checkpoint_json += ",";
+      checkpoint_json += "{\"slot\":" + std::to_string(entry.slot) +
                    ",\"watermark\":" + std::to_string(watermark) +
                    ",\"block_height\":" + std::to_string(height) +
                    ",\"status\":" + obs::JsonString(verdict) + "}";
@@ -653,26 +654,26 @@ int CmdFsck(const std::string& dir, const std::vector<std::string>& args) {
   // A damaged checkpoint slot is "corrected" (recovery falls back past
   // it, the next WriteCheckpoint overwrites it) — never CLEAN: operators
   // must see that the fast-recovery path lost a rung.
-  const bool ckpt_damaged = ckpt_valid < entries.size();
+  const bool checkpoint_damaged = checkpoints_valid < entries.size();
   std::string result = !healthy      ? "DAMAGED"
                        : repaired    ? "REPAIRED"
-                       : ckpt_damaged ? "CHECKPOINT-DAMAGED"
+                       : checkpoint_damaged ? "CHECKPOINT-DAMAGED"
                                       : "CLEAN";
   if (json) {
     std::printf("{\"streams\":[%s],\"checkpoints\":[%s],"
                 "\"checkpoints_valid\":%zu,\"result\":\"%s\"}\n",
-                stream_json.c_str(), ckpt_json.c_str(), ckpt_valid,
+                stream_json.c_str(), checkpoint_json.c_str(), checkpoints_valid,
                 result.c_str());
   } else if (!healthy) {
     std::printf("fsck: DAMAGED\n");
   } else if (repaired) {
     std::printf("fsck: REPAIRED (torn tail quarantined)\n");
-  } else if (ckpt_damaged) {
+  } else if (checkpoint_damaged) {
     std::printf("fsck: CHECKPOINT-DAMAGED (recovery falls back)\n");
   } else {
     std::printf("fsck: CLEAN\n");
   }
-  return !healthy ? 2 : (repaired || ckpt_damaged) ? 1 : 0;
+  return !healthy ? 2 : (repaired || checkpoint_damaged) ? 1 : 0;
 }
 
 /// Drives one instrumented workload round against the recovered ledger:
