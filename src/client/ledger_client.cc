@@ -10,8 +10,7 @@ LedgerClient::LedgerClient(LedgerTransport* transport, KeyPair identity,
     : transport_(transport),
       identity_(std::move(identity)),
       options_(std::move(options)),
-      mirror_(std::make_unique<LedgerMirror>(options_.fractal_height,
-                                             options_.mpt_cache_depth)),
+      mirror_(std::make_unique<LedgerMirror>(options_.fractal_height)),
       log_(transport_->uri(), options_.lsp_key) {
   nonce_ = options_.start_nonce;
 }
@@ -59,8 +58,7 @@ Status LedgerClient::AppendVerified(const Bytes& payload,
 }
 
 void LedgerClient::RebuildMirror() {
-  mirror_ = std::make_unique<LedgerMirror>(options_.fractal_height,
-                                           options_.mpt_cache_depth);
+  mirror_ = std::make_unique<LedgerMirror>(options_.fractal_height);
   for (const JournalDelta& d : accepted_deltas_) (void)mirror_->Apply(d);
 }
 

@@ -40,6 +40,7 @@ class LedgerClient {
     /// Must match the server's fam fractal height — the client derives
     /// each proof's expected (epoch, leaf) position from the jsn.
     int fractal_height = 15;
+    /// Has no effect; kept so that callers that read it still compile.
     int mpt_cache_depth = 6;
     RetryPolicy retry;
     /// First nonce this client instance uses. The server deduplicates on

@@ -4,10 +4,8 @@
 
 namespace ledgerdb {
 
-CcMpt::CcMpt(NodeStore* store, TimAccumulator* ledger_accum, int cache_depth)
-    : mpt_(store, cache_depth),
-      mpt_root_(Mpt::EmptyRoot()),
-      ledger_accum_(ledger_accum) {}
+CcMpt::CcMpt(NodeStore* store, TimAccumulator* ledger_accum)
+    : mpt_(store), mpt_root_(Mpt::EmptyRoot()), ledger_accum_(ledger_accum) {}
 
 Bytes CcMpt::EncodeCounter(uint64_t count) {
   Bytes out;

@@ -39,7 +39,7 @@ class CcMpt {
  public:
   /// `ledger_accum` is the ledger-wide accumulator shared with the rest of
   /// the system; not owned.
-  CcMpt(NodeStore* store, TimAccumulator* ledger_accum, int cache_depth = 6);
+  CcMpt(NodeStore* store, TimAccumulator* ledger_accum);
 
   /// Records that the journal at `jsn` (already appended to the ledger
   /// accumulator) belongs to `clue`. Write-optimized: one counter bump, no

@@ -22,8 +22,8 @@ bool ClueProof::Deserialize(Slice raw, ClueProof* out) {
   return r.AtEnd();
 }
 
-CmTree::CmTree(NodeStore* store, int cache_depth)
-    : store_(store), mpt_(store, cache_depth), mpt_root_(Mpt::EmptyRoot()) {}
+CmTree::CmTree(NodeStore* store)
+    : store_(store), mpt_(store), mpt_root_(Mpt::EmptyRoot()) {}
 
 Bytes CmTree::EncodeClueValue(uint64_t count, const Digest& accum_root) {
   Bytes out;

@@ -40,9 +40,7 @@ struct ClueProof {
 /// independent of total ledger size — the property Figure 9 measures.
 class CmTree {
  public:
-  /// `cache_depth` is forwarded to the MPT tier hints ("top 6 layers in
-  /// memory" in the paper's deployment).
-  explicit CmTree(NodeStore* store, int cache_depth = 6);
+  explicit CmTree(NodeStore* store);
 
   /// Appends a journal digest under `clue`; `entry_index` receives the
   /// entry's index inside the clue (its clue version).

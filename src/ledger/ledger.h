@@ -373,14 +373,6 @@ class Ledger {
   /// World-state access (single-layer state accumulator, Figure 2).
   const WorldState& world_state() const { return world_state_; }
 
-  /// Proof that world-state update `update_index` recorded a specific
-  /// (key, version, value) transition; verify with
-  /// WorldState::VerifyUpdate against StateRoot().
-  Status GetStateUpdateProof(uint64_t update_index,
-                             MembershipProof* proof) const {
-    return world_state_.GetUpdateProof(update_index, proof);
-  }
-
   // -------------------------------------------------------------------
   // when verification
   // -------------------------------------------------------------------

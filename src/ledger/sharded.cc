@@ -480,23 +480,6 @@ Status ShardedLedgerGroup::GetClueProof(const std::string& clue,
   return shards_[s]->GetClueProof(clue, begin, end, proof);
 }
 
-Status ShardedLedgerGroup::GetProofBatch(size_t shard,
-                                         const std::vector<uint64_t>& jsns,
-                                         FamBatchProof* proof) const {
-  LEDGERDB_RETURN_IF_ERROR(CheckShard(shard));
-  return shards_[shard]->GetProofBatch(jsns, proof);
-}
-
-Status ShardedLedgerGroup::ProveClueRange(const std::string& clue,
-                                          Timestamp from, Timestamp to,
-                                          ClueRangeResult* out,
-                                          size_t* shard) const {
-  size_t s = ShardOfClue(clue);
-  if (shard != nullptr) *shard = s;
-  LEDGERDB_RETURN_IF_ERROR(CheckShard(s));
-  return shards_[s]->ProveClueRange(clue, from, to, out);
-}
-
 uint64_t ShardedLedgerGroup::TotalJournals() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {

@@ -185,15 +185,6 @@ class ShardedLedgerGroup {
   Status GetClueProof(const std::string& clue, uint64_t begin, uint64_t end,
                       ClueProof* proof, size_t* shard) const;
 
-  /// Batched fam proof for a set of jsns on one shard (all jsns must live
-  /// there — clue lineages never cross shards).
-  Status GetProofBatch(size_t shard, const std::vector<uint64_t>& jsns,
-                       FamBatchProof* proof) const;
-
-  /// Batched range-read proof, routed to the clue's owning shard.
-  Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
-                        ClueRangeResult* out, size_t* shard) const;
-
   /// Total journals across shards (including per-shard genesis entries).
   uint64_t TotalJournals() const;
 

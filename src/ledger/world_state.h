@@ -7,29 +7,20 @@
 #include "accum/shrubs.h"
 #include "common/status.h"
 #include "crypto/hash.h"
-#include "mpt/mpt.h"
-#include "storage/node_store.h"
 
 namespace ledgerdb {
 
 /// World-state (Figure 2): the latest value per state key, authenticated
-/// two ways —
-///  * a single-layer **state accumulator** records every (key, version,
-///    value) transition append-only, so any historical transition stays
-///    provable (GetUpdateProof / VerifyUpdate);
-///  * a **state MPT** maps each key to its latest (version, value digest),
-///    so the *current* state of any key is provable against the state MPT
-///    root without replaying history (GetCurrentProof / VerifyCurrent),
-///    the account-model check Ethereum popularized.
+/// by a single-layer **state transition accumulator** that records every
+/// (key, version, value) transition append-only. Its root (Root()) is the
+/// `state_root` of every signed commitment and block header, and any
+/// historical transition stays provable against it (GetUpdateProof /
+/// VerifyUpdate). The latest-value map serves reads; it is under no
+/// digest of its own.
 class WorldState {
  public:
-  WorldState() : mpt_(&mpt_store_), mpt_root_(Mpt::EmptyRoot()) {}
-
-  /// Applies `key -> value`; records the transition in the accumulator
-  /// and refreshes the key's MPT leaf. `update_index` (optional) receives
-  /// the accumulator position.
-  Status Put(const std::string& key, const Bytes& value,
-             uint64_t* update_index = nullptr);
+  /// Applies `key -> value` and records the transition in the accumulator.
+  void Put(const std::string& key, const Bytes& value);
 
   /// Latest value for `key`.
   Status Get(const std::string& key, Bytes* value) const;
@@ -40,16 +31,9 @@ class WorldState {
   /// Accumulator commitment over all state transitions.
   Digest Root() const { return accum_.Root(); }
 
-  /// Current-state commitment (MPT over latest values).
-  Digest CurrentRoot() const { return mpt_root_; }
-
-  /// Proof that update `update_index` recorded the transition
-  /// (key, version, value).
+  /// Proof that update `update_index` (the accumulator position, counting
+  /// every Put from 0) recorded the transition (key, version, value).
   Status GetUpdateProof(uint64_t update_index, MembershipProof* proof) const;
-
-  /// Proof that `key`'s *latest* state is (version, value), against
-  /// CurrentRoot().
-  Status GetCurrentProof(const std::string& key, MptProof* proof) const;
 
   /// Digest of one state transition record.
   static Digest UpdateDigest(const std::string& key, uint64_t version,
@@ -60,22 +44,14 @@ class WorldState {
                            const Bytes& value, const MembershipProof& proof,
                            const Digest& trusted_root);
 
-  /// Verifies a current-state proof against a trusted current root.
-  /// `version` is the key's latest version number (count - 1).
-  static bool VerifyCurrent(const std::string& key, uint64_t version,
-                            const Bytes& value, const MptProof& proof,
-                            const Digest& trusted_current_root);
+  /// Checkpoint serialization: the transition accumulator and the
+  /// latest-value map.
+  void SerializeTo(Bytes* out) const;
 
-  /// Checkpoint serialization: the transition accumulator, the latest-value
-  /// map, and the state MPT root with its reachable node set (historical
-  /// copy-on-write garbage is not carried).
-  Status SerializeTo(Bytes* out) const;
-
-  /// Restores from SerializeTo output. Re-derives node content addresses
-  /// and verifies the restored MPT maps every key to exactly its restored
-  /// (version, value) entry, so only a coherent image can load. The caller
-  /// must still cross-check Root()/CurrentRoot() against an authenticated
-  /// commitment.
+  /// Restores from SerializeTo output, rejecting duplicate or zero-version
+  /// keys, versions that do not sum to the accumulator size and trailing
+  /// bytes. The caller must still cross-check Root() against an
+  /// authenticated commitment.
   Status RestoreFrom(Slice raw);
 
  private:
@@ -84,14 +60,8 @@ class WorldState {
     uint64_t version = 0;
   };
 
-  /// MPT leaf payload for a key: [u64 latest-version][32B value digest].
-  static Bytes EncodeCurrent(uint64_t version, const Bytes& value);
-
   ShrubsAccumulator accum_;
   std::unordered_map<std::string, Entry> state_;
-  MemoryNodeStore mpt_store_;
-  Mpt mpt_;
-  Digest mpt_root_;
 };
 
 }  // namespace ledgerdb

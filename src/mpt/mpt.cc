@@ -104,26 +104,21 @@ size_t CommonPrefix(const uint8_t* a, size_t an, const uint8_t* b, size_t bn) {
 
 }  // namespace
 
-Digest Mpt::WriteNode(const Bytes& serialized, int depth) {
+Digest Mpt::WriteNode(const Bytes& serialized) {
   Digest h = Sha256::Hash(serialized);
-  auto* tiered = dynamic_cast<TieredNodeStore*>(store_);
-  if (tiered != nullptr && cache_depth_ > 0) {
-    tiered->PutTiered(h, Slice(serialized), depth < cache_depth_);
-  } else {
-    store_->Put(h, Slice(serialized));
-  }
+  store_->Put(h, Slice(serialized));
   ++nodes_written_;
   return h;
 }
 
 Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
-                   int depth, Status* status) {
+                   Status* status) {
   if (node_ref.IsZero()) {
     Node leaf;
     leaf.type = kLeafTag;
     leaf.path.assign(path.nibbles, path.nibbles + path.size);
     leaf.value = value.ToBytes();
-    return WriteNode(leaf.Serialize(), depth);
+    return WriteNode(leaf.Serialize());
   }
 
   Bytes raw;
@@ -144,7 +139,7 @@ Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
     if (common == node.path.size() && common == path.size) {
       Node replacement = node;
       replacement.value = value.ToBytes();
-      return WriteNode(replacement.Serialize(), depth);
+      return WriteNode(replacement.Serialize());
     }
     // Keys are fixed-length, so both suffixes diverge at `common`.
     Node branch;
@@ -157,26 +152,23 @@ Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
     old_leaf.path.assign(node.path.begin() + static_cast<long>(common) + 1,
                          node.path.end());
     old_leaf.value = node.value;
-    branch.children[old_nibble] =
-        WriteNode(old_leaf.Serialize(), depth + static_cast<int>(common) + 1);
+    branch.children[old_nibble] = WriteNode(old_leaf.Serialize());
     branch.has_child[old_nibble] = true;
 
     Node new_leaf;
     new_leaf.type = kLeafTag;
     new_leaf.path.assign(path.nibbles + common + 1, path.nibbles + path.size);
     new_leaf.value = value.ToBytes();
-    branch.children[new_nibble] =
-        WriteNode(new_leaf.Serialize(), depth + static_cast<int>(common) + 1);
+    branch.children[new_nibble] = WriteNode(new_leaf.Serialize());
     branch.has_child[new_nibble] = true;
 
-    Digest branch_ref =
-        WriteNode(branch.Serialize(), depth + static_cast<int>(common));
+    Digest branch_ref = WriteNode(branch.Serialize());
     if (common == 0) return branch_ref;
     Node ext;
     ext.type = kExtensionTag;
     ext.path.assign(path.nibbles, path.nibbles + common);
     ext.child = branch_ref;
-    return WriteNode(ext.Serialize(), depth);
+    return WriteNode(ext.Serialize());
   }
 
   if (node.type == kExtensionTag) {
@@ -185,11 +177,11 @@ Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
     if (common == node.path.size()) {
       Digest new_child =
           PutRec(node.child, {path.nibbles + common, path.size - common},
-                 value, depth + static_cast<int>(common), status);
+                 value, status);
       if (!status->ok()) return Digest();
       Node ext = node;
       ext.child = new_child;
-      return WriteNode(ext.Serialize(), depth);
+      return WriteNode(ext.Serialize());
     }
     // Split the extension at `common`.
     Node branch;
@@ -204,8 +196,7 @@ Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
       tail.path.assign(node.path.begin() + static_cast<long>(common) + 1,
                        node.path.end());
       tail.child = node.child;
-      ext_child_ref =
-          WriteNode(tail.Serialize(), depth + static_cast<int>(common) + 1);
+      ext_child_ref = WriteNode(tail.Serialize());
     } else {
       ext_child_ref = node.child;
     }
@@ -216,18 +207,16 @@ Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
     new_leaf.type = kLeafTag;
     new_leaf.path.assign(path.nibbles + common + 1, path.nibbles + path.size);
     new_leaf.value = value.ToBytes();
-    branch.children[new_nibble] =
-        WriteNode(new_leaf.Serialize(), depth + static_cast<int>(common) + 1);
+    branch.children[new_nibble] = WriteNode(new_leaf.Serialize());
     branch.has_child[new_nibble] = true;
 
-    Digest branch_ref =
-        WriteNode(branch.Serialize(), depth + static_cast<int>(common));
+    Digest branch_ref = WriteNode(branch.Serialize());
     if (common == 0) return branch_ref;
     Node head;
     head.type = kExtensionTag;
     head.path.assign(path.nibbles, path.nibbles + common);
     head.child = branch_ref;
-    return WriteNode(head.Serialize(), depth);
+    return WriteNode(head.Serialize());
   }
 
   // Branch node.
@@ -237,13 +226,13 @@ Digest Mpt::PutRec(const Digest& node_ref, PathView path, Slice value,
   }
   uint8_t nibble = path.nibbles[0];
   Digest old_child = node.has_child[nibble] ? node.children[nibble] : Digest();
-  Digest new_child = PutRec(old_child, {path.nibbles + 1, path.size - 1},
-                            value, depth + 1, status);
+  Digest new_child =
+      PutRec(old_child, {path.nibbles + 1, path.size - 1}, value, status);
   if (!status->ok()) return Digest();
   Node branch = node;
   branch.children[nibble] = new_child;
   branch.has_child[nibble] = true;
-  return WriteNode(branch.Serialize(), depth);
+  return WriteNode(branch.Serialize());
 }
 
 Status Mpt::Put(const Digest& root, const Digest& key, Slice value,
@@ -251,7 +240,7 @@ Status Mpt::Put(const Digest& root, const Digest& key, Slice value,
   std::vector<uint8_t> nibbles = KeyToNibbles(key);
   Status status = Status::OK();
   Digest result =
-      PutRec(root, {nibbles.data(), nibbles.size()}, value, 0, &status);
+      PutRec(root, {nibbles.data(), nibbles.size()}, value, &status);
   if (!status.ok()) return status;
   *new_root = result;
   return Status::OK();

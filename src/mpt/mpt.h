@@ -37,11 +37,7 @@ struct MptProof {
 /// Keys are never deleted: ledger clues only accumulate.
 class Mpt {
  public:
-  /// `cache_depth`: nodes at trie depth < cache_depth are written to the
-  /// hot tier when the store is a TieredNodeStore (the paper's "top layers
-  /// cached in memory" deployment). Pass 0 to disable tier hints.
-  explicit Mpt(NodeStore* store, int cache_depth = 0)
-      : store_(store), cache_depth_(cache_depth) {}
+  explicit Mpt(NodeStore* store) : store_(store) {}
 
   /// Root digest of the empty trie (all zeros).
   static Digest EmptyRoot() { return Digest(); }
@@ -79,12 +75,11 @@ class Mpt {
     size_t size;
   };
 
-  Digest PutRec(const Digest& node_ref, PathView path, Slice value, int depth,
+  Digest PutRec(const Digest& node_ref, PathView path, Slice value,
                 Status* status);
-  Digest WriteNode(const Bytes& serialized, int depth);
+  Digest WriteNode(const Bytes& serialized);
 
   NodeStore* store_;
-  int cache_depth_;
   uint64_t nodes_written_ = 0;
 };
 

@@ -71,13 +71,12 @@ class ByzantineTransport : public LedgerTransport {
   /// forked mirror and signed with `forger`. Pass the real LSP key to
   /// model a malicious LSP (fork passes single-client audit); pass any
   /// other key to model a MITM (caught by the signature check).
-  /// `fractal_height`/`mpt_cache_depth` must match the ledger's options.
+  /// `fractal_height` must match the ledger's options.
   void EnableEquivocation(uint64_t fork_jsn, KeyPair forger,
-                          int fractal_height, int mpt_cache_depth) {
+                          int fractal_height) {
     fork_jsn_ = fork_jsn;
     forger_ = std::make_unique<KeyPair>(std::move(forger));
-    fork_mirror_ =
-        std::make_unique<LedgerMirror>(fractal_height, mpt_cache_depth);
+    fork_mirror_ = std::make_unique<LedgerMirror>(fractal_height);
   }
 
   uint64_t ops() const { return ops_; }

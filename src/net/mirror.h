@@ -21,8 +21,10 @@ namespace ledgerdb {
 /// back a failed speculative apply, rebuild from the retained deltas.
 class LedgerMirror {
  public:
-  LedgerMirror(int fractal_height, int mpt_cache_depth)
-      : fam_(fractal_height), cmtree_(&store_, mpt_cache_depth) {}
+  /// The second argument is ignored; it keeps two-argument callers
+  /// compiling.
+  explicit LedgerMirror(int fractal_height, int /*ignored*/ = 0)
+      : fam_(fractal_height), cmtree_(&store_) {}
 
   LedgerMirror(const LedgerMirror&) = delete;
   LedgerMirror& operator=(const LedgerMirror&) = delete;
@@ -33,8 +35,7 @@ class LedgerMirror {
     fam_.Append(delta.tx_hash);
     for (const std::string& clue : delta.clues) {
       LEDGERDB_RETURN_IF_ERROR(cmtree_.Append(clue, delta.tx_hash, nullptr));
-      LEDGERDB_RETURN_IF_ERROR(
-          world_state_.Put(clue, delta.payload_digest.ToBytes()));
+      world_state_.Put(clue, delta.payload_digest.ToBytes());
     }
     return Status::OK();
   }

@@ -17,8 +17,8 @@ void EncodeManifestCore(const CheckpointManifest& m, Bytes* out) {
   PutLengthPrefixed(out, StringToBytes(m.ledger_uri));
   PutU64(out, m.watermark);
   PutU64(out, m.block_height);
-  for (const Digest* d : {&m.boundary_block_hash, &m.fam_root, &m.clue_root,
-                          &m.state_root, &m.state_current_root}) {
+  for (const Digest* d :
+       {&m.boundary_block_hash, &m.fam_root, &m.clue_root, &m.state_root}) {
     PutDigest(out, *d);
   }
   PutU32(out, m.fractal_height);
@@ -61,7 +61,7 @@ bool CheckpointManifest::Deserialize(Slice raw, CheckpointManifest* out) {
   out->watermark = r.U64();
   out->block_height = r.U64();
   for (Digest* d : {&out->boundary_block_hash, &out->fam_root, &out->clue_root,
-                    &out->state_root, &out->state_current_root}) {
+                    &out->state_root}) {
     *d = r.Digest();
   }
   out->fractal_height = r.U32();

@@ -19,7 +19,7 @@ namespace ledgerdb {
 /// Snapshot format version understood by this build. Bumped whenever any
 /// section's byte layout changes; a manifest carrying a different version
 /// is rejected (the loader falls back to older checkpoints / full replay).
-constexpr uint32_t kCheckpointFormatVersion = 1;
+constexpr uint32_t kCheckpointFormatVersion = 2;
 
 /// Section tags inside a checkpoint snapshot file. Each section is framed
 /// `[u32 tag][length-prefixed payload][u32 payload crc]` after the file
@@ -51,7 +51,6 @@ struct CheckpointManifest {
   Digest fam_root;             ///< fam root at the watermark
   Digest clue_root;            ///< CM-Tree1 root at the watermark
   Digest state_root;           ///< state transition accumulator root
-  Digest state_current_root;   ///< state MPT (latest values) root
   uint32_t fractal_height = 0;  ///< options fingerprint: fam epoch shape
   uint64_t block_capacity = 0;  ///< options fingerprint: journals per block
   Timestamp timestamp = 0;

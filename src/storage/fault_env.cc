@@ -121,7 +121,9 @@ Status FaultEnv::Rename(const std::string& from, const std::string& to) {
 
 namespace {
 
-const char* StorageFaultName(StorageFaultKind kind) {
+// Read only by LEDGERDB_OBS_COUNT_LABEL, which an LEDGERDB_OBS_OFF build
+// compiles away.
+[[maybe_unused]] const char* StorageFaultName(StorageFaultKind kind) {
   switch (kind) {
     case StorageFaultKind::kCrash: return "crash";
     case StorageFaultKind::kTornWrite: return "torn_write";

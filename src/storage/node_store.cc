@@ -32,19 +32,4 @@ size_t MemoryNodeStore::Sweep(
   return removed;
 }
 
-Status TieredNodeStore::PutTiered(const Digest& key, Slice node, bool hot) {
-  if (hot) return hot_.Put(key, node);
-  return cold_->Put(key, node);
-}
-
-Status TieredNodeStore::Get(const Digest& key, Bytes* out) const {
-  Status s = hot_.Get(key, out);
-  if (s.ok()) return s;
-  return cold_->Get(key, out);
-}
-
-bool TieredNodeStore::Contains(const Digest& key) const {
-  return hot_.Contains(key) || cold_->Contains(key);
-}
-
 }  // namespace ledgerdb

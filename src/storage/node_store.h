@@ -1,7 +1,6 @@
 #ifndef LEDGERDB_STORAGE_NODE_STORE_H_
 #define LEDGERDB_STORAGE_NODE_STORE_H_
 
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -48,36 +47,6 @@ class MemoryNodeStore : public NodeStore {
 
  private:
   std::unordered_map<Digest, Bytes, DigestHasher> map_;
-};
-
-/// Two-tier store modeling the paper's "top layers cached in memory, bottom
-/// layers on disk" MPT deployment (§IV-B2): entries written with
-/// `hot == true` stay in the memory tier; everything else goes to the
-/// backing tier. Reads check memory first.
-class TieredNodeStore : public NodeStore {
- public:
-  explicit TieredNodeStore(std::unique_ptr<NodeStore> cold)
-      : cold_(std::move(cold)) {}
-
-  Status Put(const Digest& key, Slice node) override {
-    return PutTiered(key, node, /*hot=*/false);
-  }
-
-  /// Tier-aware put.
-  Status PutTiered(const Digest& key, Slice node, bool hot);
-
-  Status Get(const Digest& key, Bytes* out) const override;
-  bool Contains(const Digest& key) const override;
-  size_t Size() const override { return hot_.Size() + cold_->Size(); }
-  size_t Sweep(const std::unordered_set<Digest, DigestHasher>& live) override {
-    return hot_.Sweep(live) + cold_->Sweep(live);
-  }
-
-  size_t HotSize() const { return hot_.Size(); }
-
- private:
-  MemoryNodeStore hot_;
-  std::unique_ptr<NodeStore> cold_;
 };
 
 }  // namespace ledgerdb

@@ -386,7 +386,7 @@ TEST_F(AuditTest, WorldStateUpdateProofs) {
   // The two transitions are provable against the state root.
   for (uint64_t version = 0; version < 2; ++version) {
     MembershipProof proof;
-    ASSERT_TRUE(ledger_->GetStateUpdateProof(version, &proof).ok());
+    ASSERT_TRUE(ledger_->world_state().GetUpdateProof(version, &proof).ok());
     Bytes value =
         Sha256::Hash(std::string_view(version == 0 ? "v0" : "v1")).ToBytes();
     EXPECT_TRUE(WorldState::VerifyUpdate("acct", version, value, proof,

@@ -314,8 +314,7 @@ TEST_F(ByzantineTransportTest, EquivocationSurvivesSingleClientAudit) {
   ASSERT_TRUE(
       bob.AppendVerified(StringToBytes("real-2"), {"acct"}, nullptr).ok());
 
-  byz_->EnableEquivocation(/*fork_jsn=*/1, lsp_, options_.fractal_height,
-                           /*mpt_cache_depth=*/6);
+  byz_->EnableEquivocation(/*fork_jsn=*/1, lsp_, options_.fractal_height);
   LedgerClient alice = MakeClient(byz_.get(), alice_);
 
   // Both audited refreshes PASS: the fork is internally consistent and
@@ -338,7 +337,7 @@ TEST_F(ByzantineTransportTest, EquivocationWithWrongKeyCaughtImmediately) {
   // the audited refresh kills it on the spot.
   byz_->EnableEquivocation(/*fork_jsn=*/1,
                            KeyPair::FromSeedString("byz-mitm"),
-                           options_.fractal_height, /*mpt_cache_depth=*/6);
+                           options_.fractal_height);
   LedgerClient alice = MakeClient(byz_.get(), alice_);
   Status s = alice.RefreshTrustedRoots();
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();

@@ -500,6 +500,62 @@ TEST_F(CheckpointTest, OptionsFingerprintMismatchRejected) {
   EXPECT_EQ(info.candidates_rejected, 1u);
 }
 
+TEST_F(CheckpointTest, OlderFormatVersionRejectedEvenWhenSigned) {
+  MemEnv env;
+  {
+    OpenedLedger live;
+    ASSERT_TRUE(Create(&env, &live).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(Append(&live, "f-" + std::to_string(i), "acct-0").ok());
+    }
+    ASSERT_TRUE(live.ledger->WriteCheckpoint(nullptr).ok());
+    ASSERT_TRUE(Append(&live, "tail", "acct-1").ok());
+  }
+  OpenedLedger reference;
+  ASSERT_TRUE(Reopen(&env, /*with_checkpoints=*/false, &reference).ok());
+  StateFingerprint want = StateFingerprint::Of(*reference.ledger);
+  reference = OpenedLedger{};
+
+  std::vector<CheckpointEntry> entries;
+  ASSERT_TRUE(CheckpointStore(&env, kCkptBase).List(&entries).ok());
+  ASSERT_EQ(entries.size(), 1u);
+  ASSERT_TRUE(entries[0].status.ok());
+  const std::string path = std::string(kCkptBase) + ".ckpt.0";
+  // Re-signs the manifest with `version`; everything else is unchanged,
+  // so the snapshot's SHA-256 binding still holds.
+  auto publish = [&](uint32_t version) {
+    CheckpointManifest m = entries[0].manifest;
+    m.format_version = version;
+    m.lsp_sig = lsp_.Sign(m.MessageHash());
+    ASSERT_TRUE(m.Verify(lsp_.public_key()));
+    WriteWholeFile(&env, path, m.Serialize());
+  };
+
+  // Control: re-signed at the current version, the checkpoint loads.
+  publish(kCheckpointFormatVersion);
+  {
+    OpenedLedger again;
+    ASSERT_TRUE(Reopen(&env, /*with_checkpoints=*/true, &again).ok());
+    EXPECT_TRUE(again.info.used_checkpoint);
+    StateFingerprint::Of(*again.ledger).ExpectEq(want);
+  }
+
+  // Format version 1 carried the state MPT root and node set. A manifest
+  // naming it is refused on its version alone, even with a valid LSP
+  // signature, and recovery replays the streams in full.
+  ASSERT_EQ(kCheckpointFormatVersion, 2u);
+  publish(1);
+  {
+    OpenedLedger again;
+    Status s = Reopen(&env, /*with_checkpoints=*/true, &again);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_FALSE(again.info.used_checkpoint);
+    EXPECT_EQ(again.info.candidates_tried, 1u);
+    EXPECT_EQ(again.info.candidates_rejected, 1u);
+    StateFingerprint::Of(*again.ledger).ExpectEq(want);
+  }
+}
+
 TEST_F(CheckpointTest, WriteCheckpointRequiresSealedBlockAndStore) {
   MemEnv env;
   OpenedLedger live;

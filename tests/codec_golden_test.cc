@@ -43,7 +43,7 @@ const std::map<std::string, std::string>& Golden() {
       {"BlockRecord/2", "8bece0efba25de019c7a957210b38e2d36aba9f19197adfdcf9d193053da3750"},
       {"BlockRecord/3", "870949ee169b5a6c1b1a7c4ec73d631d059419876bd71ca93f919e3af26007a8"},
       {"BlockRecord/4", "816c249919e3f43c1272398c2387a8903d001a4c33b0a56331c61492531a6e7b"},
-      {"CheckpointManifest", "a704ceb023df2fb54b97fa24e427c737457f15876da4effeba0ee13e171aa16a"},
+      {"CheckpointManifest", "3553e9157b86a2e12c1cf1f55910a7f9c4142deb05ebd626d9445630a39d2ba2"},
       {"ClientTransaction", "58b13d42174d94e7909d86188604e0c2e6f62c158cdd4038b70375c9cc0e580e"},
       {"ClueProof", "f09594a5ddf0729a57aa7c2d871d033314dd0089457aed8a69afd8ebeb100a82"},
       {"ClueRangeResult", "509ae6697fa58ead6970c693abe99f367abb78ee0d471db03c672fff3742e2f5"},
@@ -101,13 +101,13 @@ const std::map<std::string, std::string>& Golden() {
       {"ResponseFrame/ProveClueRange", "2d8debfe57e1bb4a47be0fc591c93d2acda89a04529d1444673c6eb2ffb2d541"},
       {"ResponseFrame/error", "8d42b56558a4e98129c9715ead8f8521c54c59b9e06e7dc4c9d61219f94a8a05"},
       {"SignedCommitment", "3ce6596ba4d24201b038d477db9dba77e0d81a0a88d5f32eb7374927a6410b23"},
-      {"Snapshot", "778fdf15ea4514794f04ee768cd14626184cf24ead916dbbd6584210ecab15cc"},
+      {"Snapshot", "212501fee289b2c11b521a95d6304abc06d21f4ba1e0ae8070526ef7b0e14e6f"},
       {"SnapshotSection/1", "771fafd8d7aa10e95359d7ae73bae35ec0c0ff6d6a5468b297f11506cb178532"},
       {"SnapshotSection/2", "bdb8e78f593627745e31ab222c136d8b63ebbdd9b513586f3c9da3dfdde92e2f"},
       {"SnapshotSection/3", "2b6b32e1fb8013d1c8490cabe92128cb803531dffe086f2af43343ec8e237c0b"},
       {"SnapshotSection/4", "750a303aac9428a25a41dc1830160e9ad80d73b9493baa26572627ed02050cb2"},
       {"SnapshotSection/5", "e25ab6e2f799d0f5d57a9fbd78cd3ab4945d06c32502a1519766b3ad0f640d71"},
-      {"SnapshotSection/6", "495941a2d9113f472546cc5b976fe16c34e9b99cf8cd160ec85c73deab833afb"},
+      {"SnapshotSection/6", "9ea95f9a70b3fe942c783cc288f70686c1154e587bac5f3423f0b4be74322bbe"},
       {"TimeAttestation", "7e822d459574558d80ac01977f77b67662e6285193ed84ec2e178e7db30e91e6"},
       {"TimeEvidence/direct", "ab9e7c918eb78dd8ad1e1b7e4a38deff7001852ca93301fcd38ee80d32c91c6d"},
       {"TimeEvidence/tledger", "c4ba114bdba89ad1c3a2b73b36514c519b16bc1affdcf7eb3f6e74ede9c54a84"},

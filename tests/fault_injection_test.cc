@@ -29,7 +29,9 @@ Bytes FileContents(Env* env, const std::string& path) {
   uint64_t size = 0;
   EXPECT_TRUE(f->Size(&size).ok());
   Bytes out;
-  if (size > 0) EXPECT_TRUE(f->Read(0, size, &out).ok());
+  if (size > 0) {
+    EXPECT_TRUE(f->Read(0, size, &out).ok());
+  }
   return out;
 }
 
@@ -303,7 +305,9 @@ TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) {
     // dropped sync on the workload's final op, whose lying ack lets the
     // run "finish".
     EXPECT_TRUE(env.crashed());
-    if (run.ok()) EXPECT_EQ(kind, StorageFaultKind::kDroppedSync);
+    if (run.ok()) {
+      EXPECT_EQ(kind, StorageFaultKind::kDroppedSync);
+    }
 
     // Reopen the surviving image through the base env. Either the stores
     // refuse with explicit corruption (acknowledged bytes were damaged —

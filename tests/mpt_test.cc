@@ -159,23 +159,6 @@ TEST_F(MptTest, EmptyProofRejected) {
   EXPECT_FALSE(Mpt::VerifyProof(KeyOf("root"), KeyOf("k"), Slice(v), proof));
 }
 
-TEST_F(MptTest, TieredStoreCachesTopLayers) {
-  TieredNodeStore tiered(std::make_unique<MemoryNodeStore>());
-  Mpt mpt(&tiered, /*cache_depth=*/2);
-  Digest root = Mpt::EmptyRoot();
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(mpt.Put(root, KeyOf("clue" + std::to_string(i)),
-                        Slice(std::string_view("v")), &root)
-                    .ok());
-  }
-  // Some nodes landed in the hot tier, but not all.
-  EXPECT_GT(tiered.HotSize(), 0u);
-  EXPECT_GT(tiered.Size(), tiered.HotSize());
-  // Reads work across tiers.
-  Bytes value;
-  EXPECT_TRUE(mpt.Get(root, KeyOf("clue42"), &value).ok());
-}
-
 TEST_F(MptTest, DeterministicRootForSameContent) {
   // Insertion order must not affect the final root (canonical trie).
   Mpt mpt(&store_);

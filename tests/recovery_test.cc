@@ -462,7 +462,9 @@ class DamagedImageTest : public RecoveryTest {
       uint64_t jsn;
       ASSERT_TRUE(ledger.Append(tx, &jsn).ok());
     }
-    if (seal) ASSERT_TRUE(ledger.SealBlock().ok());
+    if (seal) {
+      ASSERT_TRUE(ledger.SealBlock().ok());
+    }
     fam_root_ = ledger.FamRoot();
   }
 

@@ -77,46 +77,21 @@ TEST(BitmapIndexTest, MatchesReferenceUnderRandomOps) {
 }
 
 // ---------------------------------------------------------------------------
-// WorldState current-state proofs
+// WorldState transition history
 // ---------------------------------------------------------------------------
 
-TEST(WorldStateTest, CurrentProofRoundTrip) {
+TEST(WorldStateTest, TransitionHistoryProvesEveryVersion) {
   WorldState state;
-  ASSERT_TRUE(state.Put("acct-1", StringToBytes("balance:100")).ok());
-  ASSERT_TRUE(state.Put("acct-2", StringToBytes("balance:50")).ok());
-  ASSERT_TRUE(state.Put("acct-1", StringToBytes("balance:80")).ok());
-
-  MptProof proof;
-  ASSERT_TRUE(state.GetCurrentProof("acct-1", &proof).ok());
-  // Latest version of acct-1 is 1 (second write), value balance:80.
-  EXPECT_TRUE(WorldState::VerifyCurrent("acct-1", 1, StringToBytes("balance:80"),
-                                        proof, state.CurrentRoot()));
-  // A stale value or wrong version fails.
-  EXPECT_FALSE(WorldState::VerifyCurrent("acct-1", 0, StringToBytes("balance:100"),
-                                         proof, state.CurrentRoot()));
-  EXPECT_FALSE(WorldState::VerifyCurrent("acct-1", 1, StringToBytes("balance:81"),
-                                         proof, state.CurrentRoot()));
-}
-
-TEST(WorldStateTest, CurrentRootTracksLatestOnly) {
-  WorldState state;
-  ASSERT_TRUE(state.Put("k", StringToBytes("v0")).ok());
-  Digest root_v0 = state.CurrentRoot();
-  ASSERT_TRUE(state.Put("k", StringToBytes("v1")).ok());
-  EXPECT_NE(state.CurrentRoot(), root_v0);
-  // The transition accumulator still proves BOTH versions (history),
-  // while the MPT proves only the latest (current state).
-  MembershipProof update0;
-  ASSERT_TRUE(state.GetUpdateProof(0, &update0).ok());
-  EXPECT_TRUE(WorldState::VerifyUpdate("k", 0, StringToBytes("v0"), update0,
-                                       state.Root()));
-}
-
-TEST(WorldStateTest, MissingKeyHasNoCurrentProof) {
-  WorldState state;
-  ASSERT_TRUE(state.Put("present", StringToBytes("v")).ok());
-  MptProof proof;
-  EXPECT_TRUE(state.GetCurrentProof("absent", &proof).IsNotFound());
+  state.Put("k", StringToBytes("v0"));
+  state.Put("k", StringToBytes("v1"));
+  // The transition accumulator proves BOTH versions against Root().
+  for (uint64_t version = 0; version < 2; ++version) {
+    const Bytes value = StringToBytes(version == 0 ? "v0" : "v1");
+    MembershipProof update;
+    ASSERT_TRUE(state.GetUpdateProof(version, &update).ok());
+    EXPECT_TRUE(
+        WorldState::VerifyUpdate("k", version, value, update, state.Root()));
+  }
 }
 
 // ---------------------------------------------------------------------------

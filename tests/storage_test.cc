@@ -405,23 +405,5 @@ TEST(MemoryNodeStoreTest, PutIsIdempotent) {
   EXPECT_EQ(store.Size(), 1u);
 }
 
-TEST(TieredNodeStoreTest, HotAndColdTiers) {
-  TieredNodeStore store(std::make_unique<MemoryNodeStore>());
-  Digest hot_key = Sha256::Hash(std::string_view("hot"));
-  Digest cold_key = Sha256::Hash(std::string_view("cold"));
-  ASSERT_TRUE(store.PutTiered(hot_key, Slice(std::string_view("h")), true).ok());
-  ASSERT_TRUE(store.PutTiered(cold_key, Slice(std::string_view("c")), false).ok());
-  EXPECT_EQ(store.HotSize(), 1u);
-  EXPECT_EQ(store.Size(), 2u);
-  Bytes out;
-  ASSERT_TRUE(store.Get(hot_key, &out).ok());
-  EXPECT_EQ(out, StringToBytes("h"));
-  ASSERT_TRUE(store.Get(cold_key, &out).ok());
-  EXPECT_EQ(out, StringToBytes("c"));
-  EXPECT_TRUE(store.Contains(hot_key));
-  EXPECT_TRUE(store.Contains(cold_key));
-  EXPECT_FALSE(store.Contains(Sha256::Hash(std::string_view("absent"))));
-}
-
 }  // namespace
 }  // namespace ledgerdb
