@@ -18,7 +18,6 @@
 #include "cmtree/cc_mpt.h"
 #include "cmtree/cm_tree.h"
 #include "common/random.h"
-#include "storage/node_store.h"
 
 using namespace ledgerdb;
 using namespace ledgerdb::bench;
@@ -34,8 +33,6 @@ Digest JournalDigest(uint64_t i) {
 }
 
 struct Workload {
-  MemoryNodeStore cm_store;
-  MemoryNodeStore cc_store;
   TimAccumulator ledger;
   std::unique_ptr<CmTree> cmtree;
   std::unique_ptr<CcMpt> ccmpt;
@@ -44,8 +41,8 @@ struct Workload {
 
   /// Builds a ledger of `n` journals spread over clues of 1-100 entries.
   explicit Workload(uint64_t n) {
-    cmtree = std::make_unique<CmTree>(&cm_store);
-    ccmpt = std::make_unique<CcMpt>(&cc_store, &ledger);
+    cmtree = std::make_unique<CmTree>();
+    ccmpt = std::make_unique<CcMpt>(&ledger);
     Random rng(7);
     uint64_t appended = 0;
     uint64_t clue_id = 0;
@@ -119,10 +116,9 @@ int main(int argc, char** argv) {
   Header("Figure 9(b): clue verification latency (ms) vs clue entries");
   // Fixed large ledger accumulator (the paper uses a 1 GB accumulator).
   uint64_t bulk = 1ULL << (17 + shift);
-  MemoryNodeStore cm_store, cc_store;
   TimAccumulator ledger;
-  CmTree cmtree(&cm_store);
-  CcMpt ccmpt(&cc_store, &ledger);
+  CmTree cmtree;
+  CcMpt ccmpt(&ledger);
   for (uint64_t i = 0; i < bulk; ++i) ledger.Append(JournalDigest(i));
 
   std::printf("%-10s %14s %14s %10s\n", "entries", "CM-Tree(ms)", "ccMPT(ms)",

@@ -109,7 +109,7 @@ void BM_ShrubsProve(benchmark::State& state) {
 BENCHMARK(BM_ShrubsProve);
 
 void BM_MptPut(benchmark::State& state) {
-  MemoryNodeStore store;
+  NodeStore store;
   Mpt mpt(&store);
   Digest root = Mpt::EmptyRoot();
   uint64_t i = 0;
@@ -124,7 +124,7 @@ void BM_MptPut(benchmark::State& state) {
 BENCHMARK(BM_MptPut);
 
 void BM_MptProve(benchmark::State& state) {
-  MemoryNodeStore store;
+  NodeStore store;
   Mpt mpt(&store);
   Digest root = Mpt::EmptyRoot();
   const int n = 10000;
@@ -144,8 +144,7 @@ void BM_MptProve(benchmark::State& state) {
 BENCHMARK(BM_MptProve);
 
 void BM_CmTreeAppend(benchmark::State& state) {
-  MemoryNodeStore store;
-  CmTree tree(&store);
+  CmTree tree;
   uint64_t i = 0;
   for (auto _ : state) {
     tree.Append("clue-" + std::to_string(i % 64), D(i), nullptr);
@@ -156,8 +155,7 @@ void BM_CmTreeAppend(benchmark::State& state) {
 BENCHMARK(BM_CmTreeAppend);
 
 void BM_CmTreeClueVerify(benchmark::State& state) {
-  MemoryNodeStore store;
-  CmTree tree(&store);
+  CmTree tree;
   const uint64_t m = state.range(0);
   std::vector<Digest> digests;
   for (uint64_t i = 0; i < m; ++i) {

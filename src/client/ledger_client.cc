@@ -1,5 +1,9 @@
 #include "client/ledger_client.h"
 
+#include <algorithm>
+#include <iterator>
+
+#include "net/wire.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -10,8 +14,7 @@ LedgerClient::LedgerClient(LedgerTransport* transport, KeyPair identity,
     : transport_(transport),
       identity_(std::move(identity)),
       options_(std::move(options)),
-      mirror_(std::make_unique<LedgerMirror>(options_.fractal_height)),
-      log_(transport_->uri(), options_.lsp_key) {
+      mirror_(std::make_unique<LedgerMirror>(options_.fractal_height)) {
   nonce_ = options_.start_nonce;
 }
 
@@ -91,14 +94,22 @@ Status LedgerClient::RefreshTrustedRoots(bool* advanced,
   }
   if (c.journal_count > have) {
     // Audit the advance: the claimed delta must reproduce the claimed
-    // roots when replayed over our own accumulators.
+    // roots when replayed over our own accumulators. It is fetched in
+    // pages, each of which must hold exactly the deltas it asked for.
     std::vector<JournalDelta> delta;
-    LEDGERDB_RETURN_IF_ERROR(RetryTransient(options_.retry, [&] {
-      return transport_->GetDelta(have, c.journal_count, &delta);
-    }));
-    if (delta.size() != c.journal_count - have) {
-      return Status::VerificationFailed(
-          "journal delta does not cover the committed range");
+    for (uint64_t from = have; from < c.journal_count;) {
+      const uint64_t to =
+          std::min(c.journal_count, from + wire::kMaxDeltasPerReply);
+      std::vector<JournalDelta> page;
+      LEDGERDB_RETURN_IF_ERROR(RetryTransient(options_.retry, [&] {
+        return transport_->GetDelta(from, to, &page);
+      }));
+      if (page.size() != to - from) {
+        return Status::VerificationFailed(
+            "journal delta does not cover the committed range");
+      }
+      std::move(page.begin(), page.end(), std::back_inserter(delta));
+      from = to;
     }
     Status applied = Status::OK();
     for (const JournalDelta& d : delta) {
@@ -119,8 +130,10 @@ Status LedgerClient::RefreshTrustedRoots(bool* advanced,
       return Status::VerificationFailed(
           "commitment does not match the journal delta it claims to cover");
     }
-    accepted_deltas_.insert(accepted_deltas_.end(), delta.begin(),
-                            delta.end());
+    accepted_deltas_.insert(accepted_deltas_.end(),
+                            std::make_move_iterator(delta.begin()),
+                            std::make_move_iterator(delta.end()));
+    accepted_commitments_.push_back(c);
   } else {
     // Same count: the roots must be exactly what we already derived.
     if (!(mirror_->fam_root() == c.fam_root) ||
@@ -136,13 +149,6 @@ Status LedgerClient::RefreshTrustedRoots(bool* advanced,
       return Status::VerificationFailed(
           "commitment contradicts the audited prefix at the same count");
     }
-  }
-  // The audit passed; the fork-consistency log gets the final say (it also
-  // compares against every previously accepted commitment).
-  Status accepted = log_.Accept(c, ev);
-  if (!accepted.ok()) {
-    LEDGERDB_OBS_COUNT(obs::names::kClientEquivocationsTotal);
-    return accepted;
   }
   if (advanced != nullptr) *advanced = c.journal_count > have;
   trusted_fam_root_ = c.fam_root;
@@ -411,10 +417,10 @@ Status LedgerClient::VerifyReceipt(const Receipt& receipt) const {
 
 Status LedgerClient::CrossCheckCommitments(const LedgerClient& other,
                                            EquivocationEvidence* ev) const {
-  for (const SignedCommitment& c : other.log_.entries()) {
+  for (const SignedCommitment& c : other.accepted_commitments_) {
     LEDGERDB_RETURN_IF_ERROR(CrossCheckCommitment(c, *mirror_, ev));
   }
-  for (const SignedCommitment& c : log_.entries()) {
+  for (const SignedCommitment& c : accepted_commitments_) {
     LEDGERDB_RETURN_IF_ERROR(CrossCheckCommitment(c, *other.mirror_, ev));
   }
   return Status::OK();

@@ -9,7 +9,6 @@
 #include "common/retry.h"
 #include "ledger/ledger.h"
 #include "net/commitment_log.h"
-#include "net/mirror.h"
 #include "net/transport.h"
 
 namespace ledgerdb {
@@ -28,10 +27,10 @@ namespace ledgerdb {
 ///    RefreshTrustedRoots: the LSP's signed commitment is checked against
 ///    a local mirror replaying the claimed journal delta, so a forged or
 ///    rolled-back root is rejected instead of pinned;
-///  - every accepted commitment lands in an append-only CommitmentLog, and
-///    CrossCheckCommitments gossips logs between clients to expose an LSP
-///    that equivocates — shows different signed histories to different
-///    clients — which no single-client check can see.
+///  - every commitment that advances the audited count is kept, and
+///    CrossCheckCommitments gossips those lists between clients to expose
+///    an LSP that equivocates — shows different signed histories to
+///    different clients — which no single-client check can see.
 class LedgerClient {
  public:
   struct Options {
@@ -67,17 +66,18 @@ class LedgerClient {
 
   /// Audited root advance: fetches the LSP's signed commitment, verifies
   /// the signature, then fetches the journal delta from the last accepted
-  /// count and replays it into the local mirror. The roots are pinned only
-  /// if the mirror reproduces them bit-for-bit; otherwise the mirror is
-  /// rolled back and VerificationFailed is returned. Rollbacks and
-  /// same-count conflicts are rejected by the commitment log (with
-  /// equivocation evidence in `ev` when applicable). `advanced` (optional)
-  /// reports whether the pinned count moved.
+  /// count, in pages of at most wire::kMaxDeltasPerReply, and replays it
+  /// into the local mirror. The roots are pinned only if the mirror
+  /// reproduces them bit-for-bit; otherwise the mirror is rolled back and
+  /// VerificationFailed is returned. A count below the mirror's (rollback)
+  /// and a same-count commitment with other roots are rejected too, with
+  /// equivocation evidence in `ev`. `advanced` (optional) reports whether
+  /// the pinned count moved.
   Status RefreshTrustedRoots(bool* advanced = nullptr,
                              EquivocationEvidence* ev = nullptr);
 
   /// Blind pin of whatever roots the transport claims, with no delta
-  /// audit, no signature check, and no commitment-log entry. This is the
+  /// audit, no signature check, and no accepted-commitment entry. This is the
   /// pre-hardening behavior, kept only so tests can demonstrate what it
   /// fails to detect. Never call this in production code.
   Status RefreshTrustedRootsUnaudited();
@@ -154,7 +154,6 @@ class LedgerClient {
   Status CrossCheckCommitments(const LedgerClient& other,
                                EquivocationEvidence* ev = nullptr) const;
 
-  const CommitmentLog& commitment_log() const { return log_; }
   const LedgerMirror& mirror() const { return *mirror_; }
   /// Entry i is journal i's audited delta (its committed tx-hash).
   const std::vector<JournalDelta>& accepted_deltas() const {
@@ -190,7 +189,8 @@ class LedgerClient {
 
   std::unique_ptr<LedgerMirror> mirror_;
   std::vector<JournalDelta> accepted_deltas_;
-  CommitmentLog log_;
+  /// Every commitment that advanced the audited count, oldest first.
+  std::vector<SignedCommitment> accepted_commitments_;
 };
 
 }  // namespace ledgerdb

@@ -4,8 +4,8 @@
 
 namespace ledgerdb {
 
-CcMpt::CcMpt(NodeStore* store, TimAccumulator* ledger_accum)
-    : mpt_(store), mpt_root_(Mpt::EmptyRoot()), ledger_accum_(ledger_accum) {}
+CcMpt::CcMpt(TimAccumulator* ledger_accum)
+    : mpt_(&store_), mpt_root_(Mpt::EmptyRoot()), ledger_accum_(ledger_accum) {}
 
 Bytes CcMpt::EncodeCounter(uint64_t count) {
   Bytes out;

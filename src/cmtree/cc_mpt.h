@@ -39,7 +39,11 @@ class CcMpt {
  public:
   /// `ledger_accum` is the ledger-wide accumulator shared with the rest of
   /// the system; not owned.
-  CcMpt(NodeStore* store, TimAccumulator* ledger_accum);
+  explicit CcMpt(TimAccumulator* ledger_accum);
+
+  /// Not copyable: the trie points into the node store the baseline owns.
+  CcMpt(const CcMpt&) = delete;
+  CcMpt& operator=(const CcMpt&) = delete;
 
   /// Records that the journal at `jsn` (already appended to the ledger
   /// accumulator) belongs to `clue`. Write-optimized: one counter bump, no
@@ -62,6 +66,7 @@ class CcMpt {
  private:
   static Bytes EncodeCounter(uint64_t count);
 
+  NodeStore store_;
   Mpt mpt_;
   Digest mpt_root_;
   TimAccumulator* ledger_accum_;

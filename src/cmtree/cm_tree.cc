@@ -22,8 +22,7 @@ bool ClueProof::Deserialize(Slice raw, ClueProof* out) {
   return r.AtEnd();
 }
 
-CmTree::CmTree(NodeStore* store)
-    : store_(store), mpt_(store), mpt_root_(Mpt::EmptyRoot()) {}
+CmTree::CmTree() : mpt_(&store_), mpt_root_(Mpt::EmptyRoot()) {}
 
 Bytes CmTree::EncodeClueValue(uint64_t count, const Digest& accum_root) {
   Bytes out;
@@ -94,7 +93,7 @@ bool CmTree::VerifyClueProof(const Digest& trusted_root,
 Status CmTree::Compact(size_t* reclaimed) {
   std::unordered_set<Digest, DigestHasher> live;
   LEDGERDB_RETURN_IF_ERROR(mpt_.CollectReachable(mpt_root_, &live));
-  size_t removed = store_->Sweep(live);
+  size_t removed = store_.Sweep(live);
   if (reclaimed != nullptr) *reclaimed = removed;
   return Status::OK();
 }
@@ -120,7 +119,7 @@ Status CmTree::SerializeTo(Bytes* out) const {
   PutU64(out, keys.size());
   for (const Digest& key : keys) {
     Bytes node;
-    LEDGERDB_RETURN_IF_ERROR(store_->Get(key, &node));
+    LEDGERDB_RETURN_IF_ERROR(store_.Get(key, &node));
     PutLengthPrefixed(out, node);
   }
   return Status::OK();
@@ -153,7 +152,7 @@ Status CmTree::RestoreFrom(Slice raw) {
     if (!r.ok()) return Status::Corruption("cmtree snapshot: node");
     // Content addresses are re-derived, never read from the snapshot: a
     // node that doesn't hash to its own key cannot enter the store.
-    LEDGERDB_RETURN_IF_ERROR(store_->Put(Sha256::Hash(node), node));
+    store_.Put(Sha256::Hash(node), node);
   }
   if (!r.AtEnd()) return Status::Corruption("cmtree snapshot: trailing bytes");
   mpt_root_ = root;

@@ -40,7 +40,11 @@ struct ClueProof {
 /// independent of total ledger size — the property Figure 9 measures.
 class CmTree {
  public:
-  explicit CmTree(NodeStore* store);
+  CmTree();
+
+  /// Not copyable: the trie points into the node store the tree owns.
+  CmTree(const CmTree&) = delete;
+  CmTree& operator=(const CmTree&) = delete;
 
   /// Appends a journal digest under `clue`; `entry_index` receives the
   /// entry's index inside the clue (its clue version).
@@ -94,7 +98,7 @@ class CmTree {
   /// MPT leaf value: [u64 entry_count][32-byte accumulator root].
   static Bytes EncodeClueValue(uint64_t count, const Digest& accum_root);
 
-  NodeStore* store_;
+  NodeStore store_;
   Mpt mpt_;
   Digest mpt_root_;
   std::unordered_map<std::string, ShrubsAccumulator> accumulators_;

@@ -217,9 +217,8 @@ Ledger::Ledger(std::string uri, const LedgerOptions& options, Clock* clock,
       proof_cache_(options.enable_proof_cache ? std::make_unique<ProofCache>(
                                                     options.proof_cache_bytes)
                                               : nullptr),
-      fam_(options.fractal_height),
-      cmtree_(&cmtree_store_) {
-  if (proof_cache_ != nullptr) fam_.SetProofCache(proof_cache_.get());
+      core_(options.fractal_height) {
+  if (proof_cache_ != nullptr) core_.fam().SetProofCache(proof_cache_.get());
   // Genesis journal, authored by the LSP. A persist failure here poisons
   // the ledger (init_status()); the partial on-disk image recovers to an
   // explicit error rather than a ledger missing its genesis.
@@ -240,9 +239,8 @@ Ledger::Ledger(RecoveryTag, std::string uri, const LedgerOptions& options,
       proof_cache_(options.enable_proof_cache ? std::make_unique<ProofCache>(
                                                     options.proof_cache_bytes)
                                               : nullptr),
-      fam_(options.fractal_height),
-      cmtree_(&cmtree_store_) {
-  if (proof_cache_ != nullptr) fam_.SetProofCache(proof_cache_.get());
+      core_(options.fractal_height) {
+  if (proof_cache_ != nullptr) core_.fam().SetProofCache(proof_cache_.get());
 }
 
 Status Ledger::CommitRun(std::span<Journal* const> run, Status* seal_status) {
@@ -283,20 +281,15 @@ Status Ledger::CommitRun(std::span<Journal* const> run, Status* seal_status) {
 Status Ledger::ApplyCommitted(Journal journal) {
   const uint64_t jsn = journals_.size();
   JournalDelta delta{journal.TxHash(), journal.payload_digest, journal.clues};
-  Accumulate(delta);
+  // The bookkeeping follows the fam count even if a clue transition
+  // fails, so the error is returned after it.
+  Status applied = core_.Apply(delta);
   IndexRecord(std::move(delta), std::move(journal));
+  LEDGERDB_RETURN_IF_ERROR(applied);
   if (recovering_) return Status::OK();
   pending_block_.push_back(jsn);
   if (pending_block_.size() < options_.block_capacity) return Status::OK();
   return SealBlock();
-}
-
-void Ledger::Accumulate(const JournalDelta& delta) {
-  fam_.Append(delta.tx_hash);
-  for (const std::string& clue : delta.clues) {
-    cmtree_.Append(clue, delta.tx_hash, nullptr);
-    world_state_.Put(clue, delta.payload_digest.ToBytes());
-  }
 }
 
 void Ledger::IndexRecord(JournalDelta delta, std::optional<Journal> journal,
@@ -548,9 +541,9 @@ Status Ledger::SealBlock() {
   header.timestamp = clock_->Now();
   header.prev_block_hash = blocks_.empty() ? Digest() : blocks_.back().Hash();
   header.tx_root = TxTreeRoot(tx_hashes);
-  header.fam_root = fam_.Root();
-  header.clue_root = cmtree_.Root();
-  header.state_root = world_state_.Root();
+  header.fam_root = core_.fam_root();
+  header.clue_root = core_.clue_root();
+  header.state_root = core_.state_root();
   // Persist before publishing. A failed header write keeps the journals in
   // pending_block_; recovery simply sees them as not-yet-sealed.
   if (storage_.enabled()) {
@@ -592,9 +585,9 @@ Status Ledger::GetReceipt(uint64_t jsn, Receipt* receipt) {
 Status Ledger::GetCommitment(SignedCommitment* out) const {
   out->ledger_uri = uri_;
   out->journal_count = NumJournals();
-  out->fam_root = fam_.Root();
-  out->clue_root = cmtree_.Root();
-  out->state_root = world_state_.Root();
+  out->fam_root = core_.fam_root();
+  out->clue_root = core_.clue_root();
+  out->state_root = core_.state_root();
   out->timestamp = clock_->Now();
   out->lsp_sig = lsp_key_.Sign(out->MessageHash());
   return Status::OK();
@@ -646,17 +639,17 @@ Status Ledger::ListTx(const std::string& clue,
 
 Status Ledger::GetProof(uint64_t jsn, FamProof* proof) const {
   LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
-  return fam_.GetProof(jsn, proof);
+  return core_.fam().GetProof(jsn, proof);
 }
 
 Status Ledger::GetProofAnchored(uint64_t jsn, const TrustedAnchor& anchor,
                                 FamProof* proof) const {
   LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
-  return fam_.GetProofAnchored(jsn, anchor, proof);
+  return core_.fam().GetProofAnchored(jsn, anchor, proof);
 }
 
 Status Ledger::MakeAnchor(TrustedAnchor* anchor) const {
-  return fam_.MakeAnchor(anchor);
+  return core_.fam().MakeAnchor(anchor);
 }
 
 bool Ledger::VerifyJournalProof(const Journal& journal, const FamProof& proof,
@@ -669,13 +662,13 @@ Status Ledger::GetClueProof(const std::string& clue, uint64_t begin,
                             uint64_t end, ClueProof* proof) const {
   LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
   if (proof_cache_ == nullptr) {
-    return cmtree_.GetClueProof(clue, begin, end, proof);
+    return core_.cmtree().GetClueProof(clue, begin, end, proof);
   }
   // The MptProof component binds to the global CM-Tree1 root, so the blob
   // stamp must be the whole clue root: any clue changing invalidates it.
   // `end == 0` ("latest") is safe under the same stamp — this clue can only
   // grow by moving the global root.
-  Digest stamp = cmtree_.Root();
+  Digest stamp = core_.clue_root();
   std::string key = "clue|" + clue + "|" + std::to_string(begin) + "|" +
                     std::to_string(end);
   std::shared_ptr<const void> hit;
@@ -683,7 +676,7 @@ Status Ledger::GetClueProof(const std::string& clue, uint64_t begin,
     *proof = *static_cast<const ClueProof*>(hit.get());
     return Status::OK();
   }
-  LEDGERDB_RETURN_IF_ERROR(cmtree_.GetClueProof(clue, begin, end, proof));
+  LEDGERDB_RETURN_IF_ERROR(core_.cmtree().GetClueProof(clue, begin, end, proof));
   auto kept = std::make_shared<const ClueProof>(*proof);
   proof_cache_->InsertObject(key, stamp, std::move(kept),
                              ApproxProofBytes(*proof));
@@ -695,7 +688,7 @@ Status Ledger::GetProofBatch(const std::vector<uint64_t>& jsns,
   LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
   LEDGERDB_OBS_OBSERVE(obs::names::kLedgerBatchProofJournalsCount,
                        jsns.size());
-  if (proof_cache_ == nullptr) return fam_.GetBatchProof(jsns, proof);
+  if (proof_cache_ == nullptr) return core_.fam().GetBatchProof(jsns, proof);
   // Memoize the whole batch proof. The proof is a pure function of the
   // fam tree state and the (sorted, deduplicated) jsn set, and the fam
   // root commits to that state, so stamping with the root makes a hit
@@ -712,13 +705,13 @@ Status Ledger::GetProofBatch(const std::vector<uint64_t>& jsns,
       key.push_back(static_cast<char>((jsn >> (8 * b)) & 0xff));
     }
   }
-  Digest stamp = fam_.Root();
+  Digest stamp = core_.fam_root();
   std::shared_ptr<const void> hit;
   if (proof_cache_->LookupObject(key, stamp, &hit)) {
     *proof = *static_cast<const FamBatchProof*>(hit.get());
     return Status::OK();
   }
-  LEDGERDB_RETURN_IF_ERROR(fam_.GetBatchProof(canon, proof));
+  LEDGERDB_RETURN_IF_ERROR(core_.fam().GetBatchProof(canon, proof));
   auto kept = std::make_shared<const FamBatchProof>(*proof);
   proof_cache_->InsertObject(key, stamp, std::move(kept),
                              ApproxProofBytes(*proof));
@@ -767,7 +760,7 @@ Status Ledger::ProveClueRangeWire(const std::string& clue, Timestamp from,
   // empty range) are never memoized.
   std::string key = "range|" + clue + "|" + std::to_string(from) + "|" +
                     std::to_string(to);
-  Digest stamp = fam_.Root();
+  Digest stamp = core_.fam_root();
   if (proof_cache_->LookupBlob(key, stamp, wire)) return Status::OK();
   ClueRangeResult result;
   LEDGERDB_RETURN_IF_ERROR(ProveClueRange(clue, from, to, &result));
@@ -869,9 +862,9 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
   // in the pseudo genesis).
   Bytes snapshot = StringToBytes("pseudo-genesis");
   PutU64(&snapshot, purge_before_jsn);
-  PutDigest(&snapshot, fam_.Root());
-  PutDigest(&snapshot, cmtree_.Root());
-  PutDigest(&snapshot, world_state_.Root());
+  PutDigest(&snapshot, core_.fam_root());
+  PutDigest(&snapshot, core_.clue_root());
+  PutDigest(&snapshot, core_.state_root());
   uint64_t pg_jsn = 0;
   LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPseudoGenesis, {},
                                           std::move(snapshot), {}, &pg_jsn));
@@ -913,7 +906,8 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
   if (options_.prune_fam_on_purge && purge_before_jsn > 0) {
     // Drop fam interiors for epochs wholly before the purge point; the
     // epoch containing the boundary stays intact.
-    fam_.PruneSealedEpochsBefore(fam_.EpochOfJournal(purge_before_jsn - 1));
+    FamAccumulator& fam = core_.fam();
+    fam.PruneSealedEpochsBefore(fam.EpochOfJournal(purge_before_jsn - 1));
     // Pruning narrows proof availability without moving the fam root, so
     // root-stamped whole-proof memos could otherwise resurrect proofs the
     // uncached path now refuses to build. Drop them all; purge is rare.
@@ -1172,7 +1166,7 @@ Status Ledger::ReplayRecord(uint64_t index, const Bytes& raw) {
                                               &journal, &tombstone));
   if (!journal.has_value()) {
     // Digest-only replay of a purged journal.
-    Accumulate(tombstone);
+    LEDGERDB_RETURN_IF_ERROR(core_.Apply(tombstone));
     IndexRecord(std::move(tombstone), std::nullopt);
     return Status::OK();
   }
@@ -1252,7 +1246,7 @@ Status Ledger::FinishRecovery(uint64_t n) {
   }
 
   // Restore sealed blocks and cross-check them against the recovered
-  // accumulator state. Checking fam_.RootAtJournalCount at EVERY block
+  // accumulator state. Checking the fam root at EVERY block
   // boundary also binds a checkpoint-adopted fam tree to the commitment
   // chain journal by journal — a snapshot that replays to different
   // per-block roots cannot pass.
@@ -1274,7 +1268,7 @@ Status Ledger::FinishRecovery(uint64_t n) {
       return Status::Corruption("block covers unknown journals");
     }
     Digest fam_at_block;
-    LEDGERDB_RETURN_IF_ERROR(fam_.RootAtJournalCount(
+    LEDGERDB_RETURN_IF_ERROR(core_.RootAtJournalCount(
         header.first_jsn + header.journal_count, &fam_at_block));
     if (!(fam_at_block == header.fam_root)) {
       return Status::Corruption("recovered fam root mismatch at block " +
@@ -1371,30 +1365,11 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
     }
   }
 
-  // (4) Adopt the hash structures. Every DeserializeFrom/RestoreFrom
-  // validates shape invariants, re-derives MPT content addresses and
-  // cross-checks leaf coherence, so only an internally consistent image
-  // can load at all.
-  if (!FamAccumulator::DeserializeFrom(sections[kCkptSectionFam], &fam_)) {
-    return Status::Corruption("checkpoint: fam section invalid");
-  }
-  if (fam_.size() != manifest.watermark) {
-    return Status::Corruption("checkpoint: fam journal count != watermark");
-  }
-  LEDGERDB_RETURN_IF_ERROR(cmtree_.RestoreFrom(sections[kCkptSectionCmTree]));
-  LEDGERDB_RETURN_IF_ERROR(
-      world_state_.RestoreFrom(sections[kCkptSectionWorldState]));
-  // (5) The restored roots must equal the signed commitment — the check
-  // that makes adopting serialized hash structures as safe as recomputing
-  // them: a structure that doesn't re-derive to the committed roots is
-  // rejected wholesale.
-  if (fam_.Root() != manifest.fam_root ||
-      cmtree_.Root() != manifest.clue_root ||
-      world_state_.Root() != manifest.state_root) {
-    return Status::Corruption("checkpoint: restored roots != manifest roots");
-  }
+  // (4) Adopt the hash structures; the core accepts only an internally
+  // consistent image whose roots equal the manifest's signed roots.
+  LEDGERDB_RETURN_IF_ERROR(core_.RestoreCheckpointSections(sections, manifest));
 
-  // (6) Reconcile every covered journal record against the live stream
+  // (5) Reconcile every covered journal record against the live stream
   // without reading it: the stream's per-frame CRC (validated against the
   // actual bytes when the stream opened, held in memory since) is compared
   // to the CRC the checkpoint recorded at write time. Equal CRCs mean the
@@ -1448,7 +1423,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
     return Status::Corruption("checkpoint: purge boundary regression");
   }
 
-  // (7) Tail replay: only the journals past the watermark pay full
+  // (6) Tail replay: only the journals past the watermark pay full
   // validation + accumulator appends.
   for (uint64_t i = manifest.watermark; i < n; ++i) {
     Bytes raw;
@@ -1457,7 +1432,7 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   }
 
 
-  // (8) Shared tail: self-heal + block chain restore, which cross-checks
+  // (7) Shared tail: self-heal + block chain restore, which cross-checks
   // the (adopted) fam against every block header.
   LEDGERDB_RETURN_IF_ERROR(FinishRecovery(n));
   if (manifest.block_height > blocks_.size() ||
@@ -1594,24 +1569,10 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
     }
     CheckpointAppendSection(&snapshot, kCkptSectionTxHashes, hashes);
   }
-  {
-    Bytes fam;
-    fam_.SerializeTo(&fam);
-    CheckpointAppendSection(&snapshot, kCkptSectionFam, fam);
-  }
-  {
-    Bytes cm;
-    Status serialize = cmtree_.SerializeTo(&cm);
-    if (!serialize.ok()) {
-      LEDGERDB_OBS_COUNT(obs::names::kCkptWriteFailuresTotal);
-      return serialize;
-    }
-    CheckpointAppendSection(&snapshot, kCkptSectionCmTree, cm);
-  }
-  {
-    Bytes ws;
-    world_state_.SerializeTo(&ws);
-    CheckpointAppendSection(&snapshot, kCkptSectionWorldState, ws);
+  Status sections = core_.AppendCheckpointSections(&snapshot);
+  if (!sections.ok()) {
+    LEDGERDB_OBS_COUNT(obs::names::kCkptWriteFailuresTotal);
+    return sections;
   }
 
   CheckpointManifest manifest;
@@ -1619,9 +1580,9 @@ Status Ledger::WriteCheckpoint(uint32_t* slot_out) {
   manifest.watermark = watermark;
   manifest.block_height = height;
   manifest.boundary_block_hash = blocks_.back().Hash();
-  manifest.fam_root = fam_.Root();
-  manifest.clue_root = cmtree_.Root();
-  manifest.state_root = world_state_.Root();
+  manifest.fam_root = core_.fam_root();
+  manifest.clue_root = core_.clue_root();
+  manifest.state_root = core_.state_root();
   manifest.fractal_height = static_cast<uint32_t>(options_.fractal_height);
   manifest.block_capacity = options_.block_capacity;
   manifest.timestamp = clock_->Now();

@@ -15,13 +15,13 @@
 #include "common/status.h"
 #include "ledger/block.h"
 #include "ledger/journal.h"
+#include "ledger/ledger_mirror.h"
 #include "ledger/members.h"
 #include "ledger/receipt.h"
 #include "ledger/world_state.h"
 #include "storage/bitmap_index.h"
 #include "storage/checkpoint.h"
 #include "storage/clue_skiplist.h"
-#include "storage/node_store.h"
 #include "storage/stream_store.h"
 #include "timestamp/t_ledger.h"
 #include "timestamp/tsa.h"
@@ -308,14 +308,14 @@ class Ledger {
   // what verification
   // -------------------------------------------------------------------
 
-  Digest FamRoot() const { return fam_.Root(); }
+  Digest FamRoot() const { return core_.fam_root(); }
 
   /// Historical fam commitment after exactly `count` journals (audit use).
   Status FamRootAtCount(uint64_t count, Digest* out) const {
-    return fam_.RootAtJournalCount(count, out);
+    return core_.RootAtJournalCount(count, out);
   }
-  Digest ClueRoot() const { return cmtree_.Root(); }
-  Digest StateRoot() const { return world_state_.Root(); }
+  Digest ClueRoot() const { return core_.clue_root(); }
+  Digest StateRoot() const { return core_.state_root(); }
 
   /// fam existence proof for `jsn` against the current fam root.
   Status GetProof(uint64_t jsn, FamProof* proof) const;
@@ -371,7 +371,7 @@ class Ledger {
   }
 
   /// World-state access (single-layer state accumulator, Figure 2).
-  const WorldState& world_state() const { return world_state_; }
+  const WorldState& world_state() const { return core_.world_state(); }
 
   // -------------------------------------------------------------------
   // when verification
@@ -441,7 +441,7 @@ class Ledger {
   /// Idle-time CM-Tree1 compaction: reclaims copy-on-write snapshot nodes
   /// unreachable from the current clue root.
   Status CompactClueTree(size_t* reclaimed) {
-    return cmtree_.Compact(reclaimed);
+    return core_.cmtree().Compact(reclaimed);
   }
 
   /// Number of journals occulted but not yet physically erased.
@@ -478,12 +478,9 @@ class Ledger {
   Status CommitRun(std::span<Journal* const> run, Status* seal_status);
 
   /// In-memory half of a commit: threads an already-persisted journal
-  /// through the accumulators and ledger bookkeeping and, outside
+  /// through the commitment core and ledger bookkeeping and, outside
   /// recovery, seals the block when it reaches its capacity.
   Status ApplyCommitted(Journal journal);
-
-  /// Accumulator transitions of one record: fam, CM-Tree and world state.
-  void Accumulate(const JournalDelta& delta);
 
   /// Ledger bookkeeping of the record at jsn NumJournals(): clue index,
   /// delta log, dedup, server-ts high-water mark, the journal slot
@@ -558,15 +555,14 @@ class Ledger {
   Status init_status_;
 
   std::vector<std::optional<Journal>> journals_;
-  /// Memoized proof plane (null when disabled). Declared before fam_ so it
-  /// outlives the accumulator holding a raw pointer to it. Sealed-epoch
-  /// entries are managed by fam_; serialized ClueProof blobs are stamped
-  /// with the clue root and garbage-collected at seal time.
+  /// Memoized proof plane (null when disabled). Declared before core_ so
+  /// it outlives the fam accumulator holding a raw pointer to it.
+  /// Sealed-epoch entries are managed by the fam; serialized ClueProof
+  /// blobs are stamped with the clue root and garbage-collected at seal
+  /// time.
   std::unique_ptr<ProofCache> proof_cache_;
-  FamAccumulator fam_;
-  MemoryNodeStore cmtree_store_;
-  CmTree cmtree_;
-  WorldState world_state_;
+  /// fam, CM-Tree and world state: every root this ledger signs.
+  LedgerMirror core_;
   ClueSkipList clue_index_;
 
   std::vector<BlockHeader> blocks_;

@@ -107,7 +107,6 @@ size_t CommonPrefix(const uint8_t* a, size_t an, const uint8_t* b, size_t bn) {
 Digest Mpt::WriteNode(const Bytes& serialized) {
   Digest h = Sha256::Hash(serialized);
   store_->Put(h, Slice(serialized));
-  ++nodes_written_;
   return h;
 }
 

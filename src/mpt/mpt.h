@@ -59,9 +59,6 @@ class Mpt {
   static bool VerifyProof(const Digest& trusted_root, const Digest& key,
                           Slice expected_value, const MptProof& proof);
 
-  /// Statistics: number of nodes written since construction.
-  uint64_t NodesWritten() const { return nodes_written_; }
-
   /// Marks every node reachable from `root` into `live` (snapshot
   /// retention set for garbage collection). Roots whose nodes were
   /// already collected are cheap to re-mark (set dedup).
@@ -80,7 +77,6 @@ class Mpt {
   Digest WriteNode(const Bytes& serialized);
 
   NodeStore* store_;
-  uint64_t nodes_written_ = 0;
 };
 
 /// Expands a 32-byte key into 64 nibbles (high nibble first).

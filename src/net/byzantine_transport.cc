@@ -1,5 +1,7 @@
 #include "net/byzantine_transport.h"
 
+#include <algorithm>
+
 #include "net/wire.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -299,11 +301,13 @@ Status ByzantineTransport::GetCommitment(SignedCommitment* out) {
     // self-consistent with what GetDelta serves this client.
     SignedCommitment honest;
     LEDGERDB_RETURN_IF_ERROR(inner_->GetCommitment(&honest));
-    if (honest.journal_count > fork_mirror_->journal_count()) {
+    while (honest.journal_count > fork_mirror_->journal_count()) {
+      const uint64_t base = fork_mirror_->journal_count();
       std::vector<JournalDelta> deltas;
       LEDGERDB_RETURN_IF_ERROR(inner_->GetDelta(
-          fork_mirror_->journal_count(), honest.journal_count, &deltas));
-      uint64_t base = fork_mirror_->journal_count();
+          base, std::min(honest.journal_count, base + wire::kMaxDeltasPerReply),
+          &deltas));
+      if (deltas.empty()) return Status::Corruption("empty delta page");
       for (size_t i = 0; i < deltas.size(); ++i) {
         ForkDelta(base + i, &deltas[i]);
         LEDGERDB_RETURN_IF_ERROR(fork_mirror_->Apply(deltas[i]));

@@ -8,7 +8,7 @@
 
 #include "common/clock.h"
 #include "common/random.h"
-#include "net/mirror.h"
+#include "ledger/ledger_mirror.h"
 #include "net/transport.h"
 
 namespace ledgerdb {

@@ -2,45 +2,6 @@
 
 namespace ledgerdb {
 
-Status CommitmentLog::Accept(const SignedCommitment& c,
-                             EquivocationEvidence* ev) {
-  if (c.ledger_uri != ledger_uri_) {
-    return Status::VerificationFailed("commitment for a different ledger");
-  }
-  if (!c.Verify(lsp_key_)) {
-    return Status::VerificationFailed("commitment signature invalid");
-  }
-  if (!entries_.empty()) {
-    const SignedCommitment& last = entries_.back();
-    if (c.journal_count < last.journal_count) {
-      if (ev != nullptr) {
-        ev->claimed = c;
-        ev->expected_fam_root = last.fam_root;
-        ev->at_count = c.journal_count;
-        ev->reason = "rollback: commitment count regressed";
-      }
-      return Status::VerificationFailed(
-          "commitment rolls back an accepted journal count");
-    }
-    if (c.journal_count == last.journal_count) {
-      if (!(c.fam_root == last.fam_root) || !(c.clue_root == last.clue_root) ||
-          !(c.state_root == last.state_root)) {
-        if (ev != nullptr) {
-          ev->claimed = c;
-          ev->expected_fam_root = last.fam_root;
-          ev->at_count = c.journal_count;
-          ev->reason = "two signed views at one journal count";
-        }
-        return Status::VerificationFailed(
-            "conflicting commitment at an accepted journal count");
-      }
-      return Status::OK();  // bit-identical repeat; nothing to append
-    }
-  }
-  entries_.push_back(c);
-  return Status::OK();
-}
-
 Status CrossCheckCommitment(const SignedCommitment& c,
                             const LedgerMirror& mirror,
                             EquivocationEvidence* ev) {

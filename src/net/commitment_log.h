@@ -2,10 +2,9 @@
 #define LEDGERDB_NET_COMMITMENT_LOG_H_
 
 #include <string>
-#include <vector>
 
+#include "ledger/ledger_mirror.h"
 #include "ledger/receipt.h"
-#include "net/mirror.h"
 
 namespace ledgerdb {
 
@@ -18,32 +17,6 @@ struct EquivocationEvidence {
   Digest expected_fam_root;  ///< fam root our mirror derives at that count
   uint64_t at_count = 0;     ///< journal count where the views diverge
   std::string reason;
-};
-
-/// Append-only log of LSP commitments a client has accepted. Accept()
-/// enforces the fork-consistency rules locally: the signature must verify,
-/// the uri must match, journal counts must be monotone (a lower count than
-/// one already accepted is a rollback), and a commitment at an
-/// already-accepted count must be bit-identical (two different signed
-/// views at one count is equivocation by definition). Gossip between
-/// clients (LedgerClient::CrossCheckCommitments) extends the same checks
-/// across trust domains.
-class CommitmentLog {
- public:
-  CommitmentLog(std::string ledger_uri, PublicKey lsp_key)
-      : ledger_uri_(std::move(ledger_uri)), lsp_key_(std::move(lsp_key)) {}
-
-  /// Validates and appends. VerificationFailed on a bad signature, wrong
-  /// uri, rollback, or conflicting same-count commitment (with `ev`
-  /// populated when the failure constitutes equivocation evidence).
-  Status Accept(const SignedCommitment& c, EquivocationEvidence* ev = nullptr);
-
-  const std::vector<SignedCommitment>& entries() const { return entries_; }
-
- private:
-  std::string ledger_uri_;
-  PublicKey lsp_key_;
-  std::vector<SignedCommitment> entries_;
 };
 
 /// Checks one signed commitment against an independently built mirror:

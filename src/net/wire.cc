@@ -228,11 +228,9 @@ Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas) {
 
 bool DecodeDeltas(Slice body, std::vector<JournalDelta>* deltas) {
   ByteReader r(body);
-  const uint32_t count = r.Count(UINT32_MAX);
-  deltas->clear();
-  deltas->reserve(count < 4096 ? count : 4096);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!r.Nested(&deltas->emplace_back())) return false;
+  deltas->assign(r.Count(kMaxDeltasPerReply), JournalDelta());
+  for (JournalDelta& d : *deltas) {
+    if (!r.Nested(&d)) return false;
   }
   return r.AtEnd();
 }
@@ -346,6 +344,11 @@ ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& frame) {
     case RpcOp::kGetDelta: {
       uint64_t from = 0, to = 0;
       if (!DecodeRangeRequest(body, &from, &to)) return bad_body();
+      if (to > from && to - from > kMaxDeltasPerReply) {
+        return fail(Status::InvalidArgument(
+            "GetDelta range wider than " +
+            std::to_string(kMaxDeltasPerReply) + " deltas"));
+      }
       std::vector<JournalDelta> deltas;
       Status st = ledger->GetDelta(from, to, &deltas);
       if (!st.ok()) return fail(std::move(st));

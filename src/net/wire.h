@@ -135,7 +135,15 @@ bool DecodeRangeRequest(Slice body, uint64_t* from, uint64_t* to);
 Bytes EncodeJsnList(const std::vector<uint64_t>& jsns);
 bool DecodeJsnList(Slice body, std::vector<uint64_t>* jsns);
 
-/// GetDelta response: [u32 count][lp delta]*.
+/// Most deltas one GetDelta reply carries. A one-clue delta encodes to
+/// about 84 B, so a full page of short-clue deltas is well inside a frame;
+/// the bytes of one delta still grow with its clues, so a page of deltas
+/// with very long clues can exceed a frame.
+inline constexpr uint32_t kMaxDeltasPerReply = 4096;
+
+/// GetDelta request is a range request [u64 from][u64 to) of jsns, at most
+/// kMaxDeltasPerReply wide; the response is [u32 count][lp delta]*, count
+/// at most kMaxDeltasPerReply.
 Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas);
 bool DecodeDeltas(Slice body, std::vector<JournalDelta>* deltas);
 

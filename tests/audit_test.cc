@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "audit/dasein_auditor.h"
+#include "net/byzantine_transport.h"
+#include "net/wire.h"
 
 namespace ledgerdb {
 namespace {
@@ -396,6 +398,77 @@ TEST_F(AuditTest, WorldStateUpdateProofs) {
     EXPECT_FALSE(WorldState::VerifyUpdate("acct", version, forged, proof,
                                           ledger_->StateRoot()));
   }
+}
+
+TEST_F(AuditTest, DeltaLargerThanOneFrameIsPaged) {
+  // 4800 journals under 1800-byte clues: each delta encodes to about
+  // 1.9 KB, so the full delta (about 9 MB) exceeds one 8 MiB frame while a
+  // page of wire::kMaxDeltasPerReply deltas fits. Committed through the
+  // batched path, as a bulk load would be.
+  constexpr uint64_t kJournals = 4800;
+  constexpr size_t kChunk = 256;
+  std::vector<ClientTransaction> txs(kJournals);
+  for (uint64_t i = 0; i < kJournals; ++i) {
+    ClientTransaction& tx = txs[i];
+    tx.ledger_uri = "lg://audit";
+    tx.clues = {std::string(1800, static_cast<char>('a' + i % 8))};
+    tx.payload = StringToBytes("p" + std::to_string(i));
+    tx.nonce = nonce_++;
+    tx.client_ts = clock_.Now();
+    tx.Sign(alice_);
+  }
+  for (uint64_t i = 0; i < kJournals; i += kChunk) {
+    std::vector<const ClientTransaction*> chunk;
+    for (uint64_t k = i; k < i + kChunk && k < kJournals; ++k) {
+      chunk.push_back(&txs[k]);
+    }
+    std::vector<Ledger::PrevalidatedTx> prepared(chunk.size());
+    std::vector<Status> statuses(chunk.size());
+    ledger_->PrevalidateBatch(chunk, prepared.data(), statuses.data());
+    for (const Status& st : statuses) ASSERT_TRUE(st.ok()) << st.ToString();
+    std::vector<uint64_t> jsns;
+    ASSERT_TRUE(ledger_
+                    ->CommitPrevalidatedGroup(std::move(prepared), &jsns,
+                                              &statuses)
+                    .ok());
+    for (const Status& st : statuses) ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  std::vector<JournalDelta> deltas;
+  EXPECT_TRUE(transport_->GetDelta(0, wire::kMaxDeltasPerReply + 1, &deltas)
+                  .IsInvalidArgument());
+
+  // A fresh client pins the ledger's roots from an empty mirror.
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp_key_.public_key();
+  copts.fractal_height = 4;
+  LedgerClient reader(transport_.get(), KeyPair::FromSeedString("reader"),
+                      copts);
+  bool advanced = false;
+  Status refreshed = reader.RefreshTrustedRoots(&advanced);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  EXPECT_TRUE(advanced);
+  EXPECT_EQ(reader.mirror().journal_count(), ledger_->NumJournals());
+  EXPECT_EQ(reader.mirror().fam_root(), ledger_->FamRoot());
+  EXPECT_EQ(reader.mirror().clue_root(), ledger_->ClueRoot());
+  EXPECT_EQ(reader.mirror().state_root(), ledger_->StateRoot());
+
+  // The Dasein audit refreshes from an empty mirror the same way.
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor().Audit(LatestReceipt(), {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.journals_replayed, ledger_->NumJournals());
+
+  // A forked view catches its own mirror up page by page too: it fools
+  // the client it serves, and gossip with the honest reader exposes it.
+  ByzantineTransport forked(transport_.get(), /*seed=*/1);
+  forked.EnableEquivocation(kJournals / 2, lsp_key_, /*fractal_height=*/4);
+  LedgerClient victim(&forked, KeyPair::FromSeedString("victim"), copts);
+  refreshed = victim.RefreshTrustedRoots();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  EquivocationEvidence ev;
+  EXPECT_TRUE(reader.CrossCheckCommitments(victim, &ev).IsVerificationFailed());
+  EXPECT_EQ(ev.at_count, ledger_->NumJournals());
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ class MptEdgeTest : public ::testing::Test {
     EXPECT_TRUE(Mpt::VerifyProof(root_, key, Slice(expected), proof));
   }
 
-  MemoryNodeStore store_;
+  NodeStore store_;
   Mpt mpt_{&store_};
   Digest root_ = Mpt::EmptyRoot();
 };
@@ -184,7 +184,7 @@ TEST_F(MptEdgeTest, CraftedAdversarialInsertOrderStillCanonical) {
     keys.push_back(key);
   }
   Digest root_fwd = Mpt::EmptyRoot(), root_rev = Mpt::EmptyRoot();
-  MemoryNodeStore s1, s2;
+  NodeStore s1, s2;
   Mpt m1(&s1), m2(&s2);
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_TRUE(m1.Put(root_fwd, keys[i], Slice(std::string_view("v")), &root_fwd).ok());

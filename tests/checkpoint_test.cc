@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "audit/dasein_auditor.h"
+#include "client/ledger_client.h"
 #include "ledger/ledger.h"
 #include "ledger/sharded.h"
 #include "storage/checkpoint.h"
@@ -146,9 +147,14 @@ class CheckpointTest : public ::testing::Test {
 
   Status Append(OpenedLedger* ctx, const std::string& payload,
                 const std::string& clue) {
+    return Append(ctx, payload, std::vector<std::string>{clue});
+  }
+
+  Status Append(OpenedLedger* ctx, const std::string& payload,
+                std::vector<std::string> clues) {
     ClientTransaction tx;
     tx.ledger_uri = kUri;
-    tx.clues = {clue};
+    tx.clues = std::move(clues);
     tx.payload = StringToBytes(payload);
     tx.nonce = nonce_++;
     tx.client_ts = ctx->clock->Now();
@@ -166,12 +172,37 @@ class CheckpointTest : public ::testing::Test {
     return ctx->ledger->Occult(jsn, sigs, nullptr);
   }
 
+  Status OccultByClue(OpenedLedger* ctx, const std::string& clue) {
+    Digest request = Ledger::OccultClueRequestHash(kUri, clue);
+    std::vector<Endorsement> sigs = {
+        {dba_.public_key(), dba_.Sign(request)},
+        {regulator_.public_key(), regulator_.Sign(request)}};
+    return ctx->ledger->OccultByClue(clue, sigs, nullptr, nullptr);
+  }
+
   Status Purge(OpenedLedger* ctx, uint64_t before) {
     Digest request = Ledger::PurgeRequestHash(kUri, before);
     std::vector<Endorsement> sigs = {
         {dba_.public_key(), dba_.Sign(request)},
         {alice_.public_key(), alice_.Sign(request)}};
     return ctx->ledger->Purge(before, sigs, {}, nullptr);
+  }
+
+  /// A fresh client's audited refresh replays the recovered ledger's
+  /// deltas from an empty mirror and must reproduce its signed roots.
+  void ExpectReplayReproduces(Ledger* ledger) {
+    LocalTransport transport(ledger);
+    LedgerClient::Options copts;
+    copts.lsp_key = ledger->lsp_key();
+    copts.fractal_height = options_.fractal_height;
+    LedgerClient client(&transport, KeyPair::FromSeedString("ck-reader"),
+                        copts);
+    Status s = client.RefreshTrustedRoots();
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(client.mirror().journal_count(), ledger->NumJournals());
+    EXPECT_EQ(client.mirror().fam_root(), ledger->FamRoot());
+    EXPECT_EQ(client.mirror().clue_root(), ledger->ClueRoot());
+    EXPECT_EQ(client.mirror().state_root(), ledger->StateRoot());
   }
 
   void ExpectAuditPasses(Ledger* ledger) {
@@ -254,6 +285,50 @@ TEST_F(CheckpointTest, TailReplayBitIdenticalToFullReplay) {
     EXPECT_TRUE(
         Ledger::VerifyJournalProof(journal, proof, fast.ledger->FamRoot()));
   }
+  ExpectAuditPasses(fast.ledger.get());
+}
+
+TEST_F(CheckpointTest, ReplayReproducesRecoveredLedger) {
+  // Multi-clue journals, time journals and occult-by-clue on both sides of
+  // the checkpoint, and a purge that prunes fam epochs after it (a
+  // checkpoint written after a pruning purge is not loadable, so the purge
+  // rewrites records below the watermark instead).
+  options_.prune_fam_on_purge = true;
+  MemEnv env;
+  {
+    OpenedLedger live;
+    ASSERT_TRUE(Create(&env, &live).ok());
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(Append(&live, "pre-" + std::to_string(i),
+                         {"acct-" + std::to_string(i % 3), "shared"})
+                      .ok());
+    }
+    ASSERT_TRUE(live.ledger->AnchorTime(nullptr).ok());
+    ASSERT_TRUE(OccultByClue(&live, "acct-1").ok());
+    ASSERT_TRUE(live.ledger->WriteCheckpoint(nullptr).ok());
+    ASSERT_TRUE(Purge(&live, 10).ok());
+    for (int i = 0; i < 7; ++i) {
+      ASSERT_TRUE(Append(&live, "post-" + std::to_string(i),
+                         {"acct-" + std::to_string(i % 3), "shared", "tail"})
+                      .ok());
+    }
+    ASSERT_TRUE(OccultByClue(&live, "tail").ok());
+    ASSERT_TRUE(live.ledger->AnchorTime(nullptr).ok());
+  }
+
+  OpenedLedger fast, slow;
+  Status s = Reopen(&env, /*with_checkpoints=*/true, &fast);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(fast.info.used_checkpoint);
+  EXPECT_GT(fast.info.tail_journals, 0u);
+  EXPECT_GT(fast.info.reconciled_records, 0u);
+  s = Reopen(&env, /*with_checkpoints=*/false, &slow);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_FALSE(slow.info.used_checkpoint);
+  StateFingerprint::Of(*fast.ledger).ExpectEq(StateFingerprint::Of(*slow.ledger));
+
+  ExpectReplayReproduces(slow.ledger.get());
+  ExpectReplayReproduces(fast.ledger.get());
   ExpectAuditPasses(fast.ledger.get());
 }
 

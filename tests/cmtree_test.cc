@@ -6,7 +6,6 @@
 #include "cmtree/cc_mpt.h"
 #include "cmtree/cm_tree.h"
 #include "common/random.h"
-#include "storage/node_store.h"
 
 namespace ledgerdb {
 namespace {
@@ -220,13 +219,10 @@ INSTANTIATE_TEST_SUITE_P(
 // CM-Tree
 // ---------------------------------------------------------------------------
 
-class CmTreeTest : public ::testing::Test {
- protected:
-  MemoryNodeStore store_;
-};
+class CmTreeTest : public ::testing::Test {};
 
 TEST_F(CmTreeTest, AppendAssignsClueVersions) {
-  CmTree tree(&store_);
+  CmTree tree;
   uint64_t idx;
   ASSERT_TRUE(tree.Append("DCI001", JournalDigest("a"), &idx).ok());
   EXPECT_EQ(idx, 0u);
@@ -242,7 +238,7 @@ TEST_F(CmTreeTest, AppendAssignsClueVersions) {
 TEST_F(CmTreeTest, CopyrightLineageExample) {
   // The paper's §IV-A example: an artwork with 3 lifecycle records; the
   // clue-oriented verification must validate all 3 and their count.
-  CmTree tree(&store_);
+  CmTree tree;
   std::vector<Digest> records = {JournalDigest("produced-2005"),
                                  JournalDigest("royalty-2010"),
                                  JournalDigest("transfer-2015")};
@@ -257,7 +253,7 @@ TEST_F(CmTreeTest, CopyrightLineageExample) {
 
 TEST_F(CmTreeTest, ProofRejectsMissingRecord) {
   // Completeness: claiming only 2 of the 3 records must fail.
-  CmTree tree(&store_);
+  CmTree tree;
   std::vector<Digest> records = {JournalDigest("r0"), JournalDigest("r1"),
                                  JournalDigest("r2")};
   for (const Digest& d : records) ASSERT_TRUE(tree.Append("c", d, nullptr).ok());
@@ -268,7 +264,7 @@ TEST_F(CmTreeTest, ProofRejectsMissingRecord) {
 }
 
 TEST_F(CmTreeTest, ProofRejectsForgedEntryCount) {
-  CmTree tree(&store_);
+  CmTree tree;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(tree.Append("c", JournalDigest(std::to_string(i)), nullptr).ok());
   }
@@ -280,7 +276,7 @@ TEST_F(CmTreeTest, ProofRejectsForgedEntryCount) {
 }
 
 TEST_F(CmTreeTest, RangeProofs) {
-  CmTree tree(&store_);
+  CmTree tree;
   std::vector<Digest> records;
   for (int i = 0; i < 50; ++i) {
     records.push_back(JournalDigest("rec" + std::to_string(i)));
@@ -296,7 +292,7 @@ TEST_F(CmTreeTest, RangeProofs) {
 }
 
 TEST_F(CmTreeTest, HistoricalRootsRemainVerifiable) {
-  CmTree tree(&store_);
+  CmTree tree;
   std::vector<Digest> records;
   records.push_back(JournalDigest("v0"));
   ASSERT_TRUE(tree.Append("k", records[0], nullptr).ok());
@@ -313,7 +309,7 @@ TEST_F(CmTreeTest, HistoricalRootsRemainVerifiable) {
 }
 
 TEST_F(CmTreeTest, ManyCluesIndependent) {
-  CmTree tree(&store_);
+  CmTree tree;
   Random rng(5);
   std::unordered_map<std::string, std::vector<Digest>> reference;
   for (int i = 0; i < 400; ++i) {
@@ -330,7 +326,7 @@ TEST_F(CmTreeTest, ManyCluesIndependent) {
 }
 
 TEST_F(CmTreeTest, UnknownClueAndBadRanges) {
-  CmTree tree(&store_);
+  CmTree tree;
   ASSERT_TRUE(tree.Append("c", JournalDigest("a"), nullptr).ok());
   ClueProof proof;
   EXPECT_TRUE(tree.GetClueProof("missing", 0, 0, &proof).IsNotFound());
@@ -351,9 +347,8 @@ class CcMptTest : public ::testing::Test {
     ASSERT_TRUE(ccmpt_.Append(clue, jsn).ok());
   }
 
-  MemoryNodeStore store_;
   TimAccumulator ledger_;
-  CcMpt ccmpt_{&store_, &ledger_};
+  CcMpt ccmpt_{&ledger_};
   std::unordered_map<std::string, std::vector<Digest>> digests_;
 };
 
@@ -405,8 +400,7 @@ TEST_F(CcMptTest, RejectsUnknownJsn) {
 TEST_F(CcMptTest, CmTreeProofCheaperThanCcMptForLargeLedger) {
   // Figure 9's mechanism: ccMPT proof cost grows with total ledger size,
   // CM-Tree's does not.
-  MemoryNodeStore cm_store;
-  CmTree cmtree(&cm_store);
+  CmTree cmtree;
   // Bulk ledger traffic unrelated to the clue.
   for (int i = 0; i < 4096; ++i) ledger_.Append(JournalDigest("bulk" + std::to_string(i)));
   for (int i = 0; i < 10; ++i) {

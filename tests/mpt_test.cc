@@ -15,7 +15,7 @@ Bytes ValueOf(const std::string& v) { return StringToBytes(v); }
 
 class MptTest : public ::testing::Test {
  protected:
-  MemoryNodeStore store_;
+  NodeStore store_;
 };
 
 TEST_F(MptTest, EmptyTrieHasNoKeys) {
@@ -178,7 +178,7 @@ TEST_F(MptTest, DeterministicRootForSameContent) {
 class MptPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MptPropertyTest, AllInsertedKeysProvable) {
-  MemoryNodeStore store;
+  NodeStore store;
   Mpt mpt(&store);
   const int n = GetParam();
   Digest root = Mpt::EmptyRoot();

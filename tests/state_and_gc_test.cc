@@ -99,7 +99,7 @@ TEST(WorldStateTest, TransitionHistoryProvesEveryVersion) {
 // ---------------------------------------------------------------------------
 
 TEST(MptGcTest, SweepReclaimsUnreachableSnapshots) {
-  MemoryNodeStore store;
+  NodeStore store;
   Mpt mpt(&store);
   Digest root = Mpt::EmptyRoot();
   std::vector<Digest> roots;
@@ -134,7 +134,7 @@ TEST(MptGcTest, SweepReclaimsUnreachableSnapshots) {
 }
 
 TEST(MptGcTest, MultiRootRetention) {
-  MemoryNodeStore store;
+  NodeStore store;
   Mpt mpt(&store);
   Digest r1 = Mpt::EmptyRoot(), r2 = Mpt::EmptyRoot();
   ASSERT_TRUE(mpt.Put(r1, Sha3_256::Hash("a"), Slice(std::string_view("1")), &r1).ok());
@@ -152,7 +152,7 @@ TEST(MptGcTest, MultiRootRetention) {
 }
 
 TEST(MptGcTest, CollectOnEmptyRootIsNoop) {
-  MemoryNodeStore store;
+  NodeStore store;
   Mpt mpt(&store);
   std::unordered_set<Digest, DigestHasher> live;
   ASSERT_TRUE(mpt.CollectReachable(Mpt::EmptyRoot(), &live).ok());

@@ -380,10 +380,10 @@ TEST(Crc32Test, KnownVector) {
 // ---------------------------------------------------------------------------
 
 TEST(MemoryNodeStoreTest, PutGetRoundTrip) {
-  MemoryNodeStore store;
+  NodeStore store;
   Digest key = Sha256::Hash(std::string_view("node-1"));
   Bytes value = StringToBytes("serialized-node");
-  ASSERT_TRUE(store.Put(key, Slice(value)).ok());
+  store.Put(key, Slice(value));
   EXPECT_TRUE(store.Contains(key));
   Bytes out;
   ASSERT_TRUE(store.Get(key, &out).ok());
@@ -392,16 +392,16 @@ TEST(MemoryNodeStoreTest, PutGetRoundTrip) {
 }
 
 TEST(MemoryNodeStoreTest, GetMissingIsNotFound) {
-  MemoryNodeStore store;
+  NodeStore store;
   Bytes out;
   EXPECT_TRUE(store.Get(Sha256::Hash(std::string_view("missing")), &out).IsNotFound());
 }
 
 TEST(MemoryNodeStoreTest, PutIsIdempotent) {
-  MemoryNodeStore store;
+  NodeStore store;
   Digest key = Sha256::Hash(std::string_view("k"));
-  ASSERT_TRUE(store.Put(key, Slice(std::string_view("v"))).ok());
-  ASSERT_TRUE(store.Put(key, Slice(std::string_view("v"))).ok());
+  store.Put(key, Slice(std::string_view("v")));
+  store.Put(key, Slice(std::string_view("v")));
   EXPECT_EQ(store.Size(), 1u);
 }
 
