@@ -134,6 +134,29 @@ struct DaseinAuditor::Sweep {
   std::map<std::string, uint64_t> occulted_clues;
   std::vector<Journal> claims;  ///< journals served as occulted
   std::set<Bytes> finalizations;  ///< TSA finalizations already verified
+
+  /// The first NotFound or occult claim no verified mutation journal
+  /// backs, or "" when every claim is backed.
+  std::string Unbacked() const {
+    // A journal may be missing only where a verified purge erased it, and
+    // served as occulted only where a verified occult journal hid it.
+    if (missing_end > purged_before) {
+      return "journal " + std::to_string(missing_end - 1) +
+             " missing above the verified purge boundary";
+    }
+    for (const Journal& claim : claims) {
+      bool covered = occulted.count(claim.jsn) > 0;
+      for (const std::string& clue : claim.clues) {
+        auto it = occulted_clues.find(clue);
+        covered |= it != occulted_clues.end() && it->second > claim.jsn;
+      }
+      if (!covered) {
+        return "journal " + std::to_string(claim.jsn) +
+               " served as occulted with no occult journal";
+      }
+    }
+    return "";
+  }
 };
 
 Status DaseinAuditor::VerifyChunk(const std::vector<Journal>& journals,
@@ -314,39 +337,40 @@ Status DaseinAuditor::Run(const AuditOptions& window, const Receipt& receipt,
     return st.ok() ? st : Fail(report, st.message());
   };
   Sweep sweep;
-  std::vector<Journal> chunk;
-  for (uint64_t jsn = 0; jsn < committed.size(); ++jsn) {
-    Journal journal;
-    s = fetch(jsn, &journal);
-    if (s.IsNotFound()) {
-      sweep.missing_end = jsn + 1;
-    } else {
-      LEDGERDB_RETURN_IF_ERROR(s);
-      chunk.push_back(std::move(journal));
+  // Sweeps the pinned journals from `begin` on, in chunks.
+  auto sweep_from = [&](uint64_t begin) {
+    std::vector<Journal> chunk;
+    for (uint64_t jsn = begin; jsn < committed.size(); ++jsn) {
+      Journal journal;
+      Status st = fetch(jsn, &journal);
+      if (st.IsNotFound()) {
+        sweep.missing_end = jsn + 1;
+      } else {
+        LEDGERDB_RETURN_IF_ERROR(st);
+        chunk.push_back(std::move(journal));
+      }
+      if (chunk.size() == kChunk || jsn + 1 == committed.size()) {
+        LEDGERDB_RETURN_IF_ERROR(
+            VerifyChunk(chunk, window, pinned.mirror(), &sweep, report));
+        chunk.clear();
+      }
     }
-    if (chunk.size() == kChunk || jsn + 1 == committed.size()) {
-      LEDGERDB_RETURN_IF_ERROR(
-          VerifyChunk(chunk, window, pinned.mirror(), &sweep, report));
-      chunk.clear();
-    }
+    return Status::OK();
+  };
+  LEDGERDB_RETURN_IF_ERROR(sweep_from(0));
+  std::string unbacked = sweep.Unbacked();
+  if (!unbacked.empty()) {
+    // The mutation journal may have landed past the pin: advance it once
+    // through the same audited refresh, incremental from the mirror, and
+    // sweep only the journals it adds.
+    const uint64_t pinned_count = committed.size();
+    s = pinned.RefreshTrustedRoots();
+    if (s.IsVerificationFailed()) return Fail(report, s.message());
+    LEDGERDB_RETURN_IF_ERROR(s);
+    LEDGERDB_RETURN_IF_ERROR(sweep_from(pinned_count));
+    unbacked = sweep.Unbacked();
   }
-  // A journal may be missing only where a verified purge erased it, and
-  // served as occulted only where a verified occult journal hid it.
-  if (sweep.missing_end > sweep.purged_before) {
-    return Fail(report, "journal " + std::to_string(sweep.missing_end - 1) +
-                            " missing above the verified purge boundary");
-  }
-  for (const Journal& claim : sweep.claims) {
-    bool covered = sweep.occulted.count(claim.jsn) > 0;
-    for (const std::string& clue : claim.clues) {
-      auto it = sweep.occulted_clues.find(clue);
-      covered |= it != sweep.occulted_clues.end() && it->second > claim.jsn;
-    }
-    if (!covered) {
-      return Fail(report, "journal " + std::to_string(claim.jsn) +
-                              " served as occulted with no occult journal");
-    }
-  }
+  if (!unbacked.empty()) return Fail(report, unbacked);
 
   std::vector<BlockHeader> headers, reply;
   do {

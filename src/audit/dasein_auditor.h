@@ -80,8 +80,11 @@ class DaseinAuditor {
   struct Sweep;
 
   /// Pins the roots, sweeps every journal once, then checks the header
-  /// chain against the replay and `receipt`. `window` narrows the
-  /// counted and time-checked journals, never the binding.
+  /// chain against the replay and `receipt`. A purge or occult committed
+  /// after the pin shows as a claim no swept journal backs, so an
+  /// unbacked claim advances the pin once and sweeps the new journals
+  /// before the claims are judged. `window` narrows the counted and
+  /// time-checked journals, never the binding.
   Status Run(const AuditOptions& window, const Receipt& receipt,
              AuditReport* report) const;
   /// who / when / mutation checks of one chunk of fetched journals.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "net/wire.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
@@ -97,20 +96,8 @@ Status LedgerClient::RefreshTrustedRoots(bool* advanced,
     // roots when replayed over our own accumulators. It is fetched in
     // pages, each of which must hold exactly the deltas it asked for.
     std::vector<JournalDelta> delta;
-    for (uint64_t from = have; from < c.journal_count;) {
-      const uint64_t to =
-          std::min(c.journal_count, from + wire::kMaxDeltasPerReply);
-      std::vector<JournalDelta> page;
-      LEDGERDB_RETURN_IF_ERROR(RetryTransient(options_.retry, [&] {
-        return transport_->GetDelta(from, to, &page);
-      }));
-      if (page.size() != to - from) {
-        return Status::VerificationFailed(
-            "journal delta does not cover the committed range");
-      }
-      std::move(page.begin(), page.end(), std::back_inserter(delta));
-      from = to;
-    }
+    LEDGERDB_RETURN_IF_ERROR(
+        ReadDeltas(transport_, options_.retry, have, c.journal_count, &delta));
     Status applied = Status::OK();
     for (const JournalDelta& d : delta) {
       applied = mirror_->Apply(d);

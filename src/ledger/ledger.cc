@@ -285,6 +285,7 @@ Status Ledger::ApplyCommitted(Journal journal) {
   // fails, so the error is returned after it.
   Status applied = core_.Apply(delta);
   IndexRecord(std::move(delta), std::move(journal));
+  ApplyJournalEffects(*journals_[jsn]);
   LEDGERDB_RETURN_IF_ERROR(applied);
   if (recovering_) return Status::OK();
   pending_block_.push_back(jsn);
@@ -311,8 +312,12 @@ void Ledger::IndexRecord(JournalDelta delta, std::optional<Journal> journal,
     // Keeps the monotone-stamp high-water mark in sync on recovery,
     // where journals arrive with their recorded timestamps.
     last_server_ts_ = std::max(last_server_ts_, journal->server_ts);
-    // Recovered records carry their occult flag (both occult forms).
-    if (journal->occulted) occult_bitmap_.Set(jsn);
+    // Recovered records carry their occult flag (both occult forms); the
+    // settle step checks whether their payload still awaits erasure.
+    if (journal->occulted) {
+      occult_bitmap_.Set(jsn);
+      unsettled_occult_.push_back(jsn);
+    }
   }
   journals_.push_back(std::move(journal));
   jsn_to_block_.push_back(kUnsealedBlock);
@@ -792,12 +797,8 @@ Status Ledger::AnchorTime(uint64_t* time_jsn) {
     // time journal below.
     evidence.attestation = direct_tsa_->Endorse(evidence.ledger_digest);
   }
-  uint64_t jsn = 0;
-  LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kTime, {},
-                                          evidence.Serialize(), {}, &jsn));
-  time_journals_.push_back({jsn, evidence});
-  if (time_jsn != nullptr) *time_jsn = jsn;
-  return Status::OK();
+  return AppendInternal(JournalType::kTime, {}, evidence.Serialize(), {},
+                        time_jsn);
 }
 
 // ---------------------------------------------------------------------------
@@ -857,6 +858,12 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
           "purge requires signatures from all affected members");
     }
   }
+  for (uint64_t jsn : survivors) {
+    if (jsn < purged_boundary_ || jsn >= purge_before_jsn ||
+        !journals_[jsn].has_value()) {
+      return Status::InvalidArgument("survivor outside purge range");
+    }
+  }
 
   // Snapshot states at the purge point (clue and membership status live on
   // in the pseudo genesis).
@@ -865,56 +872,34 @@ Status Ledger::Purge(uint64_t purge_before_jsn,
   PutDigest(&snapshot, core_.fam_root());
   PutDigest(&snapshot, core_.clue_root());
   PutDigest(&snapshot, core_.state_root());
+  const uint64_t first = journals_.size();
   uint64_t pg_jsn = 0;
-  LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPseudoGenesis, {},
-                                          std::move(snapshot), {}, &pg_jsn));
+  Status status = AppendInternal(JournalType::kPseudoGenesis, {},
+                                 std::move(snapshot), {}, &pg_jsn);
+  if (journals_.size() == first) return status;
 
   // The purge journal, doubly linked with the pseudo genesis for mutual
-  // proving and fast locating.
+  // proving and fast locating. Once it is durable its effects hold, even
+  // if the block seal after it failed.
   MutationPayload purge;
   purge.form = MutationPayload::Form::kPurge;
   purge.jsn = purge_before_jsn;
   purge.pseudo_genesis_jsn = pg_jsn;
   uint64_t pj = 0;
-  LEDGERDB_RETURN_IF_ERROR(AppendInternal(JournalType::kPurge, {},
-                                          purge.Encode(), endorsements, &pj));
+  Status purged =
+      AppendInternal(JournalType::kPurge, {}, purge.Encode(), endorsements, &pj);
+  if (status.ok()) status = purged;
+  if (journals_.size() == first + 1) return status;
 
-  // Copy milestone journals into the survival stream before erasure.
+  // Copy milestone journals into the survival stream before the settle
+  // step tombstones them.
   for (uint64_t jsn : survivors) {
-    if (jsn < purged_boundary_ || jsn >= purge_before_jsn ||
-        !journals_[jsn].has_value()) {
-      return Status::InvalidArgument("survivor outside purge range");
-    }
     uint64_t index;
     survival_stream_.Append(Slice(journals_[jsn]->Serialize()), &index);
   }
-
-  // Erase the journal entries. The fam tree is retained in full: only
-  // digests, no raw payloads, so its space cost is acceptable and every
-  // surviving proof still verifies. On disk, each record is replaced by a
-  // digest-only tombstone. The purge journal above is already durable, so
-  // a crash mid-loop is self-healing: recovery replays the boundary and
-  // finishes tombstoning the stragglers.
-  for (uint64_t jsn = purged_boundary_; jsn < purge_before_jsn; ++jsn) {
-    if (journals_[jsn].has_value()) {
-      LEDGERDB_RETURN_IF_ERROR(PersistTombstone(jsn, *journals_[jsn]));
-    }
-    journals_[jsn].reset();
-  }
-  purged_boundary_ = purge_before_jsn;
-  pseudo_genesis_jsns_.push_back(pg_jsn);
-  if (options_.prune_fam_on_purge && purge_before_jsn > 0) {
-    // Drop fam interiors for epochs wholly before the purge point; the
-    // epoch containing the boundary stays intact.
-    FamAccumulator& fam = core_.fam();
-    fam.PruneSealedEpochsBefore(fam.EpochOfJournal(purge_before_jsn - 1));
-    // Pruning narrows proof availability without moving the fam root, so
-    // root-stamped whole-proof memos could otherwise resurrect proofs the
-    // uncached path now refuses to build. Drop them all; purge is rare.
-    if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-  }
+  Status settled = SettleJournalEffects();
   if (purge_jsn != nullptr) *purge_jsn = pj;
-  return Status::OK();
+  return status.ok() ? settled : status;
 }
 
 // ---------------------------------------------------------------------------
@@ -948,32 +933,25 @@ Status Ledger::Occult(uint64_t jsn, const std::vector<Endorsement>& endorsements
         "occult requires DBA and regulator signatures");
   }
 
-  // The occult journal commits first: a crash before the flag flip below
-  // leaves it for recovery to replay, where the reverse order could leave
-  // a journal hidden that no occult journal authorizes.
+  // The occult journal commits first: its effects hide the journal, and
+  // the settle step then erases the payload or queues it. A crash in
+  // between leaves the journal for recovery to replay, where the reverse
+  // order could leave a journal hidden that no occult journal authorizes.
   MutationPayload occult;
   occult.form = MutationPayload::Form::kOccult;
   occult.jsn = jsn;
-  const size_t before = journals_.size();
-  Status appended = AppendInternal(JournalType::kOccult, {}, occult.Encode(),
-                                   endorsements, occult_jsn);
-  if (journals_.size() == before) return appended;
+  return CommitOccult(occult, endorsements, occult_jsn);
+}
 
-  // Set the occult bit, then erase synchronously or defer to the
-  // reorganization utility. Occulting changes what reads return, so
-  // root-stamped response memos must go too — a stale wire memo would
-  // leak the occulted payload.
-  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-  occult_bitmap_.Set(jsn);
-  journals_[jsn]->occulted = true;
-  if (options_.sync_occult_erasure) {
-    LEDGERDB_RETURN_IF_ERROR(ErasePayload(jsn));
-  } else {
-    // Flag flip reaches disk before the erasure does.
-    LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
-    pending_occult_.push_back(jsn);
-  }
-  return appended;
+Status Ledger::CommitOccult(const MutationPayload& occult,
+                            const std::vector<Endorsement>& endorsements,
+                            uint64_t* occult_jsn) {
+  const size_t before = journals_.size();
+  Status status = AppendInternal(JournalType::kOccult, {}, occult.Encode(),
+                                 endorsements, occult_jsn);
+  if (journals_.size() == before) return status;
+  Status settled = SettleJournalEffects();
+  return status.ok() ? settled : status;
 }
 
 Digest Ledger::OccultClueRequestHash(const std::string& uri,
@@ -1007,37 +985,17 @@ Status Ledger::OccultByClue(const std::string& clue,
         "occult requires DBA and regulator signatures");
   }
 
-  // The clue journal commits first, as in the single-journal form, so a
-  // crash before the flag flips below leaves it for recovery to replay.
-  // Its payload carries the count, so the hidden postings are chosen first.
-  std::vector<uint64_t> hidden;
-  for (uint64_t jsn : *postings) {
-    if (OccultableByClue(jsn)) hidden.push_back(jsn);
-  }
-  if (occulted_count != nullptr) *occulted_count = hidden.size();
+  // The clue journal commits first, as in the single-journal form. Its
+  // payload carries the count of the postings its effects will hide.
+  const size_t hidden = static_cast<size_t>(
+      std::count_if(postings->begin(), postings->end(),
+                    [&](uint64_t jsn) { return OccultableByClue(jsn); }));
+  if (occulted_count != nullptr) *occulted_count = hidden;
   MutationPayload occult;
   occult.form = MutationPayload::Form::kOccultClue;
   occult.clue = clue;
-  occult.occulted_count = hidden.size();
-  const size_t before = journals_.size();
-  Status appended = AppendInternal(JournalType::kOccult, {}, occult.Encode(),
-                                   endorsements, occult_jsn);
-  if (journals_.size() == before) return appended;
-
-  // Same memo-privacy rule as the single-journal form: occulted payloads
-  // must not survive in root-stamped response memos.
-  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
-  for (uint64_t jsn : hidden) {
-    occult_bitmap_.Set(jsn);
-    journals_[jsn]->occulted = true;
-    if (options_.sync_occult_erasure) {
-      LEDGERDB_RETURN_IF_ERROR(ErasePayload(jsn));
-    } else {
-      LEDGERDB_RETURN_IF_ERROR(PersistRewrite(jsn));
-      pending_occult_.push_back(jsn);
-    }
-  }
-  return appended;
+  occult.occulted_count = hidden;
+  return CommitOccult(occult, endorsements, occult_jsn);
 }
 
 bool Ledger::OccultableByClue(uint64_t jsn) const {
@@ -1124,12 +1082,14 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
     case JournalType::kOccult: {
       MutationPayload occult;
       if (!MutationPayload::Decode(journal.payload, &occult)) break;
+      auto hide = [&](uint64_t jsn) {
+        occult_bitmap_.Set(jsn);
+        if (journals_[jsn].has_value()) journals_[jsn]->occulted = true;
+        unsettled_occult_.push_back(jsn);
+      };
       if (occult.form == MutationPayload::Form::kOccult &&
           occult.jsn < occult_bitmap_.size()) {
-        occult_bitmap_.Set(occult.jsn);
-        if (journals_[occult.jsn].has_value()) {
-          journals_[occult.jsn]->occulted = true;
-        }
+        hide(occult.jsn);
       } else if (occult.form == MutationPayload::Form::kOccultClue) {
         // The clue form hides the postings below its own jsn that were
         // still visible when it committed.
@@ -1137,9 +1097,7 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
         for (size_t i = 0; postings != nullptr && i < postings->size(); ++i) {
           const uint64_t jsn = (*postings)[i];
           if (jsn >= journal.jsn) break;
-          if (!OccultableByClue(jsn)) continue;
-          occult_bitmap_.Set(jsn);
-          journals_[jsn]->occulted = true;
+          if (OccultableByClue(jsn)) hide(jsn);
         }
       }
       break;
@@ -1159,6 +1117,74 @@ void Ledger::ApplyJournalEffects(const Journal& journal) {
   }
 }
 
+Status Ledger::SettleJournalEffects() {
+  if (settled_boundary_ == purged_boundary_ && unsettled_occult_.empty()) {
+    return Status::OK();
+  }
+  // Every step runs even if a write fails, so memory always holds what
+  // the committed journals say; the first write failure is returned, and
+  // recovery settles the record again from its stream.
+  Status status;
+  auto keep_first = [&](Status s) {
+    if (status.ok()) status = std::move(s);
+  };
+  if (settled_boundary_ < purged_boundary_) {
+    // Tombstone the newly purged range. A purged journal drops its nonce
+    // bookkeeping and occult bit with its record, exactly as replaying
+    // its tombstone would: the dedup horizon ends at the purge boundary.
+    for (uint64_t jsn = settled_boundary_; jsn < purged_boundary_; ++jsn) {
+      occult_bitmap_.Clear(jsn);
+      std::optional<Journal>& slot = journals_[jsn];
+      if (!slot.has_value()) continue;
+      keep_first(PersistTombstone(jsn, *slot));
+      if (slot->client_key.valid()) {
+        auto it = dedup_.find(slot->client_key.Id().ToHex());
+        if (it != dedup_.end()) {
+          auto nit = it->second.find(slot->nonce);
+          if (nit != it->second.end() && nit->second.jsn == jsn) {
+            it->second.erase(nit);
+            if (it->second.empty()) dedup_.erase(it);
+          }
+        }
+      }
+      slot.reset();
+    }
+    settled_boundary_ = purged_boundary_;
+    auto purged = [&](uint64_t jsn) { return jsn < purged_boundary_; };
+    std::erase_if(pending_occult_, purged);
+    std::erase_if(time_journals_,
+                  [&](const TimeJournalInfo& t) { return purged(t.jsn); });
+    if (options_.prune_fam_on_purge) {
+      // Drop fam interiors for epochs wholly before the purge point; the
+      // epoch containing the boundary stays intact.
+      FamAccumulator& fam = core_.fam();
+      fam.PruneSealedEpochsBefore(fam.EpochOfJournal(purged_boundary_ - 1));
+    }
+  }
+  // Occulted payloads still on record: erase now, or flag them on disk
+  // and queue them for the reorganization utility.
+  std::sort(unsettled_occult_.begin(), unsettled_occult_.end());
+  unsettled_occult_.erase(
+      std::unique(unsettled_occult_.begin(), unsettled_occult_.end()),
+      unsettled_occult_.end());
+  for (uint64_t jsn : unsettled_occult_) {
+    if (!journals_[jsn].has_value() || journals_[jsn]->payload.empty()) {
+      continue;
+    }
+    if (options_.sync_occult_erasure) {
+      keep_first(ErasePayload(jsn));
+    } else {
+      keep_first(PersistRewrite(jsn));
+      pending_occult_.push_back(jsn);
+    }
+  }
+  unsettled_occult_.clear();
+  // Root-stamped memos must never serve an occulted payload or a pruned
+  // proof, and pruning alone does not move the roots: drop them all.
+  if (proof_cache_ != nullptr) proof_cache_->DropBlobs();
+  return status;
+}
+
 Status Ledger::ReplayRecord(uint64_t index, const Bytes& raw) {
   std::optional<Journal> journal;
   JournalDelta tombstone;
@@ -1170,9 +1196,7 @@ Status Ledger::ReplayRecord(uint64_t index, const Bytes& raw) {
     IndexRecord(std::move(tombstone), std::nullopt);
     return Status::OK();
   }
-  LEDGERDB_RETURN_IF_ERROR(ApplyCommitted(std::move(*journal)));
-  ApplyJournalEffects(*journals_[index]);
-  return Status::OK();
+  return ApplyCommitted(std::move(*journal));
 }
 
 Status Ledger::RestoreIndexedRecord(uint64_t index, Slice raw,
@@ -1208,43 +1232,6 @@ Status Ledger::RestoreIndexedRecord(uint64_t index, Slice raw,
 }
 
 Status Ledger::FinishRecovery(uint64_t n) {
-  // Self-heal interrupted mutations now that the replayed purge boundary
-  // and occult bits are known.
-  //
-  // (a) A crash between the purge journal's append and the tombstone loop
-  //     leaves journals below the boundary untombstoned: finish the job.
-  for (uint64_t jsn = 0; jsn < purged_boundary_; ++jsn) {
-    if (!journals_[jsn].has_value()) continue;
-    LEDGERDB_RETURN_IF_ERROR(PersistTombstone(jsn, *journals_[jsn]));
-    // Drop the nonce bookkeeping with the record, exactly as replaying
-    // the tombstone would have: a purged journal must not pin its
-    // client's nonce (the dedup horizon ends at the purge boundary).
-    if (journals_[jsn]->client_key.valid()) {
-      auto it = dedup_.find(journals_[jsn]->client_key.Id().ToHex());
-      if (it != dedup_.end()) {
-        auto nit = it->second.find(journals_[jsn]->nonce);
-        if (nit != it->second.end() && nit->second.jsn == jsn) {
-          it->second.erase(nit);
-          if (it->second.empty()) dedup_.erase(it);
-        }
-      }
-    }
-    journals_[jsn].reset();
-  }
-  // (b) An occulted journal whose payload is still on disk was cut off
-  //     before its physical erasure: erase now (synchronous mode) or
-  //     re-queue it for the reorganization utility.
-  for (uint64_t jsn = purged_boundary_; jsn < n; ++jsn) {
-    if (!journals_[jsn].has_value()) continue;
-    if (!occult_bitmap_.Get(jsn)) continue;
-    if (journals_[jsn]->payload.empty()) continue;
-    if (options_.sync_occult_erasure) {
-      LEDGERDB_RETURN_IF_ERROR(ErasePayload(jsn));
-    } else {
-      pending_occult_.push_back(jsn);
-    }
-  }
-
   // Restore sealed blocks and cross-check them against the recovered
   // accumulator state. Checking the fam root at EVERY block
   // boundary also binds a checkpoint-adopted fam tree to the commitment
@@ -1286,6 +1273,10 @@ Status Ledger::FinishRecovery(uint64_t n) {
     pending_block_.push_back(jsn);
   }
 
+  // The replayed mutations' physical follow-up, the same settle step a
+  // live mutation runs. It comes after the cross-check: a pruned epoch
+  // cannot answer RootAtJournalCount.
+  LEDGERDB_RETURN_IF_ERROR(SettleJournalEffects());
   recovering_ = false;
 
   // A crash can land between a full block's journals reaching disk and
@@ -1432,8 +1423,8 @@ Status Ledger::RecoverFromCheckpoint(const CheckpointManifest& manifest,
   }
 
 
-  // (7) Shared tail: self-heal + block chain restore, which cross-checks
-  // the (adopted) fam against every block header.
+  // (7) Shared tail: block chain restore, which cross-checks the
+  // (adopted) fam against every block header, then the settle step.
   LEDGERDB_RETURN_IF_ERROR(FinishRecovery(n));
   if (manifest.block_height > blocks_.size() ||
       blocks_[manifest.block_height - 1].Hash() !=

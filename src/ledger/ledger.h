@@ -40,9 +40,10 @@ struct LedgerOptions {
   bool sync_occult_erasure = false;
   /// Purge fam-erasure option (§III-A2): when true, purging also drops the
   /// interior fam nodes of epochs that lie entirely before the purge point
-  /// (proofs there become unavailable; the trusted anchor covers them).
-  /// When false the fam tree is retained in full — "its space consumption
-  /// is acceptable (we only need digest but not raw payload)".
+  /// (proofs there become unavailable; the trusted anchor covers them),
+  /// live and again after a restart. When false the fam tree is retained
+  /// in full — "its space consumption is acceptable (we only need digest
+  /// but not raw payload)".
   bool prune_fam_on_purge = false;
   /// Memoized proof cache for sealed fam subtrees and serialized clue
   /// proofs. Purely a read-path accelerator: it never changes any digest,
@@ -162,10 +163,8 @@ class Ledger {
   /// purge boundaries, occult bits, time journals and sealed blocks, and
   /// cross-checks the recovered fam roots against every stored block
   /// header — returning Corruption if the streams were tampered with.
-  /// Self-heals interrupted mutations: journals below a replayed purge
-  /// boundary that were never tombstoned are tombstoned now, and occulted
-  /// journals whose physical erasure was cut short are erased (or
-  /// re-queued for ReorganizeOcculted, per LedgerOptions).
+  /// Then runs the live mutations' settle step, which also finishes any
+  /// tombstoning, occult erasure or fam pruning a crash cut short.
   /// When `storage.checkpoints` is set, recovery is snapshot-first: the
   /// newest valid checkpoint whose manifest passes the LSP signature and
   /// SHA binding is loaded, every adopted journal record is byte-compared
@@ -389,7 +388,8 @@ class Ledger {
   void AttachTsaPool(TsaPool* pool) { tsa_pool_ = pool; }
 
   /// Pegs the current fam root to the attached notary and records a time
-  /// journal. Returns the time journal's jsn.
+  /// journal. Returns the time journal's jsn; as for Append, a block seal
+  /// failure after the journal committed is returned with `*time_jsn` set.
   Status AnchorTime(uint64_t* time_jsn);
 
   // -------------------------------------------------------------------
@@ -407,10 +407,13 @@ class Ledger {
   /// Purge (§III-A2): erases journals [PurgedBoundary(), purge_before_jsn),
   /// except `survivors` which are copied to the survival stream. Requires
   /// Prerequisite 1: endorsements over PurgeRequestHash from a DBA and
-  /// every member owning a journal in the purged range. Records a purge
-  /// journal doubly linked with a fresh pseudo-genesis journal; the fam
-  /// tree is retained in full (digest-only, §III-A2's "erasure not
-  /// allowed" option).
+  /// every member owning a journal in the purged range. Every input is
+  /// validated before anything commits. Records a purge journal doubly
+  /// linked with a fresh pseudo-genesis journal; without
+  /// `prune_fam_on_purge` the fam tree is retained in full (digest-only,
+  /// §III-A2's "erasure not allowed" option). Once the purge journal is
+  /// durable its effects hold; a block seal failure after it is returned,
+  /// as for Append.
   Status Purge(uint64_t purge_before_jsn,
                const std::vector<Endorsement>& endorsements,
                const std::vector<uint64_t>& survivors, uint64_t* purge_jsn);
@@ -477,9 +480,10 @@ class Ledger {
   /// `seal_status` (the journals stay queued for the next seal).
   Status CommitRun(std::span<Journal* const> run, Status* seal_status);
 
-  /// In-memory half of a commit: threads an already-persisted journal
-  /// through the commitment core and ledger bookkeeping and, outside
-  /// recovery, seals the block when it reaches its capacity.
+  /// In-memory half of a commit, live or replayed: threads an
+  /// already-persisted journal through the commitment core, ledger
+  /// bookkeeping and ApplyJournalEffects and, outside recovery, seals the
+  /// block when it reaches its capacity.
   Status ApplyCommitted(Journal journal);
 
   /// Ledger bookkeeping of the record at jsn NumJournals(): clue index,
@@ -489,10 +493,27 @@ class Ledger {
   void IndexRecord(JournalDelta delta, std::optional<Journal> journal,
                    KeyIdMemo* key_ids = nullptr);
 
-  /// Tracks ledger-level side effects of special journal types (purge
-  /// boundaries, occult bits, time evidence). Used by both the live
-  /// mutation paths and recovery replay.
+  /// The one place a committed journal's in-memory effects are applied:
+  /// purge boundary, pseudo-genesis list, occult bit and flag (both
+  /// forms) and time journals. ApplyCommitted calls it for every journal,
+  /// live or replayed, and the checkpoint restore for every record it
+  /// indexes. What still needs a physical follow-up is marked for
+  /// SettleJournalEffects.
   void ApplyJournalEffects(const Journal& journal);
+
+  /// The physical follow-up of the marked effects, run by the live
+  /// mutations and once by recovery: tombstones the new purge range
+  /// (with its dedup entries and occult bits), erases or queues the marked
+  /// occulted payloads, prunes fam epochs per `prune_fam_on_purge` and
+  /// drops the proof cache's blobs. Returns the first write failure after
+  /// applying every step in memory.
+  Status SettleJournalEffects();
+
+  /// Commits an occult journal of either form and, once it is durable,
+  /// settles its effects. A seal failure after the journal is returned.
+  Status CommitOccult(const MutationPayload& occult,
+                      const std::vector<Endorsement>& endorsements,
+                      uint64_t* occult_jsn);
 
   /// Full-validation replay of one stream record during recovery: decodes
   /// journal or tombstone, checks payload digest and ordering, and threads
@@ -514,9 +535,9 @@ class Ledger {
                               const Digest& tx_hash, KeyIdMemo* key_ids,
                               bool trusted);
 
-  /// Shared recovery tail: self-heals interrupted mutations, restores and
-  /// cross-checks sealed blocks, queues the unsealed suffix and re-seals
-  /// any full boundary. `n` is the journal stream count.
+  /// Shared recovery tail: restores and cross-checks sealed blocks, queues
+  /// the unsealed suffix, settles the replayed effects and re-seals any
+  /// full boundary. `n` is the journal stream count.
   Status FinishRecovery(uint64_t n);
 
   /// Attempts recovery from one checkpoint candidate onto this (fresh,
@@ -575,6 +596,9 @@ class Ledger {
   std::vector<TimeJournalInfo> time_journals_;
 
   uint64_t purged_boundary_ = 0;
+  /// Journals below it are tombstoned; it trails purged_boundary_ only
+  /// until SettleJournalEffects runs.
+  uint64_t settled_boundary_ = 0;
   std::vector<uint64_t> pseudo_genesis_jsns_;
   /// High-water mark for server timestamps. Stamping clamps against it so
   /// server_ts is non-decreasing in jsn order even if the wall clock steps
@@ -585,14 +609,17 @@ class Ledger {
   Timestamp last_server_ts_ = 0;
   MemoryStreamStore survival_stream_;
   std::vector<uint64_t> pending_occult_;
+  /// Occulted jsns whose payload the next SettleJournalEffects erases or
+  /// queues (an already-erased payload is skipped there).
+  std::vector<uint64_t> unsettled_occult_;
   BitmapIndex occult_bitmap_;
 
   /// Append idempotency: (signer id, nonce) -> original commit. A retried
   /// submission with the same request hash returns the original jsn; a
   /// *different* transaction reusing a nonce is rejected (AlreadyExists).
-  /// Rebuilt from the journal stream on recovery; entries for purged
-  /// journals are lost with their tombstones, so the dedup horizon ends at
-  /// the purge boundary. Mutated only on the committer thread.
+  /// Rebuilt from the journal stream on recovery; the settle step drops
+  /// purged journals' entries, so the dedup horizon ends at the purge
+  /// boundary. Mutated only on the committer thread.
   struct DedupEntry {
     uint64_t jsn;
     Digest request_hash;

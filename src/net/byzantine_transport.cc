@@ -301,13 +301,11 @@ Status ByzantineTransport::GetCommitment(SignedCommitment* out) {
     // self-consistent with what GetDelta serves this client.
     SignedCommitment honest;
     LEDGERDB_RETURN_IF_ERROR(inner_->GetCommitment(&honest));
-    while (honest.journal_count > fork_mirror_->journal_count()) {
-      const uint64_t base = fork_mirror_->journal_count();
+    const uint64_t base = fork_mirror_->journal_count();
+    if (honest.journal_count > base) {
       std::vector<JournalDelta> deltas;
-      LEDGERDB_RETURN_IF_ERROR(inner_->GetDelta(
-          base, std::min(honest.journal_count, base + wire::kMaxDeltasPerReply),
-          &deltas));
-      if (deltas.empty()) return Status::Corruption("empty delta page");
+      LEDGERDB_RETURN_IF_ERROR(ReadDeltas(inner_, RetryPolicy(), base,
+                                          honest.journal_count, &deltas));
       for (size_t i = 0; i < deltas.size(); ++i) {
         ForkDelta(base + i, &deltas[i]);
         LEDGERDB_RETURN_IF_ERROR(fork_mirror_->Apply(deltas[i]));

@@ -1,5 +1,8 @@
 #include "net/transport.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "net/wire.h"
 
 namespace ledgerdb {
@@ -28,6 +31,30 @@ bool Reframe(const Bytes& payload, Bytes* out) {
 }
 
 }  // namespace
+
+Status ReadDeltas(LedgerTransport* transport, const RetryPolicy& retry,
+                  uint64_t from, uint64_t to, std::vector<JournalDelta>* out) {
+  out->clear();
+  uint64_t span = wire::kMaxDeltasPerReply;
+  while (from < to) {
+    const uint64_t end = std::min(to, from + span);
+    std::vector<JournalDelta> page;
+    Status st = RetryTransient(
+        retry, [&] { return transport->GetDelta(from, end, &page); });
+    if (st.IsOutOfRange() && end - from > 1) {
+      span = (end - from) / 2;
+      continue;
+    }
+    LEDGERDB_RETURN_IF_ERROR(st);
+    if (page.size() != end - from) {
+      return Status::VerificationFailed(
+          "journal delta does not cover the committed range");
+    }
+    std::move(page.begin(), page.end(), std::back_inserter(*out));
+    from = end;
+  }
+  return Status::OK();
+}
 
 const char* RpcOpName(RpcOp op) {
   switch (op) {

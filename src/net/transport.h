@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/retry.h"
 #include "common/status.h"
 #include "ledger/ledger.h"
 
@@ -86,6 +87,14 @@ class LedgerTransport {
  protected:
   uint64_t request_deadline_us_ = 0;
 };
+
+/// Reads the deltas [from, to) through `transport` in GetDelta pages of at
+/// most wire::kMaxDeltasPerReply, each call under RetryTransient(`retry`).
+/// A page the server refuses as larger than one frame (OutOfRange) is
+/// asked again at half its span; a refused one-delta page is returned as
+/// the error. Every page must hold exactly the deltas it asked for.
+Status ReadDeltas(LedgerTransport* transport, const RetryPolicy& retry,
+                  uint64_t from, uint64_t to, std::vector<JournalDelta>* out);
 
 /// The typed client stub: each RPC encodes its request body and decodes
 /// its response body with the net/wire.h codecs, once, over one Call()

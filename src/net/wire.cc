@@ -2,6 +2,14 @@
 
 namespace ledgerdb::wire {
 
+namespace {
+
+/// An OK response frame's bytes before its body: [u8 op][u64 request_id]
+/// [u8 code][u32 length of the empty message].
+constexpr size_t kOkResponseHeaderBytes = 1 + 8 + 1 + 4;
+
+}  // namespace
+
 bool ValidOp(uint8_t op) { return op < static_cast<uint8_t>(kNumRpcOps); }
 
 bool ValidStatusCode(uint8_t code) {
@@ -354,6 +362,13 @@ ResponseFrame Dispatch(Ledger* ledger, const RequestFrame& frame) {
       if (!st.ok()) return fail(std::move(st));
       resp = ResponseFrame::From(op, id, Status::OK());
       resp.body = EncodeDeltas(deltas);
+      // A page must fit one frame, header included; ReadDeltas asks
+      // again for half the span.
+      if (resp.body.size() > kDefaultMaxFrameBytes - kOkResponseHeaderBytes) {
+        return fail(Status::OutOfRange("GetDelta page of " +
+                                       std::to_string(deltas.size()) +
+                                       " deltas does not fit one frame"));
+      }
       return resp;
     }
     case RpcOp::kGetProofBatch: {

@@ -137,13 +137,14 @@ bool DecodeJsnList(Slice body, std::vector<uint64_t>* jsns);
 
 /// Most deltas one GetDelta reply carries. A one-clue delta encodes to
 /// about 84 B, so a full page of short-clue deltas is well inside a frame;
-/// the bytes of one delta still grow with its clues, so a page of deltas
-/// with very long clues can exceed a frame.
+/// the bytes of one delta grow with its clues, so Dispatch also refuses
+/// (OutOfRange) a page whose encoding does not fit one frame, and the
+/// client's ReadDeltas halves that page's span.
 inline constexpr uint32_t kMaxDeltasPerReply = 4096;
 
 /// GetDelta request is a range request [u64 from][u64 to) of jsns, at most
 /// kMaxDeltasPerReply wide; the response is [u32 count][lp delta]*, count
-/// at most kMaxDeltasPerReply.
+/// at most kMaxDeltasPerReply, within kDefaultMaxFrameBytes.
 Bytes EncodeDeltas(const std::vector<JournalDelta>& deltas);
 bool DecodeDeltas(Slice body, std::vector<JournalDelta>* deltas);
 

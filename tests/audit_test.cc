@@ -257,17 +257,21 @@ TEST_F(AuditTest, ReceiptNamingAnotherBlockFails) {
 }
 
 /// Runs `before_headers` once, when the auditor first asks for the block
-/// headers: what a client of a live LSP does between the auditor's pin
-/// and its header fetch.
+/// headers, and `before_journal` once, at its first journal fetch: what a
+/// live LSP does between the auditor's pin and those reads.
 struct LiveTransport : LocalTransport {
   using LocalTransport::LocalTransport;
   Status Call(RpcOp op, const Bytes& body, Bytes* resp_body) override {
     if (op == RpcOp::kGetHeaders && before_headers) {
       std::exchange(before_headers, nullptr)();
     }
+    if (op == RpcOp::kGetJournal && before_journal) {
+      std::exchange(before_journal, nullptr)();
+    }
     return LocalTransport::Call(op, body, resp_body);
   }
   std::function<void()> before_headers;
+  std::function<void()> before_journal;
 };
 
 TEST_F(AuditTest, AuditPassesWhileClientsKeepAppending) {
@@ -291,6 +295,52 @@ TEST_F(AuditTest, AuditPassesWhileClientsKeepAppending) {
   EXPECT_FALSE(live_ptr->before_headers);
   EXPECT_EQ(report.journals_replayed, receipt.jsn + 2);
   EXPECT_EQ(report.blocks_verified, ledger_->blocks().size() - 1);
+}
+
+TEST_F(AuditTest, AuditPassesWhenAnOccultLandsAfterThePin) {
+  // The occult journal commits past the pinned count, so the sweep sees
+  // a journal served as occulted before any occult journal backs it; one
+  // advance of the pin brings the occult journal into the audit.
+  for (int i = 0; i < 6; ++i) Append(alice_, "p" + std::to_string(i));
+  Receipt receipt = LatestReceipt();
+  auto live = std::make_unique<LiveTransport>(ledger_.get());
+  live->before_journal = [&] {
+    Digest request = Ledger::OccultRequestHash("lg://audit", 2);
+    ASSERT_TRUE(ledger_
+                    ->Occult(2,
+                             {Endorse(dba_, request),
+                              Endorse(regulator_, request)},
+                             nullptr)
+                    .ok());
+  };
+  transport_ = std::move(live);
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor().Audit(receipt, {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.occult_journals, 1u);
+  EXPECT_EQ(report.journals_replayed, ledger_->NumJournals());
+}
+
+TEST_F(AuditTest, AuditPassesWhenAPurgeLandsAfterThePin) {
+  // Journals below the purge point answer NotFound before the purge
+  // journal that erased them is pinned; one advance brings it in.
+  for (int i = 0; i < 8; ++i) Append(alice_, "p" + std::to_string(i));
+  Receipt receipt = LatestReceipt();
+  auto live = std::make_unique<LiveTransport>(ledger_.get());
+  live->before_journal = [&] {
+    Digest request = Ledger::PurgeRequestHash("lg://audit", 5);
+    ASSERT_TRUE(ledger_
+                    ->Purge(5, {Endorse(dba_, request), Endorse(alice_, request)},
+                            {}, nullptr)
+                    .ok());
+  };
+  transport_ = std::move(live);
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor().Audit(receipt, {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.purge_journals, 1u);
 }
 
 TEST_F(AuditTest, ReceiptForUnsealedJournalFails) {
@@ -469,6 +519,55 @@ TEST_F(AuditTest, DeltaLargerThanOneFrameIsPaged) {
   EquivocationEvidence ev;
   EXPECT_TRUE(reader.CrossCheckCommitments(victim, &ev).IsVerificationFailed());
   EXPECT_EQ(ev.at_count, ledger_->NumJournals());
+}
+
+TEST_F(AuditTest, DeltaPageLargerThanOneFrameIsSplit) {
+  // 200 journals under 64 KiB clues: their deltas encode to about 13 MB,
+  // so the server refuses a page over all of them as larger than one
+  // 8 MiB frame, and the client asks again for half the span.
+  constexpr uint64_t kJournals = 200;
+  std::vector<ClientTransaction> txs(kJournals);
+  std::vector<const ClientTransaction*> batch;
+  for (uint64_t i = 0; i < kJournals; ++i) {
+    ClientTransaction& tx = txs[i];
+    tx.ledger_uri = "lg://audit";
+    tx.clues = {std::string(64 << 10, static_cast<char>('a' + i % 8))};
+    tx.payload = StringToBytes("p" + std::to_string(i));
+    tx.nonce = nonce_++;
+    tx.client_ts = clock_.Now();
+    tx.Sign(alice_);
+    batch.push_back(&tx);
+  }
+  std::vector<Ledger::PrevalidatedTx> prepared(kJournals);
+  std::vector<Status> statuses(kJournals);
+  ledger_->PrevalidateBatch(batch, prepared.data(), statuses.data());
+  for (const Status& st : statuses) ASSERT_TRUE(st.ok()) << st.ToString();
+  std::vector<uint64_t> jsns;
+  ASSERT_TRUE(
+      ledger_->CommitPrevalidatedGroup(std::move(prepared), &jsns, &statuses)
+          .ok());
+  for (const Status& st : statuses) ASSERT_TRUE(st.ok()) << st.ToString();
+  std::vector<JournalDelta> deltas;
+  EXPECT_TRUE(transport_->GetDelta(0, ledger_->NumJournals(), &deltas)
+                  .IsOutOfRange());
+
+  LedgerClient::Options copts;
+  copts.lsp_key = lsp_key_.public_key();
+  copts.fractal_height = 4;
+  LedgerClient reader(transport_.get(), KeyPair::FromSeedString("reader"),
+                      copts);
+  Status refreshed = reader.RefreshTrustedRoots();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  EXPECT_EQ(reader.mirror().journal_count(), ledger_->NumJournals());
+  EXPECT_EQ(reader.mirror().fam_root(), ledger_->FamRoot());
+  EXPECT_EQ(reader.mirror().clue_root(), ledger_->ClueRoot());
+  EXPECT_EQ(reader.mirror().state_root(), ledger_->StateRoot());
+
+  AuditReport report;
+  ASSERT_TRUE(MakeAuditor().Audit(LatestReceipt(), {}, &report).ok())
+      << report.failure_reason;
+  EXPECT_TRUE(report.passed);
+  EXPECT_EQ(report.journals_replayed, ledger_->NumJournals());
 }
 
 }  // namespace

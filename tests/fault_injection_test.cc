@@ -156,6 +156,15 @@ class FaultMatrixTest : public ::testing::Test {
     options_.sync_occult_erasure = true;
   }
 
+  /// The other effects mode: occult erasure deferred to the reorganize
+  /// pass, and a purge point (before 10, fractal height 3) whose pruning
+  /// drops fam epoch 0 for real.
+  void UseDeferredErasureAndPruning() {
+    options_.sync_occult_erasure = false;
+    options_.prune_fam_on_purge = true;
+    purge_point_ = 10;
+  }
+
   /// The canonical workload: signed appends across three clue lineages,
   /// a time anchor, an occult, an occult by clue, a purge, trailing
   /// appends and a seal. Runs
@@ -214,10 +223,10 @@ class FaultMatrixTest : public ::testing::Test {
     LEDGERDB_RETURN_IF_ERROR(
         ledger.OccultByClue("acct-1", csigs, nullptr, nullptr));
     snap();
-    Digest preq = Ledger::PurgeRequestHash(kUri, 4);
+    Digest preq = Ledger::PurgeRequestHash(kUri, purge_point_);
     std::vector<Endorsement> psigs = {{dba_.public_key(), dba_.Sign(preq)},
                                       {alice_.public_key(), alice_.Sign(preq)}};
-    LEDGERDB_RETURN_IF_ERROR(ledger.Purge(4, psigs, {}, nullptr));
+    LEDGERDB_RETURN_IF_ERROR(ledger.Purge(purge_point_, psigs, {}, nullptr));
     snap();
     LEDGERDB_RETURN_IF_ERROR(append("post-purge-0", "acct-0"));
     snap();
@@ -247,13 +256,37 @@ class FaultMatrixTest : public ::testing::Test {
     EXPECT_TRUE(report.passed) << report.failure_reason;
   }
 
+  /// A recovered purge with pruning on leaves fam epoch 0 pruned, as the
+  /// live purge did.
+  void ExpectPrunedIfPurged(const Ledger& ledger) {
+    if (!options_.prune_fam_on_purge ||
+        ledger.PurgedBoundary() < purge_point_) {
+      return;
+    }
+    const uint64_t epoch = uint64_t{1} << options_.fractal_height;
+    for (uint64_t jsn = 0; jsn < epoch; ++jsn) {
+      FamProof proof;
+      EXPECT_TRUE(ledger.GetProof(jsn, &proof).IsNotFound()) << "jsn " << jsn;
+    }
+  }
+
+  void CrashAtEveryFaultPoint();
+
   CertificateAuthority ca_;
   KeyPair lsp_, alice_, dba_, regulator_, tsa_key_;
   MemberRegistry registry_;
   LedgerOptions options_;
+  uint64_t purge_point_ = 4;  // at fractal height 3, prunes nothing
 };
 
-TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) {
+TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) { CrashAtEveryFaultPoint(); }
+
+TEST_F(FaultMatrixTest, CrashAtEveryFaultPointDeferredErasureAndPruning) {
+  UseDeferredErasureAndPruning();
+  CrashAtEveryFaultPoint();
+}
+
+void FaultMatrixTest::CrashAtEveryFaultPoint() {
   // Reference trajectory: roots after every workload step, keyed by
   // journal count, plus the fault-free op count.
   MemEnv ref_env;
@@ -298,6 +331,7 @@ TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) {
       ASSERT_TRUE(rs.ok()) << rs.ToString();
       EXPECT_EQ(recovered->FamRoot(), final_snapshot.fam);
       EXPECT_EQ(recovered->ClueRoot(), final_snapshot.clue);
+      ExpectPrunedIfPurged(*recovered);
       continue;
     }
 
@@ -342,6 +376,7 @@ TEST_F(FaultMatrixTest, CrashAtEveryFaultPoint) {
       EXPECT_EQ(recovered->ClueRoot(), it->second.clue);
       EXPECT_EQ(recovered->StateRoot(), it->second.state);
     }
+    ExpectPrunedIfPurged(*recovered);
     ExpectAuditPasses(recovered.get());
   }
 }

@@ -303,6 +303,232 @@ TEST_F(RecoveryTest, BoundarySealFailureKeepsJournalDurableAndRetries) {
   EXPECT_EQ(recovered->blocks()[0].Hash(), ledger.blocks()[0].Hash());
 }
 
+/// A live ledger against what full replay rebuilds from its own streams:
+/// whatever a committed journal says must hold the same way in both.
+class LiveMatchesRecoveryTest : public RecoveryTest {
+ protected:
+  void Open(const LedgerOptions& options) {
+    options_ = options;
+    journals_ = std::make_unique<MemoryStreamStore>();
+    blocks_ = std::make_unique<FailingBlockStream>();
+    ledger_ = std::make_unique<Ledger>("lg://rec", options_, &clock_, lsp_,
+                                       &registry_,
+                                       LedgerStorage{journals_.get(),
+                                                     blocks_.get()});
+    ASSERT_TRUE(ledger_->init_status().ok());
+  }
+
+  ClientTransaction MakeTx(const std::string& payload,
+                           std::vector<std::string> clues = {}) {
+    ClientTransaction tx;
+    tx.ledger_uri = "lg://rec";
+    tx.clues = std::move(clues);
+    tx.payload = StringToBytes(payload);
+    tx.nonce = nonce_++;
+    tx.client_ts = clock_.Now();
+    tx.Sign(alice_);
+    clock_.Advance(kMicrosPerSecond);
+    return tx;
+  }
+
+  std::vector<Endorsement> PurgeSigs(uint64_t before) {
+    Digest req = Ledger::PurgeRequestHash("lg://rec", before);
+    return {{dba_.public_key(), dba_.Sign(req)},
+            {alice_.public_key(), alice_.Sign(req)}};
+  }
+
+  std::vector<Endorsement> OccultSigs(const Digest& req) {
+    return {{dba_.public_key(), dba_.Sign(req)},
+            {regulator_.public_key(), regulator_.Sign(req)}};
+  }
+
+  /// Full replay over copies of the streams, so a boundary that recovery
+  /// re-seals never reaches the live ledger's block stream.
+  std::unique_ptr<Ledger> Recovered() {
+    journal_copy_ = *journals_;
+    block_copy_ = *blocks_;
+    std::unique_ptr<Ledger> recovered;
+    Status s = Ledger::Recover("lg://rec", options_, &clock_, lsp_, &registry_,
+                               {&journal_copy_, &block_copy_}, &recovered);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return recovered;
+  }
+
+  void ExpectMatchesRecovery() {
+    std::unique_ptr<Ledger> recovered = Recovered();
+    ASSERT_NE(recovered, nullptr);
+    const Ledger& live = *ledger_;
+    ASSERT_EQ(recovered->NumJournals(), live.NumJournals());
+    EXPECT_EQ(recovered->FamRoot(), live.FamRoot());
+    EXPECT_EQ(recovered->ClueRoot(), live.ClueRoot());
+    EXPECT_EQ(recovered->StateRoot(), live.StateRoot());
+    EXPECT_EQ(recovered->PurgedBoundary(), live.PurgedBoundary());
+    EXPECT_EQ(recovered->OccultedCount(), live.OccultedCount());
+    EXPECT_EQ(recovered->PendingOccultErasures(), live.PendingOccultErasures());
+    EXPECT_EQ(recovered->time_journals().size(), live.time_journals().size());
+    uint64_t live_pg = 0, recovered_pg = 0;
+    EXPECT_EQ(recovered->LatestPseudoGenesis(&recovered_pg).code(),
+              live.LatestPseudoGenesis(&live_pg).code());
+    EXPECT_EQ(recovered_pg, live_pg);
+    for (uint64_t jsn = 0; jsn < live.NumJournals(); ++jsn) {
+      SCOPED_TRACE("jsn " + std::to_string(jsn));
+      Journal live_journal, recovered_journal;
+      Status live_get = live.GetJournal(jsn, &live_journal);
+      EXPECT_EQ(recovered->GetJournal(jsn, &recovered_journal).code(),
+                live_get.code());
+      if (live_get.ok()) {
+        EXPECT_EQ(recovered_journal.Serialize(), live_journal.Serialize());
+      }
+      FamProof live_proof, recovered_proof;
+      EXPECT_EQ(recovered->GetProof(jsn, &recovered_proof).code(),
+                live.GetProof(jsn, &live_proof).code());
+    }
+  }
+
+  std::unique_ptr<MemoryStreamStore> journals_;
+  std::unique_ptr<FailingBlockStream> blocks_;
+  MemoryStreamStore journal_copy_, block_copy_;
+};
+
+TEST_F(LiveMatchesRecoveryTest, PurgeWithOutOfRangeSurvivorCommitsNothing) {
+  Open(options_);
+  uint64_t jsn = 0;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(ledger_->Append(MakeTx("p" + std::to_string(i)), &jsn).ok());
+  }
+  ASSERT_EQ(ledger_->NumJournals(), 7u);
+  EXPECT_TRUE(ledger_->Purge(4, PurgeSigs(4), {5}, nullptr).IsInvalidArgument());
+  EXPECT_EQ(ledger_->NumJournals(), 7u);
+  EXPECT_EQ(journals_->Count(), 7u);
+  ExpectMatchesRecovery();
+}
+
+TEST_F(LiveMatchesRecoveryTest, PurgeBlockSealFailureKeepsItsEffects) {
+  Open(options_);
+  uint64_t jsn = 0;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(ledger_->Append(MakeTx("p" + std::to_string(i)), &jsn).ok());
+  }
+  // Pending 4 and 5: the pseudo genesis (6) and the purge journal (7)
+  // fill the block, whose header write fails.
+  blocks_->FailNextAppend();
+  uint64_t purge_jsn = 0;
+  EXPECT_TRUE(ledger_->Purge(3, PurgeSigs(3), {}, &purge_jsn).IsIOError());
+  EXPECT_EQ(purge_jsn, 7u);
+  EXPECT_EQ(ledger_->PurgedBoundary(), 3u);
+  Journal journal;
+  EXPECT_TRUE(ledger_->GetJournal(1, &journal).IsNotFound());
+  ExpectMatchesRecovery();
+}
+
+TEST_F(LiveMatchesRecoveryTest, TimeJournalBlockSealFailureKeepsItsEffects) {
+  TsaService tsa(KeyPair::FromSeedString("rec-tsa"), &clock_);
+  Open(options_);
+  ledger_->AttachDirectTsa(&tsa);
+  uint64_t jsn = 0;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(ledger_->Append(MakeTx("p" + std::to_string(i)), &jsn).ok());
+  }
+  blocks_->FailNextAppend();
+  uint64_t time_jsn = 0;
+  EXPECT_TRUE(ledger_->AnchorTime(&time_jsn).IsIOError());
+  EXPECT_EQ(time_jsn, 7u);
+  EXPECT_EQ(ledger_->time_journals().size(), 1u);
+  ExpectMatchesRecovery();
+}
+
+TEST_F(LiveMatchesRecoveryTest, ResubmittedPurgedTransactionGetsNewJsn) {
+  Open(options_);
+  ClientTransaction tx = MakeTx("purged-then-resubmitted");
+  uint64_t jsn = 0;
+  ASSERT_TRUE(ledger_->Append(tx, &jsn).ok());
+  ASSERT_EQ(jsn, 1u);
+  ASSERT_TRUE(ledger_->Append(MakeTx("other"), &jsn).ok());
+  ASSERT_TRUE(ledger_->Purge(2, PurgeSigs(2), {}, nullptr).ok());
+  const uint64_t next = ledger_->NumJournals();
+  // The dedup horizon ends at the purge boundary on both sides.
+  std::unique_ptr<Ledger> recovered = Recovered();
+  ASSERT_NE(recovered, nullptr);
+  uint64_t recovered_jsn = 0;
+  ASSERT_TRUE(recovered->Append(tx, &recovered_jsn).ok());
+  EXPECT_EQ(recovered_jsn, next);
+  ASSERT_TRUE(ledger_->Append(tx, &jsn).ok());
+  EXPECT_EQ(jsn, next);
+  ExpectMatchesRecovery();
+}
+
+TEST_F(LiveMatchesRecoveryTest, PruningPurgeStaysPrunedAfterRestart) {
+  LedgerOptions options = options_;
+  options.prune_fam_on_purge = true;
+  Open(options);
+  uint64_t jsn = 0;
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(ledger_->Append(MakeTx("p" + std::to_string(i)), &jsn).ok());
+  }
+  // Fractal height 3: purging before 10 drops epoch 0 (jsns 0-7).
+  ASSERT_TRUE(ledger_->Purge(10, PurgeSigs(10), {}, nullptr).ok());
+  FamProof proof;
+  EXPECT_TRUE(ledger_->GetProof(3, &proof).IsNotFound());
+  EXPECT_TRUE(ledger_->GetProof(9, &proof).ok());
+  ExpectMatchesRecovery();
+}
+
+TEST_F(LiveMatchesRecoveryTest, OccultsMatchInBothErasureModes) {
+  for (bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "synchronous erasure" : "deferred erasure");
+    LedgerOptions options = options_;
+    options.sync_occult_erasure = sync;
+    Open(options);
+    uint64_t jsn = 0;
+    for (int i = 0; i < 9; ++i) {
+      ASSERT_TRUE(ledger_
+                      ->Append(MakeTx("p" + std::to_string(i),
+                                      {"c" + std::to_string(i % 3)}),
+                               &jsn)
+                      .ok());
+    }
+    ASSERT_TRUE(ledger_
+                    ->Occult(2, OccultSigs(Ledger::OccultRequestHash(
+                                    "lg://rec", 2)),
+                             nullptr)
+                    .ok());
+    size_t hidden = 0;
+    ASSERT_TRUE(ledger_
+                    ->OccultByClue("c1",
+                                   OccultSigs(Ledger::OccultClueRequestHash(
+                                       "lg://rec", "c1")),
+                                   &hidden, nullptr)
+                    .ok());
+    EXPECT_EQ(hidden, 2u);  // jsns 5 and 8; 2 is already occulted
+    EXPECT_EQ(ledger_->OccultedCount(), 3u);
+    EXPECT_EQ(ledger_->PendingOccultErasures(), sync ? 0u : 3u);
+    ExpectMatchesRecovery();
+  }
+}
+
+TEST_F(LiveMatchesRecoveryTest, PurgeOverOccultedAndTimeJournals) {
+  TsaService tsa(KeyPair::FromSeedString("rec-tsa"), &clock_);
+  Open(options_);
+  ledger_->AttachDirectTsa(&tsa);
+  uint64_t jsn = 0;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ledger_->Append(MakeTx("p" + std::to_string(i)), &jsn).ok());
+  }
+  ASSERT_TRUE(ledger_->AnchorTime(nullptr).ok());  // jsn 5
+  ASSERT_TRUE(
+      ledger_
+          ->Occult(2, OccultSigs(Ledger::OccultRequestHash("lg://rec", 2)),
+                   nullptr)
+          .ok());  // jsn 6, erasure deferred
+  // The purge erases the occulted journal, its occult journal and the
+  // time journal; none of them stays counted.
+  ASSERT_TRUE(ledger_->Purge(7, PurgeSigs(7), {}, nullptr).ok());
+  EXPECT_EQ(ledger_->OccultedCount(), 0u);
+  EXPECT_EQ(ledger_->PendingOccultErasures(), 0u);
+  EXPECT_TRUE(ledger_->time_journals().empty());
+  ExpectMatchesRecovery();
+}
+
 TEST_F(RecoveryTest, TamperedJournalStreamDetected) {
   for (int i = 0; i < 8; ++i) Append("p" + std::to_string(i));
   ledger_->SealBlock();
