@@ -1,5 +1,5 @@
 // Proof-cache benchmark: what memoizing sealed-epoch fam material and
-// root-stamped clue blobs buys on repeated / overlapping proof-plane
+// root-stamped range blobs buys on repeated / overlapping proof-plane
 // reads, against the same ledger with the cache disabled.
 //
 // Rows (cache-off baseline first, then cache-on over identical queries):

@@ -192,36 +192,9 @@ void ProofCache::InvalidateEpochsBelow(uint64_t epoch) {
 
 bool ProofCache::LookupBlob(const std::string& key, const Digest& stamp,
                             Bytes* out) {
-  std::shared_ptr<const void> value;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = blobs_.find(key);
-  if (it == blobs_.end() || !(it->second.stamp == stamp) ||
-      !it->second.is_bytes) {
-    ++misses_;
-    LEDGERDB_OBS_COUNT(obs::names::kProofCacheMissesTotal);
-    return false;
-  }
-  Touch(&it->second);
-  *out = *static_cast<const Bytes*>(it->second.value.get());
-  ++hits_;
-  LEDGERDB_OBS_COUNT(obs::names::kProofCacheHitsTotal);
-  return true;
-}
-
-void ProofCache::InsertBlob(const std::string& key, const Digest& stamp,
-                            Bytes value) {
-  size_t approx = key.size() + value.size() + 64;
-  InsertObjectImpl(key, stamp,
-                   std::make_shared<const Bytes>(std::move(value)), approx,
-                   /*is_bytes=*/true);
-}
-
-bool ProofCache::LookupObject(const std::string& key, const Digest& stamp,
-                              std::shared_ptr<const void>* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = blobs_.find(key);
-  if (it == blobs_.end() || !(it->second.stamp == stamp) ||
-      it->second.is_bytes) {
+  if (it == blobs_.end() || !(it->second.stamp == stamp)) {
     ++misses_;
     LEDGERDB_OBS_COUNT(obs::names::kProofCacheMissesTotal);
     return false;
@@ -233,22 +206,14 @@ bool ProofCache::LookupObject(const std::string& key, const Digest& stamp,
   return true;
 }
 
-void ProofCache::InsertObject(const std::string& key, const Digest& stamp,
-                              std::shared_ptr<const void> value,
-                              size_t approx_bytes) {
-  InsertObjectImpl(key, stamp, std::move(value), key.size() + approx_bytes + 64,
-                   /*is_bytes=*/false);
-}
-
-void ProofCache::InsertObjectImpl(const std::string& key, const Digest& stamp,
-                                  std::shared_ptr<const void> value,
-                                  size_t bytes, bool is_bytes) {
+void ProofCache::InsertBlob(const std::string& key, const Digest& stamp,
+                            Bytes value) {
+  size_t bytes = key.size() + value.size() + 64;
   std::lock_guard<std::mutex> lock(mu_);
   BlobEntry& entry = blobs_[key];
   resident_ -= std::min(resident_, entry.bytes);  // replacing a stale stamp
   entry.stamp = stamp;
   entry.value = std::move(value);
-  entry.is_bytes = is_bytes;
   entry.bytes = bytes;
   Touch(&entry);
   AddBytesAndEvictLocked(bytes);
@@ -260,14 +225,6 @@ void ProofCache::DropBlobs() {
     resident_ -= std::min(resident_, entry.bytes);
   }
   blobs_.clear();
-  PublishGaugeLocked();
-}
-
-void ProofCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  epochs_.clear();
-  blobs_.clear();
-  resident_ = 0;
   PublishGaugeLocked();
 }
 

@@ -2,7 +2,6 @@
 #define LEDGERDB_ACCUM_PROOF_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -27,7 +26,7 @@ namespace ledgerdb {
 ///    the tree (a cached proof for a pruned epoch would otherwise
 ///    resurrect a proof the uncached path refuses to build).
 ///
-///  * **Blob section** — opaque serialized proofs (ClueProofs) keyed by
+///  * **Blob section** — serialized proofs (clue-range reads) keyed by
 ///    an arbitrary string and *stamped* with the root digest they were
 ///    built under. A lookup hits only when the caller's current root
 ///    equals the stamp, so a stale entry can never be served; DropBlobs
@@ -93,23 +92,10 @@ class ProofCache {
   bool LookupBlob(const std::string& key, const Digest& stamp, Bytes* out);
   void InsertBlob(const std::string& key, const Digest& stamp, Bytes value);
 
-  /// Typed variant of the blob section: stores an immutable, already-built
-  /// proof object so a hit costs one struct copy instead of a
-  /// deserialize. The caller owns the key namespace — a key must always
-  /// carry the same dynamic type, and `approx_bytes` is charged against
-  /// the byte budget. Same stamp discipline as LookupBlob: served only
-  /// when the caller's current root equals the stamp.
-  bool LookupObject(const std::string& key, const Digest& stamp,
-                    std::shared_ptr<const void>* out);
-  void InsertObject(const std::string& key, const Digest& stamp,
-                    std::shared_ptr<const void> value, size_t approx_bytes);
-
   /// Seal-time garbage collection: a published commitment means the
   /// roots moved, so every blob stamp is stale — drop them all. (Stale
   /// entries are never *served* regardless; this just frees the bytes.)
   void DropBlobs();
-
-  void Clear();
 
   Stats stats() const;
   size_t byte_budget() const { return byte_budget_; }
@@ -128,19 +114,12 @@ class ProofCache {
     uint64_t last_use = 0;
     size_t bytes = 0;
     Digest stamp;
-    /// Serialized (Bytes) or typed immutable proof object; which one a
-    /// key holds is fixed by the inserting caller's namespace.
-    std::shared_ptr<const void> value;
-    bool is_bytes = false;
+    Bytes value;
   };
 
   static std::string PackLeaves(const std::vector<uint64_t>& leaves);
   static size_t ApproxBytes(const MembershipProof& proof);
   static size_t ApproxBytes(const BatchProof& proof);
-
-  void InsertObjectImpl(const std::string& key, const Digest& stamp,
-                        std::shared_ptr<const void> value, size_t bytes,
-                        bool is_bytes);
 
   /// mu_ held. Touches the LRU clock for `entry`.
   template <typename Entry>

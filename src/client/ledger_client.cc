@@ -155,11 +155,7 @@ Status LedgerClient::RefreshTrustedRootsUnaudited() {
 }
 
 Status LedgerClient::CheckPayload(const Journal& journal) {
-  // Only an occulted journal whose payload has actually been erased is
-  // exempt — the digest is the record, Protocol 2. An "occulted" journal
-  // still carrying bytes must carry the right ones.
-  if (!(journal.occulted && journal.payload.empty()) &&
-      !(Sha256::Hash(journal.payload) == journal.payload_digest)) {
+  if (!journal.PayloadIntact()) {
     return Status::VerificationFailed("payload digest mismatch");
   }
   return Status::OK();

@@ -124,6 +124,11 @@ Digest Journal::TxHash() const {
   return w.Finish();
 }
 
+bool Journal::PayloadIntact() const {
+  return (occulted && payload.empty()) ||
+         Sha256::Hash(payload) == payload_digest;
+}
+
 Digest Journal::EndorsementHash() const {
   HashWriter w;
   w.Str("endorse");

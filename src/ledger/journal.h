@@ -80,6 +80,12 @@ struct Journal {
   /// does not change its hash and the ledger stays verifiable.
   Digest TxHash() const;
 
+  /// True when the payload matches `payload_digest`, or has been erased:
+  /// an occulted journal with an empty payload is exempt, because its
+  /// retained digest is the record (Protocol 2). Recovery and every
+  /// client read apply this one rule.
+  bool PayloadIntact() const;
+
   /// Signed-message digest for endorsements over this journal.
   Digest EndorsementHash() const;
 

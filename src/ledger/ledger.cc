@@ -41,7 +41,7 @@ Bytes EncodeTombstone(const Journal& journal) {
 
 // Decodes journal stream record `index`: a journal into `journal`, or a
 // purge tombstone into `tombstone` (leaving `journal` empty).
-// `check_payload` re-verifies a present payload against its digest.
+// `check_payload` re-verifies the payload against its digest.
 Status DecodeStreamRecord(uint64_t index, Slice raw, bool check_payload,
                           std::optional<Journal>* journal,
                           JournalDelta* tombstone) {
@@ -65,11 +65,9 @@ Status DecodeStreamRecord(uint64_t index, Slice raw, bool check_payload,
     // its tombstone — anything else means the stream head was replaced.
     return Status::Corruption("journal stream does not begin with genesis");
   }
-  // A present payload must still match its retained digest (occulted
-  // journals carry an empty payload and are exempt: the digest IS the
-  // record, per Protocol 2).
-  if (check_payload && !decoded.payload.empty() &&
-      !(Sha256::Hash(decoded.payload) == decoded.payload_digest)) {
+  // The client's rule: a payload must match its retained digest unless it
+  // was erased by an occult, which sets the flag before the erasure.
+  if (check_payload && !decoded.PayloadIntact()) {
     return Status::Corruption("journal payload digest mismatch at jsn " +
                               std::to_string(index));
   }
@@ -93,35 +91,6 @@ Digest TxTreeRoot(const std::vector<Digest>& tx_hashes) {
   ShrubsAccumulator tx_tree;
   for (const Digest& tx_hash : tx_hashes) tx_tree.Append(tx_hash);
   return tx_tree.Root();
-}
-
-// Cheap wire-size estimates for proof-cache accounting: inserting a memo
-// must not pay a full Serialize just to size the entry (that would cost
-// as much as the rebuild the memo is there to avoid).
-size_t ApproxProofBytes(const BatchProof& proof) {
-  return 48 * proof.nodes.size() + 32 * proof.peaks.size() +
-         8 * proof.leaf_indices.size() + 64;
-}
-
-size_t ApproxProofBytes(const MembershipProof& proof) {
-  return 32 * (proof.siblings.size() + proof.peaks.size() + 2);
-}
-
-size_t ApproxProofBytes(const ClueProof& proof) {
-  size_t bytes = proof.clue.size() + 80 + ApproxProofBytes(proof.batch);
-  for (const Bytes& node : proof.mpt.nodes) bytes += node.size() + 16;
-  return bytes;
-}
-
-size_t ApproxProofBytes(const FamBatchProof& proof) {
-  size_t bytes = 64;
-  for (const FamBatchProof::EpochGroup& group : proof.groups) {
-    bytes += 8 * group.jsns.size() + 16 + ApproxProofBytes(group.batch);
-  }
-  for (const MembershipProof& link : proof.epoch_links) {
-    bytes += ApproxProofBytes(link);
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -666,26 +635,7 @@ bool Ledger::VerifyJournalProof(const Journal& journal, const FamProof& proof,
 Status Ledger::GetClueProof(const std::string& clue, uint64_t begin,
                             uint64_t end, ClueProof* proof) const {
   LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
-  if (proof_cache_ == nullptr) {
-    return core_.cmtree().GetClueProof(clue, begin, end, proof);
-  }
-  // The MptProof component binds to the global CM-Tree1 root, so the blob
-  // stamp must be the whole clue root: any clue changing invalidates it.
-  // `end == 0` ("latest") is safe under the same stamp — this clue can only
-  // grow by moving the global root.
-  Digest stamp = core_.clue_root();
-  std::string key = "clue|" + clue + "|" + std::to_string(begin) + "|" +
-                    std::to_string(end);
-  std::shared_ptr<const void> hit;
-  if (proof_cache_->LookupObject(key, stamp, &hit)) {
-    *proof = *static_cast<const ClueProof*>(hit.get());
-    return Status::OK();
-  }
-  LEDGERDB_RETURN_IF_ERROR(core_.cmtree().GetClueProof(clue, begin, end, proof));
-  auto kept = std::make_shared<const ClueProof>(*proof);
-  proof_cache_->InsertObject(key, stamp, std::move(kept),
-                             ApproxProofBytes(*proof));
-  return Status::OK();
+  return core_.cmtree().GetClueProof(clue, begin, end, proof);
 }
 
 Status Ledger::GetProofBatch(const std::vector<uint64_t>& jsns,
@@ -693,84 +643,52 @@ Status Ledger::GetProofBatch(const std::vector<uint64_t>& jsns,
   LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
   LEDGERDB_OBS_OBSERVE(obs::names::kLedgerBatchProofJournalsCount,
                        jsns.size());
-  if (proof_cache_ == nullptr) return core_.fam().GetBatchProof(jsns, proof);
-  // Memoize the whole batch proof. The proof is a pure function of the
-  // fam tree state and the (sorted, deduplicated) jsn set, and the fam
-  // root commits to that state, so stamping with the root makes a hit
-  // byte-identical to a rebuild; any append moves the root and the entry
-  // goes stale. Prune changes *availability* without moving the root,
-  // which is why the prune path drops the blob section outright.
-  std::vector<uint64_t> canon = jsns;
-  std::sort(canon.begin(), canon.end());
-  canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
-  std::string key = "fambatch|";
-  key.reserve(key.size() + canon.size() * 8);
-  for (uint64_t jsn : canon) {
-    for (int b = 0; b < 8; ++b) {
-      key.push_back(static_cast<char>((jsn >> (8 * b)) & 0xff));
-    }
-  }
-  Digest stamp = core_.fam_root();
-  std::shared_ptr<const void> hit;
-  if (proof_cache_->LookupObject(key, stamp, &hit)) {
-    *proof = *static_cast<const FamBatchProof*>(hit.get());
-    return Status::OK();
-  }
-  LEDGERDB_RETURN_IF_ERROR(core_.fam().GetBatchProof(canon, proof));
-  auto kept = std::make_shared<const FamBatchProof>(*proof);
-  proof_cache_->InsertObject(key, stamp, std::move(kept),
-                             ApproxProofBytes(*proof));
-  return Status::OK();
-}
-
-Status Ledger::ProveClueRange(const std::string& clue, Timestamp from,
-                              Timestamp to, ClueRangeResult* out) const {
-  LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
-  LEDGERDB_OBS_COUNT(obs::names::kLedgerRangeProofsTotal);
-  uint64_t begin = 0, end = 0;
-  LEDGERDB_RETURN_IF_ERROR(ResolveClueRange(clue, from, to, &begin, &end));
-  const std::vector<uint64_t>* postings = clue_index_.Find(clue);
-  if (postings == nullptr) return Status::NotFound("unknown clue");
-  out->clue = clue;
-  out->begin = begin;
-  out->end = end;
-  out->journals.clear();
-  out->journals.reserve(end - begin);
-  std::vector<uint64_t> jsns;
-  jsns.reserve(end - begin);
-  for (uint64_t i = begin; i < end; ++i) {
-    uint64_t jsn = (*postings)[i];
-    Journal journal;
-    LEDGERDB_RETURN_IF_ERROR(GetJournal(jsn, &journal));
-    out->journals.push_back(std::move(journal));
-    jsns.push_back(jsn);
-  }
-  LEDGERDB_RETURN_IF_ERROR(GetClueProof(clue, begin, end, &out->clue_proof));
-  return GetProofBatch(jsns, &out->fam_batch);
+  return core_.fam().GetBatchProof(jsns, proof);
 }
 
 Status Ledger::ProveClueRangeWire(const std::string& clue, Timestamp from,
                                   Timestamp to, Bytes* wire) const {
-  if (proof_cache_ == nullptr) {
-    ClueRangeResult result;
-    LEDGERDB_RETURN_IF_ERROR(ProveClueRange(clue, from, to, &result));
-    *wire = result.Serialize();
-    return Status::OK();
-  }
   // Keyed by the client's query parameters, stamped by the fam root: the
   // root commits the whole append sequence, and every response field —
   // the resolved [begin, end), the journals, both proofs — is a pure
   // function of that sequence plus the query, so a stamp match makes the
   // served bytes identical to a fresh build. Error results (e.g. an
   // empty range) are never memoized.
-  std::string key = "range|" + clue + "|" + std::to_string(from) + "|" +
-                    std::to_string(to);
-  Digest stamp = core_.fam_root();
-  if (proof_cache_->LookupBlob(key, stamp, wire)) return Status::OK();
+  std::string key;
+  Digest stamp;
+  if (proof_cache_ != nullptr) {
+    key = "range|" + clue + "|" + std::to_string(from) + "|" +
+          std::to_string(to);
+    stamp = core_.fam_root();
+    if (proof_cache_->LookupBlob(key, stamp, wire)) return Status::OK();
+  }
   ClueRangeResult result;
-  LEDGERDB_RETURN_IF_ERROR(ProveClueRange(clue, from, to, &result));
+  {
+    LEDGERDB_OBS_SPAN(span, obs::stages::kProofBuild);
+    LEDGERDB_OBS_COUNT(obs::names::kLedgerRangeProofsTotal);
+    uint64_t begin = 0, end = 0;
+    LEDGERDB_RETURN_IF_ERROR(ResolveClueRange(clue, from, to, &begin, &end));
+    const std::vector<uint64_t>* postings = clue_index_.Find(clue);
+    if (postings == nullptr) return Status::NotFound("unknown clue");
+    result.clue = clue;
+    result.begin = begin;
+    result.end = end;
+    result.journals.reserve(end - begin);
+    std::vector<uint64_t> jsns;
+    jsns.reserve(end - begin);
+    for (uint64_t i = begin; i < end; ++i) {
+      uint64_t jsn = (*postings)[i];
+      Journal journal;
+      LEDGERDB_RETURN_IF_ERROR(GetJournal(jsn, &journal));
+      result.journals.push_back(std::move(journal));
+      jsns.push_back(jsn);
+    }
+    LEDGERDB_RETURN_IF_ERROR(
+        GetClueProof(clue, begin, end, &result.clue_proof));
+    LEDGERDB_RETURN_IF_ERROR(GetProofBatch(jsns, &result.fam_batch));
+  }
   *wire = result.Serialize();
-  proof_cache_->InsertBlob(key, stamp, *wire);
+  if (proof_cache_ != nullptr) proof_cache_->InsertBlob(key, stamp, *wire);
   return Status::OK();
 }
 

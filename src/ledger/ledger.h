@@ -45,10 +45,10 @@ struct LedgerOptions {
   /// in full — "its space consumption is acceptable (we only need digest
   /// but not raw payload)".
   bool prune_fam_on_purge = false;
-  /// Memoized proof cache for sealed fam subtrees and serialized clue
-  /// proofs. Purely a read-path accelerator: it never changes any digest,
-  /// and disabling it reproduces byte-identical proofs (the correctness
-  /// baseline the proof_cache tests pin).
+  /// Memoized proof cache for sealed fam subtrees and serialized
+  /// clue-range reads. Purely a read-path accelerator: it never changes
+  /// any digest, and disabling it reproduces byte-identical proofs (the
+  /// correctness baseline the proof_cache tests pin).
   bool enable_proof_cache = true;
   /// Resident-byte budget for the proof cache (epoch-granular LRU
   /// eviction past it).
@@ -346,21 +346,17 @@ class Ledger {
   Status GetProofBatch(const std::vector<uint64_t>& jsns,
                        FamBatchProof* proof) const;
 
-  /// The batched range-read entry point: resolves [from, to) against the
-  /// clue's lineage (ResolveClueRange), fetches the selected journals, and
-  /// builds ONE ClueProof over the whole entry range plus ONE FamBatchProof
-  /// over their jsns — what LedgerClient::BatchAuditRange verifies against
-  /// a single RefreshTrustedRoots.
-  Status ProveClueRange(const std::string& clue, Timestamp from, Timestamp to,
-                        ClueRangeResult* out) const;
-
-  /// Wire-level variant for transports: returns the serialized
-  /// ClueRangeResult, memoized under the query parameters and stamped
-  /// with the fam root. A repeated range read between writes is served
-  /// as one bytes copy — no proof rebuild, no re-serialization — and the
-  /// stamp guarantees the served bytes equal a fresh build + Serialize.
-  /// Retrievability changes that do not move the root (occult, purge)
-  /// drop the memo section explicitly.
+  /// The batched range-read entry point, serialized for transports:
+  /// resolves [from, to) against the clue's lineage (ResolveClueRange),
+  /// fetches the selected journals, and builds ONE ClueProof over the
+  /// whole entry range plus ONE FamBatchProof over their jsns — the
+  /// ClueRangeResult that LedgerClient::BatchAuditRange verifies against
+  /// a single RefreshTrustedRoots. The bytes are memoized under the query
+  /// parameters and stamped with the fam root, so a repeated range read
+  /// between writes is served as one bytes copy — no proof rebuild, no
+  /// re-serialization — and the stamp guarantees the served bytes equal a
+  /// fresh build + Serialize. Retrievability changes that do not move the
+  /// root (occult, purge) drop the memo section explicitly.
   Status ProveClueRangeWire(const std::string& clue, Timestamp from,
                             Timestamp to, Bytes* wire) const;
 
@@ -578,9 +574,8 @@ class Ledger {
   std::vector<std::optional<Journal>> journals_;
   /// Memoized proof plane (null when disabled). Declared before core_ so
   /// it outlives the fam accumulator holding a raw pointer to it.
-  /// Sealed-epoch entries are managed by the fam; serialized ClueProof
-  /// blobs are stamped with the clue root and garbage-collected at seal
-  /// time.
+  /// Sealed-epoch entries are managed by the fam; serialized range reads
+  /// are stamped with the fam root and garbage-collected at seal time.
   std::unique_ptr<ProofCache> proof_cache_;
   /// fam, CM-Tree and world state: every root this ledger signs.
   LedgerMirror core_;

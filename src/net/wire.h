@@ -27,10 +27,11 @@ namespace ledgerdb::wire {
 /// no header) and are served unchanged — the flag is the whole
 /// backward-compatibility story, no version bump needed.
 /// Request/response bodies reuse the existing Serialize()/Deserialize()
-/// formats (a ClueRangeResult response body IS Ledger::ProveClueRangeWire
-/// output). Every decoder is strict: trailing bytes, truncated fields,
-/// unknown ops and unknown status codes all fail, and a framing failure
-/// closes the connection — lengths from the peer are never trusted past
+/// formats (a ClueRangeResult response body IS the output of
+/// Ledger::ProveClueRangeWire, the ledger's one range-proof entry point).
+/// Every decoder is strict: trailing bytes, truncated fields, unknown ops
+/// and unknown status codes all fail, and a framing failure closes the
+/// connection — lengths from the peer are never trusted past
 /// `max_frame_bytes`.
 
 inline constexpr uint8_t kHelloMagic[4] = {'L', 'D', 'B', 'W'};

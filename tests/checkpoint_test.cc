@@ -369,6 +369,37 @@ TEST_F(CheckpointTest, PostCheckpointMutationsBelowWatermarkReconcile) {
   ExpectAuditPasses(fast.ledger.get());
 }
 
+TEST_F(CheckpointTest, ErasedPayloadWithoutOccultFlagRejected) {
+  MemEnv env;
+  {
+    OpenedLedger live;
+    ASSERT_TRUE(Create(&env, &live).ok());
+    for (int i = 0; i < 11; ++i) {
+      ASSERT_TRUE(Append(&live, "pre-" + std::to_string(i), "acct-0").ok());
+    }
+    ASSERT_TRUE(live.ledger->WriteCheckpoint(nullptr).ok());
+  }
+  // Below the watermark, cut journal 5's payload to nothing with the
+  // occult flag clear. The record now diverges from the snapshot, so the
+  // reconcile path re-validates it, and a clean full replay must not
+  // adopt it either.
+  {
+    std::unique_ptr<FileStreamStore> jf;
+    ASSERT_TRUE(FileStreamStore::Open(&env, kJournalPath, &jf).ok());
+    Bytes raw;
+    ASSERT_TRUE(jf->Read(5, &raw).ok());
+    Journal journal;
+    ASSERT_TRUE(Journal::Deserialize(raw, &journal));
+    ASSERT_FALSE(journal.occulted);
+    journal.payload.clear();
+    ASSERT_TRUE(jf->Overwrite(5, Slice(journal.Serialize())).ok());
+  }
+  OpenedLedger reopened;
+  Status s = Reopen(&env, /*with_checkpoints=*/true, &reopened);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("jsn 5"), std::string::npos) << s.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Tamper rejection: any byte
 // ---------------------------------------------------------------------------

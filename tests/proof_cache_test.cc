@@ -1,5 +1,5 @@
 // Proof-cache correctness: the memoized proof plane must be INVISIBLE in
-// the bytes — every cached proof path (current, anchored, batched, clue
+// the bytes — every cached proof path (current, anchored, batched, range
 // blobs) must produce serializations identical to a cache-disabled ledger
 // driven by the same history; stale blob stamps must never be served; the
 // byte budget must hold under eviction; purge must drop cached epochs in
@@ -156,30 +156,62 @@ TEST_F(ProofCacheTest, BatchAndRangeProofsByteIdentical) {
                                                digests, warm,
                                                plain_->FamRoot()));
 
-  ClueRangeResult range_cold, range_warm, range_reference;
+  Bytes range_cold, range_warm, range_reference;
   Timestamp to = clock_.Now() + 1;
-  ASSERT_TRUE(cached_->ProveClueRange("even", 0, to, &range_cold).ok());
-  ASSERT_TRUE(cached_->ProveClueRange("even", 0, to, &range_warm).ok());
-  ASSERT_TRUE(plain_->ProveClueRange("even", 0, to, &range_reference).ok());
-  EXPECT_EQ(range_cold.Serialize(), range_reference.Serialize());
-  EXPECT_EQ(range_warm.Serialize(), range_reference.Serialize());
+  ASSERT_TRUE(cached_->ProveClueRangeWire("even", 0, to, &range_cold).ok());
+  ASSERT_TRUE(cached_->ProveClueRangeWire("even", 0, to, &range_warm).ok());
+  ASSERT_TRUE(
+      plain_->ProveClueRangeWire("even", 0, to, &range_reference).ok());
+  EXPECT_EQ(range_cold, range_reference);
+  EXPECT_EQ(range_warm, range_reference);
   EXPECT_GT(cached_->ProofCacheStats().hits, 0u);
 }
 
 TEST_F(ProofCacheTest, ClueProofBlobsByteIdenticalAndHit) {
   BuildPair();
   for (uint64_t i = 0; i < 6; ++i) AppendBoth(i, {"asset"});
-  ClueProof cold, warm, reference;
-  ASSERT_TRUE(cached_->GetClueProof("asset", 0, 0, &cold).ok());
+  // A clue proof is memoized only inside the range blob that carries it.
+  Timestamp to = clock_.Now() + 1;
+  Bytes cold, warm, reference;
+  ASSERT_TRUE(cached_->ProveClueRangeWire("asset", 0, to, &cold).ok());
   uint64_t misses_after_cold = cached_->ProofCacheStats().misses;
-  ASSERT_TRUE(cached_->GetClueProof("asset", 0, 0, &warm).ok());
-  ASSERT_TRUE(plain_->GetClueProof("asset", 0, 0, &reference).ok());
-  EXPECT_EQ(cold.Serialize(), reference.Serialize());
-  EXPECT_EQ(warm.Serialize(), reference.Serialize());
+  ASSERT_TRUE(cached_->ProveClueRangeWire("asset", 0, to, &warm).ok());
+  ASSERT_TRUE(plain_->ProveClueRangeWire("asset", 0, to, &reference).ok());
+  EXPECT_EQ(cold, reference);
+  EXPECT_EQ(warm, reference);
   // The second build hit the blob without a new miss.
   ProofCache::Stats stats = cached_->ProofCacheStats();
   EXPECT_EQ(stats.misses, misses_after_cold);
   EXPECT_GT(stats.hits, 0u);
+  // The served clue proof equals a fresh cache-off build of the same range.
+  ClueRangeResult served;
+  ASSERT_TRUE(ClueRangeResult::Deserialize(warm, &served));
+  ClueProof fresh;
+  ASSERT_TRUE(
+      plain_->GetClueProof("asset", served.begin, served.end, &fresh).ok());
+  EXPECT_EQ(served.clue_proof.Serialize(), fresh.Serialize());
+}
+
+TEST_F(ProofCacheTest, RebuiltRangeReadCostsOneMiss) {
+  // Epoch capacity 64: every journal sits in the live fam epoch, so the
+  // batch proof consults no epoch-section entry and the range blob is the
+  // only memo a range read looks up.
+  options_.fractal_height = 6;
+  BuildPair();
+  for (uint64_t i = 0; i < 6; ++i) AppendBoth(i, {"asset"});
+  Timestamp to = clock_.Now() + 1;
+  Bytes first;
+  ASSERT_TRUE(cached_->ProveClueRangeWire("asset", 0, to, &first).ok());
+  AppendBoth(6, {"asset"});
+  ProofCache::Stats before = cached_->ProofCacheStats();
+  Bytes rebuilt, reference;
+  ASSERT_TRUE(cached_->ProveClueRangeWire("asset", 0, to, &rebuilt).ok());
+  ProofCache::Stats after = cached_->ProofCacheStats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits);
+  ASSERT_TRUE(plain_->ProveClueRangeWire("asset", 0, to, &reference).ok());
+  EXPECT_EQ(rebuilt, reference);
+  EXPECT_NE(rebuilt, first);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,30 +276,44 @@ TEST_F(ProofCacheTest, WireRangeMemoByteIdenticalAndDroppedOnOccult) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ProofCacheTest, BlobStampNeverServesStaleProof) {
+  // No block seals in this test, so no DropBlobs: only the stamp stands
+  // between the memo and a stale answer.
+  options_.block_capacity = 64;
   BuildPair();
   for (uint64_t i = 0; i < 4; ++i) AppendBoth(i, {"asset"});
-  ClueProof before;
-  ASSERT_TRUE(cached_->GetClueProof("asset", 0, 0, &before).ok());
-  EXPECT_EQ(before.entry_count, 4u);
-  // The clue root moves: the cached blob's stamp is now stale and must be
+  Timestamp to = clock_.Now() + 1;
+  Bytes before;
+  ASSERT_TRUE(cached_->ProveClueRangeWire("asset", 0, to, &before).ok());
+  ClueRangeResult stale;
+  ASSERT_TRUE(ClueRangeResult::Deserialize(before, &stale));
+  EXPECT_EQ(stale.journals.size(), 4u);
+  size_t resident = cached_->ProofCacheStats().resident_bytes;
+  // The roots move: the cached blob's stamp is now stale and must be
   // rebuilt, not served.
   AppendBoth(4, {"asset"});
-  ClueProof after, reference;
-  ASSERT_TRUE(cached_->GetClueProof("asset", 0, 0, &after).ok());
-  ASSERT_TRUE(plain_->GetClueProof("asset", 0, 0, &reference).ok());
-  EXPECT_EQ(after.entry_count, 5u);
-  EXPECT_EQ(after.Serialize(), reference.Serialize());
-  // jsn 0 is the genesis journal: resolve the clue's actual postings.
-  std::vector<uint64_t> postings;
-  ASSERT_TRUE(cached_->ListTx("asset", &postings).ok());
-  ASSERT_EQ(postings.size(), 5u);
+  ASSERT_EQ(cached_->ProofCacheStats().resident_bytes, resident)
+      << "the stale blob must still be resident";
+  uint64_t misses_before = cached_->ProofCacheStats().misses;
+  Bytes after, reference;
+  ASSERT_TRUE(cached_->ProveClueRangeWire("asset", 0, to, &after).ok());
+  EXPECT_GT(cached_->ProofCacheStats().misses, misses_before);
+  ASSERT_TRUE(plain_->ProveClueRangeWire("asset", 0, to, &reference).ok());
+  EXPECT_EQ(after, reference);
+  ClueRangeResult fresh;
+  ASSERT_TRUE(ClueRangeResult::Deserialize(after, &fresh));
+  ASSERT_EQ(fresh.journals.size(), 5u);
+  EXPECT_EQ(fresh.clue_proof.entry_count, 5u);
+  std::vector<uint64_t> jsns;
   std::vector<Digest> digests;
-  for (uint64_t jsn : postings) {
-    Journal journal;
-    ASSERT_TRUE(cached_->GetJournal(jsn, &journal).ok());
+  for (const Journal& journal : fresh.journals) {
+    jsns.push_back(journal.jsn);
     digests.push_back(journal.TxHash());
   }
-  EXPECT_TRUE(CmTree::VerifyClueProof(cached_->ClueRoot(), digests, after));
+  EXPECT_TRUE(
+      CmTree::VerifyClueProof(cached_->ClueRoot(), digests, fresh.clue_proof));
+  EXPECT_TRUE(FamAccumulator::VerifyBatchProof(options_.fractal_height, jsns,
+                                               digests, fresh.fam_batch,
+                                               cached_->FamRoot()));
 }
 
 // ---------------------------------------------------------------------------
@@ -487,8 +533,8 @@ TEST_F(ProofCacheTest, ReadersRaceSealTimeBlobInvalidation) {
           uint64_t jsn = (static_cast<uint64_t>(t) * 20 + iter) % committed;
           FamProof proof;
           if (!ledger->GetProof(jsn, &proof).ok()) failed = true;
-          ClueRangeResult range;
-          if (!ledger->ProveClueRange("asset", 0, clock_.Now() + 1, &range)
+          Bytes range;
+          if (!ledger->ProveClueRangeWire("asset", 0, clock_.Now() + 1, &range)
                    .ok()) {
             failed = true;
           }

@@ -544,6 +544,29 @@ TEST_F(RecoveryTest, TamperedJournalStreamDetected) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
+TEST_F(RecoveryTest, ErasedPayloadWithoutOccultFlagIsCorruption) {
+  for (int i = 0; i < 8; ++i) Append("p" + std::to_string(i));
+  ledger_->SealBlock();
+  // Cut journal 3's payload to nothing but leave the occult flag clear.
+  // The tx-hash binds only the payload digest, so every root still
+  // matches; a client would reject each read of this record, and recovery
+  // applies the same rule.
+  Bytes raw;
+  ASSERT_TRUE(journal_stream_.Read(3, &raw).ok());
+  Journal journal;
+  ASSERT_TRUE(Journal::Deserialize(raw, &journal));
+  ASSERT_FALSE(journal.occulted);
+  ASSERT_FALSE(journal.payload.empty());
+  journal.payload.clear();
+  ASSERT_TRUE(journal_stream_.Overwrite(3, Slice(journal.Serialize())).ok());
+
+  std::unique_ptr<Ledger> recovered;
+  Status s = Ledger::Recover("lg://rec", options_, &clock_, lsp_, &registry_,
+                             Storage(), &recovered);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("jsn 3"), std::string::npos) << s.ToString();
+}
+
 TEST_F(RecoveryTest, TamperedBlockStreamDetected) {
   for (int i = 0; i < 8; ++i) Append("p" + std::to_string(i));
   ledger_->SealBlock();
